@@ -19,7 +19,6 @@ from .datagen import (
     project_keypoints,
     read_dataset,
     sample_scene,
-    skeleton_keypoints,
     write_dataset,
 )
 from .distgeo import (
@@ -58,6 +57,7 @@ from .kinematics import (
     joint_points,
     load_chain,
     rotation_geodesic,
+    skeleton_keypoints,
     wrap_angle,
 )
 from .metrics import (
@@ -83,11 +83,8 @@ from .poseinit import (
 )
 from .refine import (
     Estimate,
-    EstimateUpdate,
     RefinerConfig,
-    apply_update,
     config_loss,
-    grad_normalize,
     load_estimate,
     matrix_to_rot6d,
     pose_loss,
@@ -102,8 +99,6 @@ from .silhouette import (
     default_link_meshes,
     draw_segment,
     load_obj,
-    load_pointcloud_json,
-    pose_mesh,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
@@ -111,7 +106,6 @@ from .silhouette import (
     sample_link_clouds,
     sample_surface,
     save_obj,
-    segment_reference,
     silhouette_iou,
     write_pgm,
 )

@@ -4,10 +4,17 @@ import os
 
 
 def atomic_write_bytes(path, data):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # The temp name is unique to the process, so concurrent writers of one
+    # path never share a staging file; the last rename wins.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -84,78 +83,37 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # option plumbing
 
-GEN_DEFAULTS = {
-    "chain": "panda7",
-    "count": 20,
-    "seed": 0,
-    "noise_std": math.sqrt(30.0),
-    "distance": [1.8, 3.0],
-    "elevation": [0.05, 0.45],
-    "azimuth": [-math.pi, math.pi],
-    "image_size": [224, 224],
-    "focal": 260.0,
-    "samples_per_link": 600,
-    "splat_radius": 2,
-    "workers": 0,
-}
 
-TRAIN_DEFAULTS = {
-    "steps": 2000,
-    "batch_size": 32,
-    "learning_rate": 1e-3,
-    "warmup_steps": 100,
-    "hidden": [160, 160],
-    "dropout": 0.1,
-    "seed": 0,
-}
-
-ESTIMATE_DEFAULTS = {
-    "oracle_edm": False,
-    "freeze_dropout": False,
-    "workers": 0,
-}
-
-REFINE_DEFAULTS = {
-    "iterations": 3,
-    "evals_per_iteration": 250,
-    "step_theta": 0.05,
-    "step_rot": 0.02,
-    "step_scale": 0.02,
-    "objective": "iou",
-    "samples_per_link": 600,
-    "splat_radius": 2,
-    "render_seed": 0,
-    "workers": 0,
-}
-
-EVAL_DEFAULTS = {
-    "threshold": 0.1,
-}
-
-RENDER_DEFAULTS = {
-    "samples_per_link": 600,
-    "splat_radius": 2,
-    "render_seed": 0,
-}
+def _read_config(path):
+    if not os.path.exists(path):
+        raise CliError(EXIT_CONFIG, f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CliError(EXIT_CONFIG, f"config file {path} is not valid JSON: {exc}")
 
 
-def _merge_options(args, defaults):
-    """Overlay defaults < config file < explicit flags onto args, in place."""
-    from_file = {}
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise CliError(EXIT_CONFIG, f"config file not found: {args.config}")
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                from_file = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_CONFIG, f"config file {args.config} is not valid JSON: {exc}")
-        unknown = sorted(set(from_file) - set(defaults))
+def _parse_args(argv):
+    """Parse argv with precedence defaults < --config file < explicit flags.
+
+    The file may set any option that has a default. Its values become the
+    subcommand's defaults, and argv is parsed again on top of them.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = args.command_parser
+        from_file = _read_config(args.config)
+        settable = {
+            key for key in vars(args)
+            if key not in ("func", "command_parser") and command.get_default(key) is not None
+        }
+        unknown = sorted(set(from_file) - settable)
         if unknown:
             raise CliError(EXIT_CONFIG, f"unknown config keys: {', '.join(unknown)}")
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, from_file.get(key, fallback))
+        command.set_defaults(**from_file)
+        args = parser.parse_args(argv)
     return args
 
 
@@ -179,6 +137,14 @@ def _require_file(path, what):
 def _require_dataset(path):
     _require_file(path, "dataset directory")
     return read_dataset(path)
+
+
+def _render_settings(args):
+    return RenderSettings(
+        samples_per_link=int(args.samples_per_link),
+        splat_radius=int(args.splat_radius),
+        seed=int(args.render_seed),
+    )
 
 
 def _workers(value):
@@ -239,7 +205,6 @@ def _gen_worker(payload):
 
 
 def cmd_gen(args):
-    _merge_options(args, GEN_DEFAULTS)
     chain = _resolve_chain(args.chain)
     if args.count < 1:
         raise CliError(EXIT_CONFIG, "--count must be at least 1")
@@ -278,7 +243,6 @@ def cmd_gen(args):
 
 
 def cmd_train_gim(args):
-    _merge_options(args, TRAIN_DEFAULTS)
     chain, k, _, scenes = _require_dataset(args.data)
     dataset = [
         (
@@ -358,7 +322,6 @@ def _estimate_scene(payload):
 
 
 def cmd_estimate(args):
-    _merge_options(args, ESTIMATE_DEFAULTS)
     chain, k, _, scenes = _require_dataset(args.data)
     net = None
     if not args.oracle_edm:
@@ -392,8 +355,7 @@ def cmd_estimate(args):
 def _scene_truth(scene, k):
     """Ground-truth Estimate for a generated scene; lets traces carry ADD."""
     t = scene.pose.translation
-    pix = np.array([k.fx * t[0] / t[2] + k.cx, k.fy * t[1] / t[2] + k.cy])
-    return Estimate(scene.theta, scene.pose.rotation, float(t[2]), pix, provenance="truth")
+    return Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t), provenance="truth")
 
 
 def _refine_worker(payload):
@@ -408,7 +370,6 @@ def _refine_worker(payload):
 
 
 def cmd_refine(args):
-    _merge_options(args, REFINE_DEFAULTS)
     chain, k, _, scenes = _require_dataset(args.data)
     by_index = {scene.index: scene for scene in scenes}
     estimates = _load_estimates(args.estimates)
@@ -418,15 +379,8 @@ def cmd_refine(args):
         step_theta=float(args.step_theta),
         step_rot=float(args.step_rot),
         step_scale=float(args.step_scale),
-        objective=str(args.objective),
     )
-    if cfg.objective != "iou":
-        raise CliError(EXIT_CONFIG, "only the iou objective is available from the command line")
-    settings = RenderSettings(
-        samples_per_link=int(args.samples_per_link),
-        splat_radius=int(args.splat_radius),
-        seed=int(args.render_seed),
-    )
+    settings = _render_settings(args)
     meshes = default_link_meshes(chain)
     payloads = []
     passthrough = []
@@ -472,7 +426,6 @@ def cmd_refine(args):
 
 
 def cmd_eval(args):
-    _merge_options(args, EVAL_DEFAULTS)
     chain, k, _, scenes = _require_dataset(args.data)
     by_index = {scene.index: scene for scene in scenes}
     records = []
@@ -507,7 +460,6 @@ def cmd_eval(args):
 
 
 def cmd_render(args):
-    _merge_options(args, RENDER_DEFAULTS)
     chain, k, _, scenes = _require_dataset(args.data)
     by_index = {scene.index: scene for scene in scenes}
     if args.scene not in by_index:
@@ -519,14 +471,9 @@ def cmd_render(args):
         if not match or match[0] is None:
             raise DatasetFormatError(f"estimates file has no usable entry for scene {args.scene}")
         theta, pose = match[0].theta, match[0].pose(k)
-    settings = RenderSettings(
-        samples_per_link=int(args.samples_per_link),
-        splat_radius=int(args.splat_radius),
-        seed=int(args.render_seed),
-    )
     meshes = default_link_meshes(chain)
     observed = load_scene_mask(args.data, scene)
-    model = render_chain_silhouette(chain, theta, meshes, pose, k, settings)
+    model = render_chain_silhouette(chain, theta, meshes, pose, k, _render_settings(args))
     overlay = np.zeros((k.height, k.width), dtype=np.uint8)
     overlay[observed] = 128
     overlay[model] = 255
@@ -559,105 +506,110 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--chain", help="built-in chain name or chain JSON path")
-    p.add_argument("--count", type=int, help="number of scenes")
-    p.add_argument("--seed", type=int, help="dataset seed")
-    p.add_argument("--noise-std", type=float, dest="noise_std", help="keypoint noise in pixels")
-    p.add_argument("--distance", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--elevation", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--azimuth", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--image-size", type=int, nargs=2, dest="image_size", metavar=("W", "H"))
-    p.add_argument("--focal", type=float)
-    p.add_argument("--samples-per-link", type=int, dest="samples_per_link")
-    p.add_argument("--splat-radius", type=int, dest="splat_radius")
-    p.add_argument("--workers", type=int, help="process count, 0 = all cores")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_gen)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file with option defaults")
+        p.set_defaults(func=func, command_parser=p)
+        return p
 
-    p = sub.add_parser("train-gim", help="train the keypoint-to-distance regressor")
+    def workers_option(p):
+        p.add_argument("--workers", type=int, default=0, help="process count, 0 = all cores")
+
+    def render_options(p, with_seed=True):
+        p.add_argument("--samples-per-link", type=int, default=RenderSettings.samples_per_link)
+        p.add_argument("--splat-radius", type=int, default=RenderSettings.splat_radius)
+        if with_seed:
+            p.add_argument("--render-seed", type=int, default=RenderSettings.seed)
+
+    p = command("gen", cmd_gen, "generate a synthetic dataset")
+    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--chain", default="panda7", help="built-in chain name or chain JSON path")
+    p.add_argument("--count", type=int, default=20, help="number of scenes")
+    p.add_argument("--seed", type=int, default=0, help="dataset seed")
+    p.add_argument(
+        "--noise-std", type=float, default=SamplerConfig.noise_std, help="keypoint noise in pixels"
+    )
+    for name in ("distance", "elevation", "azimuth"):
+        default = getattr(SamplerConfig, name)
+        p.add_argument(f"--{name}", type=float, nargs=2, default=default, metavar=("LO", "HI"))
+    p.add_argument(
+        "--image-size",
+        type=int,
+        nargs=2,
+        default=(SamplerConfig.image_width, SamplerConfig.image_height),
+        metavar=("W", "H"),
+    )
+    p.add_argument("--focal", type=float, default=SamplerConfig.focal)
+    render_options(p, with_seed=False)
+    workers_option(p)
+
+    p = command("train-gim", cmd_train_gim, "train the keypoint-to-distance regressor")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output regressor JSON")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
-    p.add_argument("--hidden", type=int, nargs=2, metavar=("H1", "H2"))
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--warmup-steps", type=int, default=TrainConfig.warmup_steps)
+    p.add_argument("--hidden", type=int, nargs=2, default=(160, 160), metavar=("H1", "H2"))
+    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--resume", help="regressor JSON with trainer state to continue from")
     p.add_argument("--trace", help="write per-step losses to this CSV")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_train_gim)
 
-    p = sub.add_parser("estimate", help="geometric initialization for every scene")
+    p = command("estimate", cmd_estimate, "geometric initialization for every scene")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output estimates JSONL")
     p.add_argument("--net", help="trained regressor JSON")
     p.add_argument(
         "--oracle-edm",
         action="store_true",
-        default=None,
-        dest="oracle_edm",
         help="use ground-truth distances and alignment anchors instead of the regressor",
     )
     p.add_argument(
         "--freeze-dropout",
         action="store_true",
-        default=None,
-        dest="freeze_dropout",
         help="disable inference-time dropout for deterministic output",
     )
-    p.add_argument("--workers", type=int, help="process count, 0 = all cores")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_estimate)
+    workers_option(p)
 
-    p = sub.add_parser("refine", help="silhouette refinement of existing estimates")
+    p = command("refine", cmd_refine, "silhouette refinement of existing estimates")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--estimates", required=True, help="estimates JSONL to refine")
     p.add_argument("--out", required=True, help="output refined JSONL")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--evals-per-iteration", type=int, dest="evals_per_iteration")
-    p.add_argument("--step-theta", type=float, dest="step_theta")
-    p.add_argument("--step-rot", type=float, dest="step_rot")
-    p.add_argument("--step-scale", type=float, dest="step_scale")
-    p.add_argument("--objective", choices=["iou"])
-    p.add_argument("--samples-per-link", type=int, dest="samples_per_link")
-    p.add_argument("--splat-radius", type=int, dest="splat_radius")
-    p.add_argument("--render-seed", type=int, dest="render_seed")
-    p.add_argument("--trace-dir", dest="trace_dir", help="write per-scene objective traces here")
-    p.add_argument("--workers", type=int, help="process count, 0 = all cores")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_refine)
+    p.add_argument("--iterations", type=int, default=RefinerConfig.iterations)
+    p.add_argument(
+        "--evals-per-iteration", type=int, default=RefinerConfig.inner_evals_per_iteration
+    )
+    p.add_argument("--step-theta", type=float, default=RefinerConfig.step_theta)
+    p.add_argument("--step-rot", type=float, default=RefinerConfig.step_rot)
+    p.add_argument("--step-scale", type=float, default=RefinerConfig.step_scale)
+    render_options(p)
+    p.add_argument("--trace-dir", help="write per-scene objective traces here")
+    workers_option(p)
 
-    p = sub.add_parser("eval", help="score estimates against ground truth")
+    p = command("eval", cmd_eval, "score estimates against ground truth")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--estimates", required=True, help="estimates JSONL to score")
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--csv", help="also write the per-scene table as CSV")
-    p.add_argument("--threshold", type=float, help="ADD threshold for the area-under-curve score")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument(
+        "--threshold", type=float, default=0.1, help="ADD threshold for the area-under-curve score"
+    )
 
-    p = sub.add_parser("render", help="overlay and skeleton images for one scene")
+    p = command("render", cmd_render, "overlay and skeleton images for one scene")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--scene", type=int, required=True, help="scene index")
     p.add_argument("--out", required=True, help="output overlay PGM")
     p.add_argument("--skeleton", help="also write a projected-skeleton PGM")
     p.add_argument("--estimates", help="render this estimates file instead of ground truth")
-    p.add_argument("--samples-per-link", type=int, dest="samples_per_link")
-    p.add_argument("--splat-radius", type=int, dest="splat_radius")
-    p.add_argument("--render-seed", type=int, dest="render_seed")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.set_defaults(func=cmd_render)
+    render_options(p)
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse_args(argv)
         args.func(args)
         return EXIT_OK
     except CliError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_text
-from .kinematics import RigidTransform, forward_kinematics, load_chain
+from .kinematics import RigidTransform, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
     RenderSettings,
@@ -156,12 +156,6 @@ def look_at(camera_pos, target, up=(0.0, 0.0, 1.0)):
     return RigidTransform(rot, -rot @ camera_pos)
 
 
-def skeleton_keypoints(chain, theta):
-    """Base origin followed by each joint-frame origin, (dof + 1, 3)."""
-    frames = forward_kinematics(chain, theta)
-    return np.vstack([chain.base_frame.translation] + [f.translation for f in frames])
-
-
 def project_keypoints(points, pose, k):
     """Project base-frame points to pixels with a visibility flag per point.
 
@@ -169,18 +163,12 @@ def project_keypoints(points, pose, k):
     image rectangle.
     """
     cam = pose.apply(points)
-    z = cam[:, 2]
-    safe = np.where(z > 1e-6, z, 1.0)
-    u = k.fx * cam[:, 0] / safe + k.cx
-    v = k.fy * cam[:, 1] / safe + k.cy
-    visible = (
-        (z > 1e-6)
-        & (u >= 0.0)
-        & (u <= k.width - 1.0)
-        & (v >= 0.0)
-        & (v <= k.height - 1.0)
-    )
-    return Keypoints2D(np.column_stack([u, v]), visible)
+    front = cam[:, 2] > 1e-6
+    cam[~front, 2] = 1.0  # keeps the division finite; these points stay invisible
+    uv = k.project(cam)
+    u, v = uv[:, 0], uv[:, 1]
+    visible = front & (u >= 0.0) & (u <= k.width - 1.0) & (v >= 0.0) & (v <= k.height - 1.0)
+    return Keypoints2D(uv, visible)
 
 
 def perturb_keypoints(keypoints, noise_std, seed):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import atomic_write_text
-from .kinematics import PointSet, check_configuration, dh_transform, joint_points, wrap_angle
+from .kinematics import PointSet, dh_transform, joint_points, kabsch, wrap_angle
 
 
 class AlignmentDegenerateError(ValueError):
@@ -119,21 +119,6 @@ def points_from_gram(g):
 # anchoring
 
 
-def _kabsch(src, dst):
-    """Proper rotation + translation minimizing ||R src + t - dst||."""
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    h = (src - c_src).T @ (dst - c_dst)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0:
-        sign = 1.0
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    return rot, c_dst - rot @ c_src
-
-
 def anchor_indices(chain):
     """Indices into the stacked point set used as alignment anchors.
 
@@ -197,7 +182,7 @@ def align_points(x_raw, chain, targets=None):
     best = None
     for mirror in (False, True):
         candidate = cloud * np.array([1.0, 1.0, -1.0]) if mirror else cloud
-        rot, tra = _kabsch(candidate[idx], target_full[idx])
+        rot, tra = kabsch(candidate[idx], target_full[idx])
         mapped = candidate @ rot.T + tra
         residual = float(np.linalg.norm(mapped[score_rows] - target_full[score_rows]))
         if best is None or residual < best[0]:

@@ -90,6 +90,21 @@ class RigidTransform:
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"
 
 
+def kabsch(src, dst):
+    """Proper rotation + translation minimizing ||R src + t - dst||."""
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    h = (src - c_src).T @ (dst - c_dst)
+    u, _, vt = np.linalg.svd(h)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    if sign == 0:
+        sign = 1.0
+    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    return rot, c_dst - rot @ c_src
+
+
 def rotation_geodesic(r_a, r_b):
     """Angle of the relative rotation between two rotation matrices, in radians.
 
@@ -292,6 +307,12 @@ class PointSet:
             raise ValueError("stacked point set must be (2n, 3)")
         half = pts.shape[0] // 2
         return cls(pts[:half], pts[half:], strict=strict)
+
+
+def skeleton_keypoints(chain, theta):
+    """Base origin followed by each joint-frame origin, (dof + 1, 3)."""
+    frames = forward_kinematics(chain, theta)
+    return np.vstack([chain.base_frame.translation] + [f.translation for f in frames])
 
 
 def joint_points(chain, theta):

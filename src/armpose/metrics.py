@@ -29,13 +29,11 @@ def _camera_origins(pose, theta, chain):
     return np.array([(pose @ f).translation for f in frames])
 
 
-def auc(errors, threshold=0.1, method="step"):
+def auc(errors, threshold=0.1):
     """Area under the accuracy-vs-threshold curve, as a percentage.
 
-    With the exact "step" method each error e <= threshold contributes its
-    full remaining margin, giving 100 * sum(threshold - e) / (n * threshold).
-    The "trapezoid" method numerically integrates the empirical accuracy
-    curve on a fixed 1000-point grid and converges to the same value.
+    Exact for the empirical step curve: each error e <= threshold contributes
+    its full remaining margin, giving 100 * sum(threshold - e) / (n * threshold).
     """
     errs = np.asarray(errors, dtype=float).reshape(-1)
     if errs.size == 0:
@@ -44,14 +42,8 @@ def auc(errors, threshold=0.1, method="step"):
         raise ValueError("errors must be nonnegative")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if method == "step":
-        kept = errs[errs <= threshold]
-        return float(100.0 * np.sum(threshold - kept) / (errs.size * threshold))
-    if method == "trapezoid":
-        grid = np.linspace(0.0, threshold, 1000)
-        accuracy = np.array([np.mean(errs <= g) for g in grid])
-        return float(100.0 * np.trapezoid(accuracy, grid) / threshold)
-    raise ValueError(f"unknown auc method {method!r}")
+    kept = errs[errs <= threshold]
+    return float(100.0 * np.sum(threshold - kept) / (errs.size * threshold))
 
 
 def mae_config(theta_gt, theta_est):

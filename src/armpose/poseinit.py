@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RigidTransform, check_configuration, forward_kinematics
+from .kinematics import RigidTransform, check_configuration, kabsch, skeleton_keypoints
 
 
 class InsufficientCorrespondencesError(ValueError):
@@ -251,26 +251,15 @@ def _pose_from_betas(kernel, nc, betas, alphas, pts3d):
     pts_cam = alphas @ ctrl_cam
     if np.sum(pts_cam[:, 2] < 0.0) > pts_cam.shape[0] // 2:
         pts_cam = -pts_cam
-    c_w = pts3d.mean(axis=0)
-    c_c = pts_cam.mean(axis=0)
-    h = (pts3d - c_w).T @ (pts_cam - c_c)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0:
-        sign = 1.0
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    tra = c_c - rot @ c_w
-    return rot, tra
+    return kabsch(pts3d, pts_cam)
 
 
 def _reprojection_error(rot, tra, pts3d, uv, k):
     """Mean pixel error; points behind the camera contribute a fixed penalty."""
     cam = pts3d @ rot.T + tra
-    z = cam[:, 2]
-    behind = z <= 1e-9
-    zs = np.where(behind, 1.0, z)
-    proj = np.stack([k.fx * cam[:, 0] / zs + k.cx, k.fy * cam[:, 1] / zs + k.cy], axis=-1)
-    per_point = np.where(behind, 1e6, np.linalg.norm(proj - uv, axis=1))
+    behind = cam[:, 2] <= 1e-9
+    cam[behind, 2] = 1.0
+    per_point = np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=1))
     return float(np.mean(per_point)), int(behind.sum())
 
 
@@ -366,8 +355,7 @@ def initial_estimate(keypoints, theta_init, chain, k):
         raise ValueError(
             f"expected {chain.dof + 1} keypoints (base plus joints), got {len(keypoints)}"
         )
-    frames = forward_kinematics(chain, theta)
-    pts3d = np.vstack([chain.base_frame.translation[None, :], [f.translation for f in frames]])
+    pts3d = skeleton_keypoints(chain, theta)
     vis = keypoints.visible
     if int(vis.sum()) < 4:
         raise InsufficientCorrespondencesError(

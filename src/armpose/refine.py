@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_text
-from .kinematics import RigidTransform, forward_kinematics, joint_points
+from .kinematics import RigidTransform, forward_kinematics
 from .metrics import add_metric
 from .silhouette import RenderSettings, render_link_clouds, sample_link_clouds, silhouette_iou
 
@@ -80,9 +80,7 @@ class Estimate:
 
     def pose(self, k):
         """Camera-from-base transform implied by this estimate."""
-        u, v = self.base_pixel
-        ray = np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0])
-        return RigidTransform(self.rotation, self.scale * ray)
+        return RigidTransform(self.rotation, k.backproject(self.scale, self.base_pixel))
 
     def to_json(self):
         # rotation is stored row-major as a flat list of 9 floats
@@ -114,43 +112,6 @@ def load_estimate(path):
         return Estimate.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class EstimateUpdate:
-    """Multiplicative update: new rotation is decode(delta_rot6) @ rotation,
-    new scale is delta_scale * scale, angles add."""
-
-    delta_theta: np.ndarray
-    delta_rot6: np.ndarray
-    delta_scale: float = 1.0
-
-    def __post_init__(self):
-        dt = np.array(self.delta_theta, dtype=float).reshape(-1)
-        dr = np.array(self.delta_rot6, dtype=float).reshape(6)
-        if not self.delta_scale > 0.0:
-            raise ValueError("scale update must be positive")
-        dt.flags.writeable = False
-        dr.flags.writeable = False
-        object.__setattr__(self, "delta_theta", dt)
-        object.__setattr__(self, "delta_rot6", dr)
-        object.__setattr__(self, "delta_scale", float(self.delta_scale))
-
-    @classmethod
-    def identity(cls, dof):
-        return cls(np.zeros(dof), np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), 1.0)
-
-
-def apply_update(estimate, update):
-    if update.delta_theta.shape != estimate.theta.shape:
-        raise ValueError("update has wrong number of joint angles")
-    return Estimate(
-        theta=estimate.theta + update.delta_theta,
-        rotation=rot6d_to_matrix(update.delta_rot6) @ estimate.rotation,
-        scale=update.delta_scale * estimate.scale,
-        base_pixel=estimate.base_pixel,
-        provenance=estimate.provenance,
-    )
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -177,16 +138,6 @@ def pose_loss(pose_est, pose_gt, points):
     return float(np.sum(np.abs(rot_mix - ref)) + np.sum(np.abs(trans_mix - ref)))
 
 
-def grad_normalize(blocks):
-    """Scale each array to unit L2 norm; all-zero blocks pass through."""
-    out = []
-    for block in blocks:
-        arr = np.asarray(block, dtype=float)
-        norm = np.linalg.norm(arr)
-        out.append(arr / norm if norm > 0.0 else arr.copy())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reference refiner
 
@@ -198,15 +149,12 @@ class RefinerConfig:
     step_theta: float = 0.05
     step_rot: float = 0.02
     step_scale: float = 0.02
-    objective: str = "iou"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.inner_evals_per_iteration < 1:
             raise ValueError("need a positive evaluation budget")
-        if self.objective not in ("iou", "pose_config"):
-            raise ValueError(f"unknown objective {self.objective!r}")
         if not (0.0 < self.step_scale < 1.0):
             raise ValueError("step_scale must lie in (0, 1)")
 
@@ -229,26 +177,21 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     plus a baseline row, each a dict with the iteration number, cumulative
     objective evaluations, and the best objective value so far; when ground
     truth is supplied each row also carries the current pose-point error.
-    Objective "iou" needs only the observed mask; "pose_config" compares
-    against ground_truth directly and is meant for diagnostics.
+    The objective is one minus the silhouette IoU, so it needs only the
+    observed mask; ground truth never steers the search.
     """
     cfg = cfg or RefinerConfig()
     settings = settings or RenderSettings()
     observed = np.asarray(observed, dtype=bool)
     if observed.shape != (k.height, k.width):
         raise ValueError(f"observed mask is {observed.shape}, camera expects {(k.height, k.width)}")
-    if cfg.objective == "pose_config" and ground_truth is None:
-        raise ValueError("pose_config objective requires ground_truth")
 
     clouds = sample_link_clouds(meshes, settings)
     lo, hi = chain.limits()
     if ground_truth is not None:
-        gt_points = joint_points(chain, ground_truth.theta).stacked()
         gt_pose = ground_truth.pose(k)
 
     def objective(est):
-        if cfg.objective == "pose_config":
-            return pose_loss(est.pose(k), gt_pose, gt_points) + config_loss(est.theta, ground_truth.theta)
         frames = [chain.base_frame] + forward_kinematics(chain, est.theta)
         mask = render_link_clouds(clouds, frames, est.pose(k), k, settings)
         return 1.0 - silhouette_iou(mask, observed)

@@ -9,7 +9,6 @@ the first s samples drawn for a mesh do not depend on the total sample count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,12 +80,6 @@ def save_obj(mesh, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_pointcloud_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return Mesh(np.asarray(obj["vertices"], dtype=float))
-
-
 @dataclass(frozen=True)
 class RenderSettings:
     """Sampling density, splat size in pixels, and the sampling seed."""
@@ -100,25 +93,6 @@ class RenderSettings:
             raise ValueError("samples_per_link must be at least 1")
         if self.splat_radius < 0:
             raise ValueError("splat_radius must be nonnegative")
-
-
-def pose_mesh(chain, theta, meshes):
-    """Transform per-link meshes into the chain base frame; returns (N, 3).
-
-    meshes has dof+1 entries: the base link mesh first, then one mesh per
-    joint frame. Entries may be None for links without geometry.
-    """
-    if len(meshes) != chain.dof + 1:
-        raise ValueError(f"expected {chain.dof + 1} link meshes, got {len(meshes)}")
-    frames = [chain.base_frame] + forward_kinematics(chain, theta)
-    clouds = []
-    for frame, mesh in zip(frames, meshes):
-        if mesh is None:
-            continue
-        clouds.append(frame.apply(mesh.vertices))
-    if not clouds:
-        raise ValueError("no link has geometry")
-    return np.vstack(clouds)
 
 
 def sample_surface(mesh, count, seed):
@@ -179,10 +153,8 @@ def render_silhouette(points, pose, k, settings):
     cam = cam[front]
     if cam.shape[0] == 0:
         return bits
-    u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
-    v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-    ui = np.floor(u + 0.5).astype(np.int64)
-    vi = np.floor(v + 0.5).astype(np.int64)
+    pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
+    ui, vi = pix[:, 0], pix[:, 1]
     r = settings.splat_radius
     near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
     ui, vi = ui[near], vi[near]
@@ -314,20 +286,6 @@ def read_pgm(path):
     if len(raw) != width * height:
         raise ValueError(f"{path}: pixel payload truncated")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-
-
-def segment_reference(image, k=None):
-    """Binarize an observed mask: values at or above 128 are foreground.
-
-    image is a path or a 2-D array. When intrinsics are given the mask
-    dimensions must match them.
-    """
-    arr = read_pgm(image) if isinstance(image, (str, bytes)) or hasattr(image, "__fspath__") else np.asarray(image)
-    if arr.ndim != 2:
-        raise ValueError("reference mask must be 2-D")
-    if k is not None and arr.shape != (k.height, k.width):
-        raise ValueError(f"mask is {arr.shape}, camera expects {(k.height, k.width)}")
-    return arr >= 128
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,13 @@ def test_render_overlay_and_skeleton(fronto_dataset, tmp_path):
 
 def test_render_unknown_scene_exits_five(fronto_dataset, tmp_path):
     assert run("render", "--data", fronto_dataset, "--scene", 77, "--out", tmp_path / "x.pgm") == 5
+
+
+def test_refine_has_no_objective_option(tmp_path):
+    base = ("refine", "--data", tmp_path, "--estimates", tmp_path / "e.jsonl", "--out", tmp_path / "o")
+    with pytest.raises(SystemExit) as info:
+        run(*base, "--objective", "iou")
+    assert info.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": "iou"}))
+    assert run(*base, "--config", cfg) == 2

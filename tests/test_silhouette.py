@@ -13,7 +13,6 @@ from armpose import (
     default_link_meshes,
     draw_segment,
     load_obj,
-    pose_mesh,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
@@ -21,7 +20,6 @@ from armpose import (
     sample_link_clouds,
     sample_surface,
     save_obj,
-    segment_reference,
     silhouette_iou,
     write_pgm,
 )
@@ -232,15 +230,6 @@ def test_render_chain_and_clouds_agree():
     assert np.array_equal(direct, via_clouds)
 
 
-def test_pose_mesh_counts():
-    chain = builtin_chain("panda7")
-    meshes = default_link_meshes(chain)
-    assert len(meshes) == chain.dof + 1
-    stacked = pose_mesh(chain, np.zeros(chain.dof), meshes)
-    assert stacked.shape[1] == 3
-    assert stacked.shape[0] == sum(m.vertices.shape[0] for m in meshes if m is not None)
-
-
 # ---------------------------------------------------------------------------
 # lines
 
@@ -313,13 +302,3 @@ def test_read_pgm_rejects_bad_headers(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))  # truncated payload
     with pytest.raises(ValueError):
         read_pgm(path)
-
-
-def test_segment_reference_threshold():
-    img = np.array([[0, 127], [128, 255]], dtype=np.uint8)
-    mask = segment_reference(img)
-    assert mask.tolist() == [[False, False], [True, True]]
-    k = _camera(width=2, height=2)
-    assert segment_reference(img, k).shape == (2, 2)
-    with pytest.raises(ValueError):
-        segment_reference(img, _camera(width=4, height=4))
