@@ -89,16 +89,51 @@ def _read_config(path):
         raise CliError(EXIT_CONFIG, f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_CONFIG, f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_CONFIG, f"config file {path} must hold a JSON object of option values")
+    return obj
+
+
+# JSON values accepted for an option of each argparse type. A JSON boolean
+# is never a number here, although Python's bool subclasses int.
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
+
+
+def _config_value(key, action, value):
+    """A config value converted as the option's own flag would convert it;
+    exits 2 on a value that flag could not produce."""
+
+    def reject(want):
+        raise CliError(EXIT_CONFIG, f"config key {key!r} must be {want}, got {json.dumps(value)}")
+
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            reject("true or false")
+        return value
+    kinds, want = _CONFIG_TYPES[action.type]
+    convert = action.type or str
+
+    def fits(item):
+        return isinstance(item, kinds) and not isinstance(item, bool)
+
+    if action.nargs is None:
+        if not fits(value):
+            reject(want)
+        return convert(value)
+    if not (isinstance(value, list) and len(value) == action.nargs and all(map(fits, value))):
+        reject(f"a list of {action.nargs} values, each {want}")
+    return [convert(item) for item in value]
 
 
 def _parse_args(argv):
     """Parse argv with precedence defaults < --config file < explicit flags.
 
-    The file may set any option that has a default. Its values become the
-    subcommand's defaults, and argv is parsed again on top of them.
+    The file may set any option that has a default, to a value of that
+    option's type and shape. Its values become the subcommand's defaults, and
+    argv is parsed again on top of them.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -112,7 +147,10 @@ def _parse_args(argv):
         unknown = sorted(set(from_file) - settable)
         if unknown:
             raise CliError(EXIT_CONFIG, f"unknown config keys: {', '.join(unknown)}")
-        command.set_defaults(**from_file)
+        actions = {action.dest: action for action in command._actions}
+        command.set_defaults(
+            **{key: _config_value(key, actions[key], value) for key, value in from_file.items()}
+        )
         args = parser.parse_args(argv)
     return args
 
@@ -294,14 +332,14 @@ def cmd_train_gim(args):
 
 
 def _estimate_scene(payload):
-    chain, k, scene, net, oracle, freeze = payload
+    chain, k, scene, net, oracle, freeze, seed = payload
     try:
         if oracle:
             d = edm_from_configuration(chain, scene.theta)
             targets = joint_points(chain, scene.theta).stacked()
         else:
             feats = keypoint_features(scene.keypoints, k.width, k.height)
-            rng = None if freeze else np.random.default_rng()
+            rng = None if freeze else np.random.default_rng(np.random.SeedSequence((seed, scene.index)))
             d = mlp_forward(net, feats, dropout_active=not freeze, rng=rng)
             targets = None
         with warnings.catch_warnings():
@@ -333,7 +371,7 @@ def cmd_estimate(args):
         if net.matrix_size != 2 * chain.dof:
             raise CliError(EXIT_CONFIG, "regressor output width does not match this chain")
     payloads = [
-        (chain, k, scene, net, bool(args.oracle_edm), bool(args.freeze_dropout))
+        (chain, k, scene, net, bool(args.oracle_edm), bool(args.freeze_dropout), args.seed)
         for scene in scenes
     ]
     results = _parallel_map(_estimate_scene, payloads, _workers(args.workers))
@@ -568,7 +606,10 @@ def build_parser():
     p.add_argument(
         "--freeze-dropout",
         action="store_true",
-        help="disable inference-time dropout for deterministic output",
+        help="disable inference-time dropout",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="dropout seed; each scene draws from (seed, scene index)"
     )
     workers_option(p)
 

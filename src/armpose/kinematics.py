@@ -48,6 +48,17 @@ class RigidTransform:
         self.translation = tra
 
     @classmethod
+    def _unchecked(cls, rotation, translation):
+        """Wrap a float (3, 3) rotation and (3,) translation already known to be
+        valid, e.g. a product of valid transforms. Skips the checks and copies."""
+        obj = cls.__new__(cls)
+        rotation.flags.writeable = False
+        translation.flags.writeable = False
+        obj.rotation = rotation
+        obj.translation = translation
+        return obj
+
+    @classmethod
     def identity(cls):
         return cls()
 
@@ -228,11 +239,8 @@ def builtin_chain(name):
     return KinematicChain.from_json(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def dh_transform(joint, theta):
-    """Frame i-1 to frame i transform for one joint at angle theta (radians).
-
-    Closed form of Rz(theta + offset) * Tz(d) * Tx(a) * Rx(alpha).
-    """
+def _dh_arrays(joint, theta):
+    """Rotation and translation of dh_transform as plain arrays."""
     phi = float(theta) + joint.theta_offset
     cp, sp = math.cos(phi), math.sin(phi)
     ca, sa = math.cos(joint.alpha), math.sin(joint.alpha)
@@ -244,7 +252,15 @@ def dh_transform(joint, theta):
             [0.0, sa, ca],
         ]
     )
-    return RigidTransform(rot, np.array([a * cp, a * sp, d]))
+    return rot, np.array([a * cp, a * sp, d])
+
+
+def dh_transform(joint, theta):
+    """Frame i-1 to frame i transform for one joint at angle theta (radians).
+
+    Closed form of Rz(theta + offset) * Tz(d) * Tx(a) * Rx(alpha).
+    """
+    return RigidTransform(*_dh_arrays(joint, theta))
 
 
 def check_configuration(chain, theta):
@@ -258,13 +274,19 @@ def check_configuration(chain, theta):
 
 
 def forward_kinematics(chain, theta):
-    """Return one RigidTransform per joint, world <- frame i, i = 1..dof."""
+    """Return one RigidTransform per joint, world <- frame i, i = 1..dof.
+
+    Composes raw arrays in the order of RigidTransform.compose, so each frame
+    equals base @ dh_transform(...) @ ... bit for bit without re-validating
+    every product.
+    """
     angles = check_configuration(chain, theta)
     frames = []
-    current = chain.base_frame
+    rot, tra = chain.base_frame.rotation, chain.base_frame.translation
     for joint, ang in zip(chain.joints, angles):
-        current = current @ dh_transform(joint, ang)
-        frames.append(current)
+        r, t = _dh_arrays(joint, ang)
+        rot, tra = rot @ r, rot @ t + tra
+        frames.append(RigidTransform._unchecked(rot, tra))
     return frames
 
 

@@ -161,13 +161,12 @@ class RefinerConfig:
 
 @dataclass
 class _SearchState:
+    """Raw search coordinates; only the returned result is validated."""
+
     theta: np.ndarray
     rotation: np.ndarray
     r6: np.ndarray
     scale: float
-
-    def candidate(self, base_pixel):
-        return Estimate(self.theta, self.rotation, self.scale, base_pixel)
 
 
 def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground_truth=None):
@@ -188,17 +187,22 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
 
     clouds = sample_link_clouds(meshes, settings)
     lo, hi = chain.limits()
+    base_pixel = estimate.base_pixel
     if ground_truth is not None:
         gt_pose = ground_truth.pose(k)
 
-    def objective(est):
-        frames = [chain.base_frame] + forward_kinematics(chain, est.theta)
-        mask = render_link_clouds(clouds, frames, est.pose(k), k, settings)
+    def objective(cand):
+        # the same pose Estimate.pose builds; every candidate rotation comes
+        # from a valid estimate or from rot6d_to_matrix, so it is proper
+        pose = RigidTransform._unchecked(cand.rotation, k.backproject(cand.scale, base_pixel))
+        frames = [chain.base_frame] + forward_kinematics(chain, cand.theta)
+        mask = render_link_clouds(clouds, frames, pose, k, settings)
         return 1.0 - silhouette_iou(mask, observed)
 
-    def tracked_error(est):
+    def tracked_error(cand):
         if ground_truth is None:
             return None
+        est = Estimate(cand.theta, cand.rotation, cand.scale, base_pixel)
         return add_metric(gt_pose, ground_truth.theta, est.pose(k), est.theta, chain)
 
     state = _SearchState(
@@ -207,8 +211,8 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
         r6=matrix_to_rot6d(estimate.rotation),
         scale=estimate.scale,
     )
-    f_curr = objective(state.candidate(estimate.base_pixel))
-    trace = [_trace_row(0, 0, f_curr, tracked_error(state.candidate(estimate.base_pixel)))]
+    f_curr = objective(state)
+    trace = [_trace_row(0, 0, f_curr, tracked_error(state))]
     evals_total = 0
     dof = chain.dof
 
@@ -247,7 +251,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                     cand = probe(kind, index, direction, steps)
                     if cand is None:
                         continue
-                    trials.append((objective(cand.candidate(estimate.base_pixel)), direction, cand))
+                    trials.append((objective(cand), direction, cand))
                     used += 1
                 if not trials:
                     continue
@@ -261,7 +265,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                         cand = probe(kind, index, direction, steps)
                         if cand is None:
                             break
-                        f_new = objective(cand.candidate(estimate.base_pixel))
+                        f_new = objective(cand)
                         used += 1
                         if f_new < f_curr:
                             f_curr = f_new
@@ -271,13 +275,13 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
             if not moved:
                 steps = [s * 0.5 for s in steps]
         evals_total += used
-        trace.append(_trace_row(it, evals_total, f_curr, tracked_error(state.candidate(estimate.base_pixel))))
+        trace.append(_trace_row(it, evals_total, f_curr, tracked_error(state)))
 
     refined = Estimate(
         theta=state.theta,
         rotation=state.rotation,
         scale=state.scale,
-        base_pixel=estimate.base_pixel,
+        base_pixel=base_pixel,
         provenance=f"refined({cfg.iterations})",
     )
     return refined, trace

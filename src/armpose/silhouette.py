@@ -9,6 +9,7 @@ the first s samples drawn for a mesh do not depend on the total sample count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,11 +133,13 @@ def sample_surface(mesh, count, seed):
     return verts[perm[np.arange(count) % verts.shape[0]]]
 
 
+@functools.cache
 def _splat_offsets(radius):
+    """(dx, dy) pixel offsets of the disc of the given radius, as int pairs."""
     span = np.arange(-radius, radius + 1)
     dx, dy = np.meshgrid(span, span)
     keep = dx * dx + dy * dy <= radius * radius
-    return dx[keep], dy[keep]
+    return tuple(zip(dx[keep].tolist(), dy[keep].tolist()))
 
 
 def render_silhouette(points, pose, k, settings):
@@ -144,25 +147,40 @@ def render_silhouette(points, pose, k, settings):
 
     Points behind the near plane (camera z <= 1e-6) are dropped. Pixel centers
     round half-up; each surviving sample sets a disc of settings.splat_radius
-    pixels, clipped to the image.
+    pixels, clipped to the image. The discs are drawn by dilating the centers
+    inside their bounding box, padded by the radius, which is then pasted
+    into the image.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
     cam = pose.apply(pts)
     front = cam[:, 2] > NEAR_PLANE
-    cam = cam[front]
+    if not front.all():
+        cam = cam[front]
     if cam.shape[0] == 0:
         return bits
     pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
     ui, vi = pix[:, 0], pix[:, 1]
     r = settings.splat_radius
-    near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
-    ui, vi = ui[near], vi[near]
-    for dx, dy in zip(*_splat_offsets(r)):
-        xs = ui + dx
-        ys = vi + dy
-        ok = (xs >= 0) & (xs < k.width) & (ys >= 0) & (ys < k.height)
-        bits[ys[ok], xs[ok]] = True
+    u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
+    if u0 < -r or u1 >= k.width + r or v0 < -r or v1 >= k.height + r:
+        # centers this far out cannot reach the image
+        near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
+        ui, vi = ui[near], vi[near]
+        if ui.size == 0:
+            return bits
+        u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
+    ch, cw = v1 - v0 + 1, u1 - u0 + 1
+    centers = np.zeros((ch, cw), dtype=bool)
+    centers[vi - v0, ui - u0] = True
+    # crop pixel (y, x) is image pixel (v0 - r + y, u0 - r + x)
+    crop = np.zeros((ch + 2 * r, cw + 2 * r), dtype=bool)
+    for dx, dy in _splat_offsets(r):
+        crop[r + dy : r + dy + ch, r + dx : r + dx + cw] |= centers
+    top, left = v0 - r, u0 - r
+    y0, x0 = max(top, 0), max(left, 0)
+    y1, x1 = min(top + crop.shape[0], k.height), min(left + crop.shape[1], k.width)
+    bits[y0:y1, x0:x1] = crop[y0 - top : y1 - top, x0 - left : x1 - left]
     return bits
 
 
@@ -234,10 +252,11 @@ def silhouette_iou(a, b):
     mb = np.asarray(b, dtype=bool)
     if ma.shape != mb.shape:
         raise ValueError(f"mask shapes differ: {ma.shape} vs {mb.shape}")
-    union = int(np.logical_or(ma, mb).sum())
+    inter = np.count_nonzero(ma & mb)
+    union = np.count_nonzero(ma) + np.count_nonzero(mb) - inter
     if union == 0:
         return 1.0
-    return float(np.logical_and(ma, mb).sum()) / union
+    return float(inter) / union
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,49 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ({"count": 2.5}, "count"),
+        ({"count": True}, "count"),
+        ({"noise_std": "5"}, "noise_std"),
+        ({"chain": 7}, "chain"),
+        ({"distance": [1.0, 2.0, 3.0]}, "distance"),
+        ({"distance": 2.0}, "distance"),
+        ({"count": [2]}, "count"),
+        ({"count": {"n": 2}}, "count"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_two(tmp_path, capsys, body, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    assert run("gen", "--out", tmp_path / "d", "--config", cfg) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_flag_accepts_only_booleans(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"freeze_dropout": 1}))
+    assert run("estimate", "--data", tmp_path, "--out", tmp_path / "e", "--config", cfg) == 2
+    assert "'freeze_dropout'" in capsys.readouterr().err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
+    assert run("gen", "--out", tmp_path / "d", "--config", cfg) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_pair_values_convert_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 1, "distance": [2, 3]}))
+    assert run("gen", "--out", tmp_path / "a", "--config", cfg, "--workers", 1) == 0
+    assert run("gen", "--out", tmp_path / "b", "--count", 1, "--distance", 2, 3, "--workers", 1) == 0
+    assert (tmp_path / "a" / "sampler.json").read_bytes() == (tmp_path / "b" / "sampler.json").read_bytes()
+
+
 def test_config_file_supplies_defaults_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 2, "seed": 5, "noise_std": 0.0}))
@@ -142,13 +185,30 @@ def test_estimate_frozen_dropout_is_deterministic(noisy_dataset, trained_net, tm
 def test_estimate_live_dropout_is_stochastic(noisy_dataset, trained_net, tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    for out in [a, b]:
+    for out, seed in [(a, 0), (b, 1)]:
         code = run(
             "estimate", "--data", noisy_dataset, "--out", out,
-            "--net", trained_net, "--workers", 1,
+            "--net", trained_net, "--seed", seed, "--workers", 1,
         )
         assert code == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_estimate_live_dropout_is_seeded(noisy_dataset, trained_net, tmp_path):
+    outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"]
+    for out, extra in zip(outs, [(), ("--seed", 0), ("--workers", 2)]):
+        args = ["estimate", "--data", noisy_dataset, "--out", out, "--net", trained_net]
+        if "--workers" not in extra:
+            args += ["--workers", 1]
+        assert run(*args, *extra) == 0
+    # the default seed is 0, and scenes draw their own streams whatever the worker count
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    frozen = tmp_path / "frozen.jsonl"
+    assert run(
+        "estimate", "--data", noisy_dataset, "--out", frozen,
+        "--net", trained_net, "--freeze-dropout", "--workers", 1,
+    ) == 0
+    assert frozen.read_bytes() != outs[0].read_bytes()
 
 
 def test_train_zero_learning_rate_writes_flat_trace(tmp_path):

@@ -101,16 +101,43 @@ def test_planar_two_link_forward_kinematics_oracle():
 
 
 def test_forward_kinematics_equals_incremental_dh_products():
+    # bit for bit: FK composes raw arrays in the order RigidTransform.compose does
+    for name in ("panda7", "planar2"):
+        chain = builtin_chain(name)
+        rng = np.random.default_rng(5)
+        lo, hi = chain.limits()
+        for _ in range(20):
+            theta = rng.uniform(lo - 1.0, hi + 1.0)
+            frames = forward_kinematics(chain, theta)
+            assert len(frames) == chain.dof
+            acc = chain.base_frame
+            for joint, ang, frame in zip(chain.joints, theta, frames):
+                acc = acc @ dh_transform(joint, ang)
+                assert isinstance(frame, RigidTransform)
+                assert (frame.rotation == acc.rotation).all()
+                assert (frame.translation == acc.translation).all()
+                assert not frame.rotation.flags.writeable
+                assert not frame.translation.flags.writeable
+
+
+def test_validation_stays_at_the_boundaries():
+    with pytest.raises(ValueError):
+        RigidTransform(np.eye(3) * 1.01, np.zeros(3))
+    with pytest.raises(ValueError):
+        RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # a reflection
+    with pytest.raises(ValueError):
+        RigidTransform(np.eye(3), np.array([0.0, float("nan"), 0.0]))
+    with pytest.raises(ValueError):
+        RigidTransform(np.full((3, 3), float("inf")))
     chain = builtin_chain("panda7")
-    rng = np.random.default_rng(5)
-    lo, hi = chain.limits()
-    for _ in range(10):
-        theta = rng.uniform(lo, hi)
-        frames = forward_kinematics(chain, theta)
-        acc = chain.base_frame
-        for i, joint in enumerate(chain.joints):
-            acc = acc @ dh_transform(joint, theta[i])
-            assert np.max(np.abs(frames[i].as_matrix() - acc.as_matrix())) < 1e-12
+    with pytest.raises(ValueError):
+        forward_kinematics(chain, np.zeros(chain.dof - 1))
+    with pytest.raises(ValueError):
+        forward_kinematics(chain, np.zeros(chain.dof + 1))
+    theta = np.zeros(chain.dof)
+    theta[3] = float("nan")
+    with pytest.raises(ValueError):
+        forward_kinematics(chain, theta)
 
 
 def test_joint_points_layout():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -234,3 +236,45 @@ def test_refine_checks_mask_shape():
     chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
     with pytest.raises(ValueError):
         refine(truth, mask[:100], chain, meshes, k, RefinerConfig(), settings)
+
+
+# sha256 of one fixed short refinement, recorded from the pre-optimization
+# code (per-compose validated FK, full-image splat, Estimate per candidate).
+# A speed-up that flips a mask pixel, an accepted move or a tracked error on
+# this path changes it.
+GOLDEN_REFINE_SHA256 = "dd26db26dbe7d1d4a0913ad813b88eb42a9c7f4dc1d1caddd521698f8e898a4c"
+
+
+def test_refine_golden_digest():
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k = cfg.intrinsics()
+    meshes = default_link_meshes(chain)
+    settings = RenderSettings(samples_per_link=300)
+    scene, mask = build_scene(chain, cfg, seed=5, index=3, meshes=meshes, render_settings=settings)
+    t = scene.pose.translation
+    truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t), provenance="truth")
+    start = Estimate(
+        np.clip(truth.theta + 0.1, *chain.limits()), truth.rotation, truth.scale * 1.1, truth.base_pixel
+    )
+    refine_cfg = RefinerConfig(iterations=1, inner_evals_per_iteration=60)
+    refined, trace = refine(start, mask, chain, meshes, k, refine_cfg, settings, ground_truth=truth)
+    blob = json.dumps({"estimate": refined.to_json(), "trace": trace}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_SHA256
+
+
+def test_refine_returns_a_validated_estimate():
+    chain, k, meshes, settings, scene, mask, truth = _scene_and_truth(seed=23, index=1)
+    start = Estimate(truth.theta, truth.rotation, truth.scale * 1.05, truth.base_pixel)
+    cfg = RefinerConfig(iterations=1, inner_evals_per_iteration=40)
+    refined, _ = refine(start, mask, chain, meshes, k, cfg, settings)
+    assert type(refined) is Estimate
+    rot = refined.rotation
+    assert np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-9 and abs(np.linalg.det(rot) - 1.0) <= 1e-9
+    assert refined.scale > 0.0
+    for arr in (refined.theta, refined.rotation, refined.base_pixel):
+        assert not arr.flags.writeable
+    # a start whose configuration is not finite is still rejected
+    bad = Estimate(np.full(chain.dof, np.nan), truth.rotation, truth.scale, truth.base_pixel)
+    with pytest.raises(ValueError):
+        refine(bad, mask, chain, meshes, k, cfg, settings)

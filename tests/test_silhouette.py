@@ -230,6 +230,93 @@ def test_render_chain_and_clouds_agree():
     assert np.array_equal(direct, via_clouds)
 
 
+def _reference_render(points, pose, k, radius):
+    """Per-offset scatter over the full image: the renderer's exact semantics."""
+    cam = pose.apply(np.asarray(points, dtype=float).reshape(-1, 3))
+    cam = cam[cam[:, 2] > 1e-6]
+    bits = np.zeros((k.height, k.width), dtype=bool)
+    if cam.shape[0] == 0:
+        return bits
+    pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx * dx + dy * dy > radius * radius:
+                continue
+            xs = pix[:, 0] + dx
+            ys = pix[:, 1] + dy
+            ok = (xs >= 0) & (xs < k.width) & (ys >= 0) & (ys < k.height)
+            bits[ys[ok], xs[ok]] = True
+    return bits
+
+
+def _random_rotation(rng):
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _oracle_pose(rng, k, case):
+    """A camera pose that puts a unit-scale cloud in the named situation."""
+    depth = rng.uniform(1.0, 4.0)
+    u = rng.uniform(0, k.width)
+    v = rng.uniform(0, k.height)
+    if case == "behind":  # cloud straddles the camera plane
+        depth = rng.uniform(-0.3, 0.3)
+    elif case == "off":  # well outside the image on some side
+        side = rng.integers(4)
+        u = [-3 * k.width, 4 * k.width, u, u][side]
+        v = [v, v, -3 * k.height, 4 * k.height][side]
+    elif case.startswith("edge"):  # centered on one image border
+        side = int(case[-1])
+        u = [0.0, k.width - 1.0, u, u][side] + rng.uniform(-3, 3)
+        v = [v, v, 0.0, k.height - 1.0][side] + rng.uniform(-3, 3)
+    tra = np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]) * depth
+    if case == "behind":
+        tra[:2] = rng.uniform(-0.2, 0.2, 2)
+        tra[2] = depth
+    return RigidTransform(_random_rotation(rng), tra)
+
+
+def test_render_matches_full_image_scatter_oracle():
+    k = CameraIntrinsics(fx=90.0, fy=80.0, cx=37.0, cy=21.5, width=72, height=44)
+    rng = np.random.default_rng(2024)
+    cloud = sample_surface(_cube_mesh([0.0, 0.0, 0.0], 0.25), 300, seed=3)
+    cases = ["inside", "behind", "off", "edge0", "edge1", "edge2", "edge3"]
+    seen = {"partly_behind": 0, "empty_off": 0, "border": [0, 0, 0, 0]}
+    for trial in range(308):
+        case = cases[trial % len(cases)]
+        pose = _oracle_pose(rng, k, case)
+        pts = cloud[: rng.integers(1, cloud.shape[0] + 1)]
+        cam_z = pose.apply(pts)[:, 2]
+        for radius in range(4):
+            settings = RenderSettings(samples_per_link=1, splat_radius=radius, seed=0)
+            got = render_silhouette(pts, pose, k, settings)
+            want = _reference_render(pts, pose, k, radius)
+            assert got.dtype == bool and got.shape == (k.height, k.width)
+            assert np.array_equal(got, want), (trial, case, radius)
+        if (cam_z <= 1e-6).any() and want.any():
+            seen["partly_behind"] += 1
+        if case == "off" and not want.any():
+            seen["empty_off"] += 1
+        for side, edge in enumerate((want[:, 0], want[:, -1], want[0], want[-1])):
+            seen["border"][side] += bool(edge.any())
+    # every situation the test means to cover did occur
+    assert seen["partly_behind"] >= 10 and seen["empty_off"] >= 10
+    assert min(seen["border"]) >= 10
+    empty = np.zeros((0, 3))
+    for radius in range(4):
+        settings = RenderSettings(samples_per_link=1, splat_radius=radius, seed=0)
+        got = render_silhouette(empty, RigidTransform.identity(), k, settings)
+        assert got.shape == (k.height, k.width) and not got.any()
+
+
 # ---------------------------------------------------------------------------
 # lines
 
@@ -274,6 +361,17 @@ def test_iou_properties():
     assert silhouette_iou(empty, empty) == 1.0
     with pytest.raises(ValueError):
         silhouette_iou(a, np.zeros((4, 4), dtype=bool))
+
+
+def test_iou_equals_the_or_and_formula_exactly():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        a = rng.random(shape) < rng.uniform(0, 1) * (trial % 5 != 0)
+        b = rng.random(shape) < rng.uniform(0, 1) * (trial % 7 != 0)
+        union = int(np.logical_or(a, b).sum())
+        want = 1.0 if union == 0 else float(np.logical_and(a, b).sum()) / union
+        assert silhouette_iou(a, b) == want
 
 
 def test_pgm_round_trip(tmp_path):
