@@ -77,7 +77,6 @@ from .poseinit import (
     ScaleUndefinedError,
     epnp,
     initial_estimate,
-    load_keypoints,
     scale_factor,
     translation_from_scale,
 )
@@ -85,12 +84,10 @@ from .refine import (
     Estimate,
     RefinerConfig,
     config_loss,
-    load_estimate,
     matrix_to_rot6d,
     pose_loss,
     refine,
     rot6d_to_matrix,
-    save_estimate,
 )
 from .silhouette import (
     Mesh,

@@ -169,15 +169,15 @@ def align_points(x_raw, chain, targets=None):
     n = chain.dof
     if cloud.shape != (2 * n, 3):
         raise ValueError(f"expected a ({2 * n}, 3) cloud for chain {chain.name!r}")
+    idx = anchor_indices(chain)
     if targets is None:
         target_full = joint_points(chain, np.zeros(n)).stacked()
-        score_rows = anchor_indices(chain)
+        score_rows = idx
     else:
         target_full = np.asarray(targets, dtype=float)
         if target_full.shape != (2 * n, 3):
             raise ValueError("targets must match the stacked point-set shape")
         score_rows = slice(None)
-    idx = anchor_indices(chain)
 
     best = None
     for mirror in (False, True):
@@ -276,7 +276,6 @@ class MlpRegressor:
     biases: list
     activation: str = "tanh"
     dropout_rate: float = 0.1
-    input_normalization: str = "image_size"
 
     def __post_init__(self):
         if len(self.layer_dims) != 4:
@@ -306,7 +305,6 @@ class MlpRegressor:
             "layer_dims": [int(v) for v in self.layer_dims],
             "activation": self.activation,
             "dropout_rate": self.dropout_rate,
-            "input_normalization": self.input_normalization,
             "weights": [w.ravel().tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -325,7 +323,6 @@ class MlpRegressor:
             biases=biases,
             activation=obj.get("activation", "tanh"),
             dropout_rate=float(obj.get("dropout_rate", 0.1)),
-            input_normalization=obj.get("input_normalization", "image_size"),
         )
 
 
@@ -542,7 +539,6 @@ def train_gim(net, dataset, cfg, adam_state=None):
         biases=biases,
         activation=net.activation,
         dropout_rate=net.dropout_rate,
-        input_normalization=net.input_normalization,
     )
     trace = []
     n_samples = len(inputs)

@@ -28,22 +28,35 @@ def wrap_angle(theta):
     return wrapped
 
 
+def check_rotation(rotation):
+    """Return rotation as a float (3, 3) copy; raise ValueError unless it is
+    finite, orthonormal within 1e-9 and of determinant +1 within 1e-9."""
+    rot = np.array(rotation, dtype=float).reshape(3, 3)
+    if not np.all(np.isfinite(rot)):
+        raise ValueError("rotation entries must be finite")
+    if np.max(np.abs(rot.T @ rot - _EYE3)) > 1e-9:
+        raise ValueError("rotation is not orthonormal within 1e-9")
+    if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+        raise ValueError("rotation determinant differs from +1 by more than 1e-9")
+    return rot
+
+
 class RigidTransform:
-    """An SE(3) element: orthonormal rotation (det +1) plus translation in meters."""
+    """An SE(3) element: orthonormal rotation (det +1) plus translation in meters.
+
+    The constructor checks its inputs; compose and inverse trust transforms
+    that were checked when they were built.
+    """
 
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation=None, translation=None):
-        rot = _EYE3.copy() if rotation is None else np.array(rotation, dtype=float).reshape(3, 3)
+        rot = _EYE3.copy() if rotation is None else check_rotation(rotation)
         tra = np.zeros(3) if translation is None else np.array(translation, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(tra))):
-            raise ValueError("rigid transform entries must be finite")
-        if np.max(np.abs(rot.T @ rot - _EYE3)) > 1e-9:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant differs from +1 by more than 1e-9")
-        rot.flags.writeable = False
-        tra.flags.writeable = False
+        if not np.all(np.isfinite(tra)):
+            raise ValueError("translation entries must be finite")
+        rot.setflags(write=False)
+        tra.setflags(write=False)
         self.rotation = rot
         self.translation = tra
 
@@ -52,8 +65,8 @@ class RigidTransform:
         """Wrap a float (3, 3) rotation and (3,) translation already known to be
         valid, e.g. a product of valid transforms. Skips the checks and copies."""
         obj = cls.__new__(cls)
-        rotation.flags.writeable = False
-        translation.flags.writeable = False
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
         obj.rotation = rotation
         obj.translation = translation
         return obj
@@ -64,7 +77,7 @@ class RigidTransform:
 
     def compose(self, other):
         """Return self applied after other has been applied, i.e. self @ other."""
-        return RigidTransform(
+        return RigidTransform._unchecked(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
@@ -79,7 +92,7 @@ class RigidTransform:
 
     def inverse(self):
         rot_inv = self.rotation.T
-        return RigidTransform(rot_inv, -(rot_inv @ self.translation))
+        return RigidTransform._unchecked(rot_inv, -(rot_inv @ self.translation))
 
     def as_matrix(self):
         mat = np.eye(4)
@@ -176,7 +189,6 @@ class KinematicChain:
     joints: tuple
     base_frame: RigidTransform
     convention: str = "dh_standard"
-    link_mesh_ids: tuple | None = None
 
     def __post_init__(self):
         if self.convention != "dh_standard":
@@ -184,8 +196,6 @@ class KinematicChain:
         if len(self.joints) < 1:
             raise ValueError("a chain needs at least one joint")
         object.__setattr__(self, "joints", tuple(self.joints))
-        if self.link_mesh_ids is not None:
-            object.__setattr__(self, "link_mesh_ids", tuple(self.link_mesh_ids))
 
     @property
     def dof(self):
@@ -198,25 +208,20 @@ class KinematicChain:
         return lo, hi
 
     def to_json(self):
-        obj = {
+        return {
             "name": self.name,
             "convention": self.convention,
             "joints": [j.to_json() for j in self.joints],
             "base_frame": self.base_frame.to_json(),
         }
-        if self.link_mesh_ids is not None:
-            obj["link_mesh_ids"] = list(self.link_mesh_ids)
-        return obj
 
     @classmethod
     def from_json(cls, obj):
-        mesh_ids = obj.get("link_mesh_ids")
         return cls(
             name=str(obj["name"]),
             joints=tuple(JointSpec.from_json(j) for j in obj["joints"]),
             base_frame=RigidTransform.from_json(obj["base_frame"]),
             convention=obj.get("convention", "dh_standard"),
-            link_mesh_ids=tuple(mesh_ids) if mesh_ids is not None else None,
         )
 
     def save(self, path):
@@ -239,9 +244,16 @@ def builtin_chain(name):
     return KinematicChain.from_json(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def _dh_arrays(joint, theta):
-    """Rotation and translation of dh_transform as plain arrays."""
-    phi = float(theta) + joint.theta_offset
+def dh_transform(joint, theta):
+    """Frame i-1 to frame i transform for one joint at angle theta (radians).
+
+    Closed form of Rz(theta + offset) * Tz(d) * Tx(a) * Rx(alpha), which is
+    proper by construction, so only the angle is checked.
+    """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("joint angle must be finite")
+    phi = theta + joint.theta_offset
     cp, sp = math.cos(phi), math.sin(phi)
     ca, sa = math.cos(joint.alpha), math.sin(joint.alpha)
     a, d = joint.a, joint.d
@@ -252,15 +264,7 @@ def _dh_arrays(joint, theta):
             [0.0, sa, ca],
         ]
     )
-    return rot, np.array([a * cp, a * sp, d])
-
-
-def dh_transform(joint, theta):
-    """Frame i-1 to frame i transform for one joint at angle theta (radians).
-
-    Closed form of Rz(theta + offset) * Tz(d) * Tx(a) * Rx(alpha).
-    """
-    return RigidTransform(*_dh_arrays(joint, theta))
+    return RigidTransform._unchecked(rot, np.array([a * cp, a * sp, d]))
 
 
 def check_configuration(chain, theta):
@@ -274,19 +278,12 @@ def check_configuration(chain, theta):
 
 
 def forward_kinematics(chain, theta):
-    """Return one RigidTransform per joint, world <- frame i, i = 1..dof.
-
-    Composes raw arrays in the order of RigidTransform.compose, so each frame
-    equals base @ dh_transform(...) @ ... bit for bit without re-validating
-    every product.
-    """
-    angles = check_configuration(chain, theta)
+    """Return one RigidTransform per joint, world <- frame i, i = 1..dof."""
     frames = []
-    rot, tra = chain.base_frame.rotation, chain.base_frame.translation
-    for joint, ang in zip(chain.joints, angles):
-        r, t = _dh_arrays(joint, ang)
-        rot, tra = rot @ r, rot @ t + tra
-        frames.append(RigidTransform._unchecked(rot, tra))
+    frame = chain.base_frame
+    for joint, angle in zip(chain.joints, check_configuration(chain, theta)):
+        frame = frame @ dh_transform(joint, angle)
+        frames.append(frame)
     return frames
 
 

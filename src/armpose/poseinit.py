@@ -9,7 +9,6 @@ keypoint along its camera ray at that depth.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -123,11 +122,6 @@ class Keypoints2D:
         uv = np.array([[it["u"], it["v"]] for it in items], dtype=float)
         vis = np.array([it["visible"] for it in items], dtype=bool)
         return cls(uv, vis)
-
-
-def load_keypoints(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Keypoints2D.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ rendered-silhouette overlap, so it needs no derivatives of the renderer.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
-from .kinematics import RigidTransform, forward_kinematics
+from .kinematics import RigidTransform, check_rotation, forward_kinematics
 from .metrics import add_metric
 from .silhouette import RenderSettings, render_link_clouds, sample_link_clouds, silhouette_iou
 
@@ -49,6 +48,12 @@ def matrix_to_rot6d(rotation):
     return np.concatenate([rotation[:, 0], rotation[:, 1]])
 
 
+def _camera_pose(rotation, scale, base_pixel, k):
+    """Camera-from-base pose: the base sits at scale along the ray through
+    base_pixel. rotation must already be a checked proper rotation."""
+    return RigidTransform._unchecked(rotation, k.backproject(scale, base_pixel))
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Joint angles plus camera-from-base pose split as (rotation, ray scale).
@@ -64,23 +69,25 @@ class Estimate:
     provenance: str = "initial"
 
     def __post_init__(self):
+        # theta may be non-finite here; forward kinematics rejects it on use
         theta = np.array(self.theta, dtype=float).reshape(-1)
-        rot = np.array(self.rotation, dtype=float).reshape(3, 3)
-        if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("estimate rotation is not a proper rotation matrix")
-        if not self.scale > 0.0:
-            raise ValueError("estimate scale must be positive")
+        rot = check_rotation(self.rotation)
+        scale = float(self.scale)
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError("estimate scale must be finite and positive")
         pix = np.array(self.base_pixel, dtype=float).reshape(2)
+        if not np.all(np.isfinite(pix)):
+            raise ValueError("estimate base pixel must be finite")
         for arr in (theta, rot, pix):
             arr.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "base_pixel", pix)
 
     def pose(self, k):
         """Camera-from-base transform implied by this estimate."""
-        return RigidTransform(self.rotation, k.backproject(self.scale, self.base_pixel))
+        return _camera_pose(self.rotation, self.scale, self.base_pixel, k)
 
     def to_json(self):
         # rotation is stored row-major as a flat list of 9 floats
@@ -101,15 +108,6 @@ class Estimate:
             base_pixel=np.asarray(obj["p_base_pixel"], dtype=float),
             provenance=str(obj.get("provenance", "initial")),
         )
-
-
-def save_estimate(estimate, path):
-    atomic_write_text(path, json.dumps(estimate.to_json(), indent=2) + "\n")
-
-
-def load_estimate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Estimate.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +189,10 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     if ground_truth is not None:
         gt_pose = ground_truth.pose(k)
 
+    # every candidate rotation comes from a valid estimate or from
+    # rot6d_to_matrix, so it is proper and its pose needs no check
     def objective(cand):
-        # the same pose Estimate.pose builds; every candidate rotation comes
-        # from a valid estimate or from rot6d_to_matrix, so it is proper
-        pose = RigidTransform._unchecked(cand.rotation, k.backproject(cand.scale, base_pixel))
+        pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
         frames = [chain.base_frame] + forward_kinematics(chain, cand.theta)
         mask = render_link_clouds(clouds, frames, pose, k, settings)
         return 1.0 - silhouette_iou(mask, observed)
@@ -202,8 +200,8 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     def tracked_error(cand):
         if ground_truth is None:
             return None
-        est = Estimate(cand.theta, cand.rotation, cand.scale, base_pixel)
-        return add_metric(gt_pose, ground_truth.theta, est.pose(k), est.theta, chain)
+        pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
+        return add_metric(gt_pose, ground_truth.theta, pose, cand.theta, chain)
 
     state = _SearchState(
         theta=estimate.theta.copy(),

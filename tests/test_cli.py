@@ -304,6 +304,26 @@ def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path):
     assert all("error" not in row for row in rows[1:])
 
 
+def test_nan_rotation_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys):
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    lines = est.read_text().splitlines()[:2]
+    bad = json.loads(lines[1])
+    bad["rotation"] = [float("nan")] * 9
+    lines[1] = json.dumps(bad)
+    est.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("eval", "--data", fronto_dataset, "--estimates", est, "--out", tmp_path / "r.json") == 5
+    assert f"{est}:2" in capsys.readouterr().err
+    code = run(
+        "refine", "--data", fronto_dataset, "--estimates", est, "--out", tmp_path / "refined.jsonl",
+        "--iterations", 1, "--evals-per-iteration", 5, "--samples-per-link", 100, "--workers", 1,
+    )
+    assert code == 5
+    assert f"{est}:2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "refined.jsonl").exists()
+
+
 def test_eval_rejects_estimate_for_unknown_scene(fronto_dataset, tmp_path):
     orphan = tmp_path / "orphan.jsonl"
     orphan.write_text(

@@ -218,6 +218,12 @@ def test_init_regressor_shapes_and_round_trip(tmp_path):
     assert state is None
     for a, b in zip(again.weights, net.weights):
         assert np.array_equal(a, b)
+    # files that still carry the retired input_normalization key load the same
+    blob = net.to_json()
+    assert "input_normalization" not in blob
+    blob["input_normalization"] = "image_size"
+    path.write_text(json.dumps(blob) + "\n", encoding="utf-8")
+    assert load_regressor(path)[0].to_json() == net.to_json()
 
 
 def test_mlp_forward_is_symmetric_psd_shaped():

@@ -138,6 +138,24 @@ def test_validation_stays_at_the_boundaries():
     theta[3] = float("nan")
     with pytest.raises(ValueError):
         forward_kinematics(chain, theta)
+    # derived transforms skip the checks but match the checked constructor
+    with pytest.raises(ValueError):
+        dh_transform(chain.joints[0], float("nan"))
+    joint = chain.joints[2]
+    m = _dh_matrix_oracle(joint.a, joint.d, joint.alpha, 0.7 + joint.theta_offset)
+    t1 = dh_transform(joint, 0.7)
+    t2 = RigidTransform(dh_transform(chain.joints[5], -1.3).rotation, [0.3, -0.2, 0.9])
+    r1, r2 = t1.rotation, t2.rotation
+    pairs = [
+        (t1, RigidTransform(m[:3, :3], m[:3, 3])),
+        (t1 @ t2, RigidTransform(r1 @ r2, r1 @ t2.translation + t1.translation)),
+        (t2.inverse(), RigidTransform(r2.T, -(r2.T @ t2.translation))),
+    ]
+    for derived, checked in pairs:
+        assert np.array_equal(derived.rotation, checked.rotation)
+        assert np.array_equal(derived.translation, checked.translation)
+        assert not derived.rotation.flags.writeable
+        assert not derived.translation.flags.writeable
 
 
 def test_joint_points_layout():
@@ -187,7 +205,12 @@ def test_chain_save_load_round_trip(tmp_path):
     assert np.array_equal(again.base_frame.as_matrix(), chain.base_frame.as_matrix())
     # file must be valid plain JSON
     with open(path, "r", encoding="utf-8") as fh:
-        json.load(fh)
+        blob = json.load(fh)
+    # files that still carry the retired link_mesh_ids key load the same
+    assert "link_mesh_ids" not in blob
+    blob["link_mesh_ids"] = [f"link{i}" for i in range(chain.dof + 1)]
+    path.write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
+    assert load_chain(path).to_json() == chain.to_json()
 
 
 def test_builtin_chain_names():

@@ -16,7 +16,6 @@ from armpose import (
     forward_kinematics,
     initial_estimate,
     joint_points,
-    load_keypoints,
     look_at,
     project_keypoints,
     rotation_geodesic,
@@ -77,17 +76,16 @@ def test_intrinsics_matrix_and_json_round_trip():
     assert again == k
 
 
-def test_keypoints_round_trip(tmp_path):
+def test_keypoints_round_trip():
     kp = Keypoints2D(np.array([[1.5, 2.5], [3.0, 4.0]]), np.array([True, False]))
     items = kp.to_json()
     assert items[0] == {"u": 1.5, "v": 2.5, "visible": True}
     back = Keypoints2D.from_json(items)
     assert np.array_equal(back.uv, kp.uv)
     assert np.array_equal(back.visible, kp.visible)
-    path = tmp_path / "kp.json"
-    path.write_text(json.dumps(items), encoding="utf-8")
-    loaded = load_keypoints(path)
+    loaded = Keypoints2D.from_json(json.loads(json.dumps(items)))
     assert np.array_equal(loaded.uv, kp.uv)
+    assert np.array_equal(loaded.visible, kp.visible)
 
 
 def test_keypoints_validation():
