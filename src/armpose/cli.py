@@ -45,7 +45,7 @@ from .distgeo import (
     save_regressor,
     train_gim,
 )
-from .kinematics import builtin_chain, joint_points, load_chain, forward_kinematics
+from .kinematics import builtin_chain, check_configuration, joint_points, load_chain, forward_kinematics
 from .distgeo import align_points, configuration_from_points
 from .metrics import EvalRecord, add_metric, build_report, mae_config, write_report_csv, write_report_json
 from .poseinit import (
@@ -197,8 +197,12 @@ def _parallel_map(fn, payloads, workers):
         return list(pool.map(fn, payloads))
 
 
-def _load_estimates(path):
-    """estimates.jsonl -> ordered list of (index, Estimate or None, error)."""
+def _load_estimates(path, chain):
+    """estimates.jsonl -> ordered list of (index, Estimate or None, error).
+
+    Each estimate's angles are checked against the chain here, so a bad row
+    is reported with its file and line.
+    """
     _require_file(path, "estimates file")
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -211,7 +215,9 @@ def _load_estimates(path):
                 if "error" in obj:
                     rows.append((index, None, str(obj["error"])))
                 else:
-                    rows.append((index, Estimate.from_json(obj), None))
+                    est = Estimate.from_json(obj)
+                    check_configuration(chain, est.theta)
+                    rows.append((index, est, None))
             except (ValueError, KeyError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: bad estimate record: {exc}") from exc
     if not rows:
@@ -410,7 +416,7 @@ def _refine_worker(payload):
 def cmd_refine(args):
     chain, k, _, scenes = _require_dataset(args.data)
     by_index = {scene.index: scene for scene in scenes}
-    estimates = _load_estimates(args.estimates)
+    estimates = _load_estimates(args.estimates, chain)
     cfg = RefinerConfig(
         iterations=int(args.iterations),
         inner_evals_per_iteration=int(args.evals_per_iteration),
@@ -467,7 +473,7 @@ def cmd_eval(args):
     chain, k, _, scenes = _require_dataset(args.data)
     by_index = {scene.index: scene for scene in scenes}
     records = []
-    for index, est, _error in _load_estimates(args.estimates):
+    for index, est, _error in _load_estimates(args.estimates, chain):
         if index not in by_index:
             raise DatasetFormatError(f"estimate references scene {index}, not in the dataset")
         if est is None:
@@ -505,7 +511,8 @@ def cmd_render(args):
     scene = by_index[args.scene]
     theta, pose = scene.theta, scene.pose
     if args.estimates:
-        match = [est for index, est, _ in _load_estimates(args.estimates) if index == args.scene]
+        rows = _load_estimates(args.estimates, chain)
+        match = [est for index, est, _ in rows if index == args.scene]
         if not match or match[0] is None:
             raise DatasetFormatError(f"estimates file has no usable entry for scene {args.scene}")
         theta, pose = match[0].theta, match[0].pose(k)

@@ -354,36 +354,66 @@ def load_regressor(path):
     return MlpRegressor.from_json(obj), state
 
 
-def _sample_masks(net, rng):
-    """Inverted-dropout masks for the two hidden layers, or None when disabled."""
+def _sample_masks(net, rng, batch):
+    """Inverted-dropout masks (batch, h1) and (batch, h2), or None when disabled.
+
+    One (batch, h1 + h2) draw consumes the generator exactly as batch
+    successive per-sample draws of h1 then h2 values would.
+    """
     if net.dropout_rate == 0.0:
         return None
     keep = 1.0 - net.dropout_rate
-    return [
-        (rng.random(net.layer_dims[1]) < keep).astype(float) / keep,
-        (rng.random(net.layer_dims[2]) < keep).astype(float) / keep,
-    ]
+    h1 = net.layer_dims[1]
+    block = (rng.random((batch, h1 + net.layer_dims[2])) < keep).astype(float) / keep
+    return block[:, :h1], block[:, h1:]
 
 
-def _forward_cached(net, x, masks):
-    """Raw forward pass; returns (output vector, per-layer caches for backprop)."""
-    h1_pre = net.weights[0] @ x + net.biases[0]
-    h1 = np.tanh(h1_pre)
-    if masks is not None:
-        h1 = h1 * masks[0]
-    h2_pre = net.weights[1] @ h1 + net.biases[1]
-    h2 = np.tanh(h2_pre)
-    if masks is not None:
-        h2 = h2 * masks[1]
-    out = net.weights[2] @ h2 + net.biases[2]
-    return out, (x, h1, h2)
+def _forward(net, x, masks):
+    """Forward a (B, n_in) batch; returns raw outputs (B, out) and backprop caches.
+
+    masks, when given, are the two hidden layers' dropout masks, each (B, h)
+    or a single (h,) row shared by the batch.
+    """
+    t1 = np.tanh(x @ net.weights[0].T + net.biases[0])
+    h1 = t1 if masks is None else t1 * masks[0]
+    t2 = np.tanh(h1 @ net.weights[1].T + net.biases[1])
+    h2 = t2 if masks is None else t2 * masks[1]
+    raw = h2 @ net.weights[2].T + net.biases[2]
+    return raw, (t1, h1, t2, h2)
 
 
 def _matrix_from_upper(values, m):
-    mat = np.zeros((m, m))
+    """Symmetric zero-diagonal (..., m, m) matrices from (..., m(m-1)/2) upper triangles."""
+    mat = np.zeros(values.shape[:-1] + (m, m))
     iu = np.triu_indices(m, k=1)
-    mat[iu] = values
-    return mat + mat.T
+    mat[..., iu[0], iu[1]] = values
+    return mat + np.swapaxes(mat, -1, -2)
+
+
+def _residuals(net, raw, targets):
+    """Full-matrix residuals prediction - target (B, m, m) and per-sample losses (B,)."""
+    resid = _matrix_from_upper(raw * raw, net.matrix_size) - targets
+    return resid, 0.5 * np.sum(resid * resid, axis=(1, 2))
+
+
+def _batch_loss_and_gradients(net, x, targets, masks):
+    """Per-sample losses (B,) and the gradients of their sum, in one pass over the batch."""
+    raw, (t1, h1, t2, h2) = _forward(net, x, masks)
+    resid, losses = _residuals(net, raw, targets)
+    iu = np.triu_indices(net.matrix_size, k=1)
+    # Each upper-triangle value appears twice in the symmetric matrix.
+    d_raw = 2.0 * (resid[:, iu[0], iu[1]] + resid[:, iu[1], iu[0]]) * raw
+    d_h2 = d_raw @ net.weights[2]
+    if masks is not None:
+        d_h2 = d_h2 * masks[1]
+    d_pre2 = d_h2 * (1.0 - t2 * t2)
+    d_h1 = d_pre2 @ net.weights[1]
+    if masks is not None:
+        d_h1 = d_h1 * masks[0]
+    d_pre1 = d_h1 * (1.0 - t1 * t1)
+    gw = [d_pre1.T @ x, d_pre2.T @ h1, d_raw.T @ h2]
+    gb = [d_pre1.sum(axis=0), d_pre2.sum(axis=0), d_raw.sum(axis=0)]
+    return losses, gw, gb
 
 
 def keypoint_features(keypoints, width, height):
@@ -403,66 +433,36 @@ def mlp_forward(net, keypoints, dropout_active=False, rng=None):
     dropout_active is set, hidden units are dropped with the net's rate using
     rng (a fresh default generator when omitted), so outputs are stochastic.
     """
-    x = np.asarray(keypoints, dtype=float).reshape(-1)
-    if x.shape[0] != net.layer_dims[0]:
-        raise ValueError(f"input has {x.shape[0]} values, regressor expects {net.layer_dims[0]}")
+    x = np.asarray(keypoints, dtype=float).reshape(1, -1)
+    if x.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"input has {x.shape[1]} values, regressor expects {net.layer_dims[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("keypoint inputs must be finite")
     masks = None
     if dropout_active:
-        masks = _sample_masks(net, rng if rng is not None else np.random.default_rng())
-    raw, _ = _forward_cached(net, x, masks)
-    return _matrix_from_upper(raw * raw, net.matrix_size)
+        masks = _sample_masks(net, rng if rng is not None else np.random.default_rng(), 1)
+    raw, _ = _forward(net, x, masks)
+    return _matrix_from_upper(raw[0] * raw[0], net.matrix_size)
 
 
 def frobenius_loss(net, keypoints, target, masks=None):
     """0.5 * ||predicted - target||_F^2 over the full matrix."""
-    x = np.asarray(keypoints, dtype=float).reshape(-1)
-    raw, _ = _forward_cached(net, x, masks)
-    pred = _matrix_from_upper(raw * raw, net.matrix_size)
-    diff = pred - np.asarray(target, dtype=float)
-    return 0.5 * float(np.sum(diff * diff))
-
-
-def _loss_and_gradients(net, keypoints, target, masks=None):
-    x = np.asarray(keypoints, dtype=float).reshape(-1)
-    target = np.asarray(target, dtype=float)
-    m = net.matrix_size
-    raw, (x0, h1, h2) = _forward_cached(net, x, masks)
-    pred = _matrix_from_upper(raw * raw, m)
-    resid = pred - target
-    loss = 0.5 * float(np.sum(resid * resid))
-    iu = np.triu_indices(m, k=1)
-    # Each upper-triangle value appears twice in the symmetric matrix.
-    d_raw = 2.0 * (resid[iu] + resid.T[iu]) * raw
-
-    gw = [None, None, None]
-    gb = [None, None, None]
-    gw[2] = np.outer(d_raw, h2)
-    gb[2] = d_raw
-    d_h2 = net.weights[2].T @ d_raw
-    if masks is not None:
-        d_h2 = d_h2 * masks[1]
-    d_pre2 = d_h2 * (1.0 - np.tanh(net.weights[1] @ h1 + net.biases[1]) ** 2)
-    gw[1] = np.outer(d_pre2, h1)
-    gb[1] = d_pre2
-    d_h1 = net.weights[1].T @ d_pre2
-    if masks is not None:
-        d_h1 = d_h1 * masks[0]
-    d_pre1 = d_h1 * (1.0 - np.tanh(net.weights[0] @ x0 + net.biases[0]) ** 2)
-    gw[0] = np.outer(d_pre1, x0)
-    gb[0] = d_pre1
-    return loss, gw, gb
+    x = np.asarray(keypoints, dtype=float).reshape(1, -1)
+    raw, _ = _forward(net, x, masks)
+    _, losses = _residuals(net, raw, np.asarray(target, dtype=float)[None])
+    return float(losses[0])
 
 
 def mlp_gradients(net, keypoints, target, masks=None):
     """Analytic gradients of frobenius_loss w.r.t. every weight and bias.
 
     Returns (grad_weights, grad_biases) lists matching the net's stages. The
-    optional masks fix the dropout pattern so the gradient corresponds to the
-    same stochastic forward pass.
+    optional masks (one (h,) array per hidden layer) fix the dropout pattern
+    so the gradient corresponds to the same stochastic forward pass.
     """
-    _, gw, gb = _loss_and_gradients(net, keypoints, target, masks)
+    x = np.asarray(keypoints, dtype=float).reshape(1, -1)
+    target = np.asarray(target, dtype=float)[None]
+    _, gw, gb = _batch_loss_and_gradients(net, x, target, masks)
     return gw, gb
 
 
@@ -514,21 +514,43 @@ class TrainConfig:
     seed: int = 0
     start_step: int = 0
 
+    def __post_init__(self):
+        for name in ("steps", "warmup_steps", "start_step"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
+            )
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+
 
 def train_gim(net, dataset, cfg, adam_state=None):
     """Train the regressor on (keypoint vector, target matrix) pairs with Adam.
 
-    The learning rate ramps linearly over the first warmup_steps optimization
-    steps, then stays constant. Batch selection, dropout masks, and the
-    learning rate are pure functions of (cfg.seed, global step), so a run
-    resumed from start_step with the saved Adam state reproduces the
-    uninterrupted run exactly. Returns (net, trace, adam_state) where trace
-    rows are (step, batch loss before the update).
+    Each step forwards and backpropagates its whole batch in one matrix pass.
+    The step's generator first draws the batch indices, then the dropout
+    masks as one (batch, h1 + h2) block, which consumes the stream exactly as
+    batch successive per-sample (h1, h2) draws; results match a per-sample
+    loop up to the rounding of the gradient sums. The learning rate ramps
+    linearly over the first warmup_steps optimization steps, then stays
+    constant. Batch selection, dropout masks, and the learning rate are pure
+    functions of (cfg.seed, global step), so a run resumed from start_step
+    with the saved Adam state reproduces the uninterrupted run bitwise.
+    Returns (net, trace, adam_state) where trace rows are (step, batch loss
+    before the update).
     """
     inputs = [np.asarray(kp, dtype=float).reshape(-1) for kp, _ in dataset]
-    targets = [np.asarray(tg, dtype=float) for _, tg in dataset]
     if not inputs:
         raise ValueError("training dataset is empty")
+    inputs = np.stack(inputs)
+    targets = np.stack([np.asarray(tg, dtype=float) for _, tg in dataset])
     warmup_steps = max(1, int(cfg.warmup_steps))
     state = adam_state if adam_state is not None else AdamState.zeros_like(net)
     weights = [w.copy() for w in net.weights]
@@ -541,29 +563,20 @@ def train_gim(net, dataset, cfg, adam_state=None):
         dropout_rate=net.dropout_rate,
     )
     trace = []
-    n_samples = len(inputs)
+    inv = 1.0 / cfg.batch_size
     for step in range(cfg.start_step, cfg.steps):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step)))
-        batch = rng.integers(0, n_samples, size=cfg.batch_size)
-        loss_acc = 0.0
-        gw_acc = [np.zeros_like(w) for w in weights]
-        gb_acc = [np.zeros_like(b) for b in biases]
-        for si in batch:
-            masks = _sample_masks(work, rng)
-            loss, gw, gb = _loss_and_gradients(work, inputs[si], targets[si], masks)
-            loss_acc += loss
-            for li in range(3):
-                gw_acc[li] += gw[li]
-                gb_acc[li] += gb[li]
-        inv = 1.0 / cfg.batch_size
-        loss = loss_acc * inv
+        batch = rng.integers(0, len(inputs), size=cfg.batch_size)
+        masks = _sample_masks(work, rng, cfg.batch_size)
+        losses, gw, gb = _batch_loss_and_gradients(work, inputs[batch], targets[batch], masks)
+        loss = float(np.sum(losses)) * inv
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss became non-finite at step {step}")
         trace.append((step, loss))
         lr = cfg.learning_rate * min(1.0, (step + 1) / warmup_steps)
         t = step + 1
         params = weights + biases
-        grads = [g * inv for g in gw_acc] + [g * inv for g in gb_acc]
+        grads = [g * inv for g in gw] + [g * inv for g in gb]
         for pi, (param, grad) in enumerate(zip(params, grads)):
             state.m[pi] = cfg.beta1 * state.m[pi] + (1.0 - cfg.beta1) * grad
             state.v[pi] = cfg.beta2 * state.v[pi] + (1.0 - cfg.beta2) * grad * grad

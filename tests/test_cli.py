@@ -256,6 +256,25 @@ def test_train_divergence_exits_four(noisy_dataset, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--batch-size", 0], "batch_size"),
+        (["--batch-size", -3], "batch_size"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", -1], "learning_rate"),
+        (["--steps", -1], "steps"),
+        (["--warmup-steps", -1], "warmup_steps"),
+    ],
+)
+def test_train_bad_optimizer_setting_exits_two(noisy_dataset, tmp_path, capsys, flags, field):
+    net = tmp_path / "net.json"
+    assert run("train-gim", "--data", noisy_dataset, "--out", net, *flags) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not net.exists()
+
+
 def test_refine_writes_traces_and_provenance(fronto_dataset, tmp_path):
     est = tmp_path / "est.jsonl"
     refined = tmp_path / "refined.jsonl"
@@ -304,24 +323,38 @@ def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path):
     assert all("error" not in row for row in rows[1:])
 
 
-def test_nan_rotation_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys):
+def _assert_bad_second_row_rejected(dataset, tmp_path, capsys, key, value):
+    """eval and refine exit 5 naming path:2 when row 2 of a good file gets key = value."""
     est = tmp_path / "est.jsonl"
-    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    assert run("estimate", "--data", dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
     lines = est.read_text().splitlines()[:2]
     bad = json.loads(lines[1])
-    bad["rotation"] = [float("nan")] * 9
+    bad[key] = value
     lines[1] = json.dumps(bad)
     est.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert run("eval", "--data", fronto_dataset, "--estimates", est, "--out", tmp_path / "r.json") == 5
+    assert run("eval", "--data", dataset, "--estimates", est, "--out", tmp_path / "r.json") == 5
     assert f"{est}:2" in capsys.readouterr().err
     code = run(
-        "refine", "--data", fronto_dataset, "--estimates", est, "--out", tmp_path / "refined.jsonl",
+        "refine", "--data", dataset, "--estimates", est, "--out", tmp_path / "refined.jsonl",
         "--iterations", 1, "--evals-per-iteration", 5, "--samples-per-link", 100, "--workers", 1,
     )
     assert code == 5
     assert f"{est}:2" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "refined.jsonl").exists()
+
+
+def test_nan_rotation_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys):
+    _assert_bad_second_row_rejected(fronto_dataset, tmp_path, capsys, "rotation", [float("nan")] * 9)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [[float("nan")] * 7, [0.0] * 6],
+    ids=["nan-angles", "wrong-length"],
+)
+def test_bad_theta_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys, theta):
+    _assert_bad_second_row_rejected(fronto_dataset, tmp_path, capsys, "theta", theta)
 
 
 def test_eval_rejects_estimate_for_unknown_scene(fronto_dataset, tmp_path):

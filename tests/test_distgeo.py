@@ -32,6 +32,7 @@ from armpose import (
     train_gim,
 )
 from armpose import Keypoints2D, SamplerConfig
+from armpose import distgeo
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +274,64 @@ def test_gradients_match_finite_differences():
                 assert abs(gw[s][idx] - fd) / denom < 1e-4
 
 
+def _per_sample_reference(net, x, target, masks):
+    """Loss and gradients of one sample, as the per-sample trainer computed them."""
+    h1 = np.tanh(net.weights[0] @ x + net.biases[0])
+    if masks is not None:
+        h1 = h1 * masks[0]
+    h2 = np.tanh(net.weights[1] @ h1 + net.biases[1])
+    if masks is not None:
+        h2 = h2 * masks[1]
+    raw = net.weights[2] @ h2 + net.biases[2]
+    m = net.matrix_size
+    iu = np.triu_indices(m, k=1)
+    pred = np.zeros((m, m))
+    pred[iu] = raw * raw
+    resid = pred + pred.T - target
+    loss = 0.5 * float(np.sum(resid * resid))
+    d_raw = 2.0 * (resid[iu] + resid.T[iu]) * raw
+    d_h2 = net.weights[2].T @ d_raw
+    if masks is not None:
+        d_h2 = d_h2 * masks[1]
+    d_pre2 = d_h2 * (1.0 - np.tanh(net.weights[1] @ h1 + net.biases[1]) ** 2)
+    d_h1 = net.weights[1].T @ d_pre2
+    if masks is not None:
+        d_h1 = d_h1 * masks[0]
+    d_pre1 = d_h1 * (1.0 - np.tanh(net.weights[0] @ x + net.biases[0]) ** 2)
+    gw = [np.outer(d_pre1, x), np.outer(d_pre2, h1), np.outer(d_raw, h2)]
+    return loss, gw, [d_pre1, d_pre2, d_raw]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["masks-off", "masks-on"])
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize(
+    "dims", [(16, 160, 160, 91), (6, 32, 32, 6)], ids=["panda7", "planar2"]
+)
+def test_batched_kernel_matches_per_sample_oracle(dims, batch, dropout):
+    net = init_regressor(dims[0], dims[3], hidden=dims[1:3], dropout_rate=dropout, seed=batch)
+    m = net.matrix_size
+    rng = np.random.default_rng(40 + batch)
+    x = rng.uniform(0, 1, (batch, dims[0]))
+    # a general target, so the residual is not symmetric
+    targets = np.stack([edm_from_points(rng.normal(size=(m, 3))) for _ in range(batch)])
+    targets += rng.normal(scale=0.5, size=targets.shape)
+    masks = distgeo._sample_masks(net, rng, batch)
+    assert (masks is None) == (dropout == 0.0)
+    losses, gw, gb = distgeo._batch_loss_and_gradients(net, x, targets, masks)
+    want_losses = []
+    want = [np.zeros_like(a) for a in net.weights + net.biases]
+    for b in range(batch):
+        sample_masks = None if masks is None else [masks[0][b], masks[1][b]]
+        loss, sgw, sgb = _per_sample_reference(net, x[b], targets[b], sample_masks)
+        want_losses.append(loss)
+        for acc, g in zip(want, sgw + sgb):
+            acc += g
+    assert np.max(np.abs(losses - want_losses) / np.abs(want_losses)) < 1e-12
+    for got, ref in zip(gw + gb, want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gradients_zero_at_exact_fit_and_linear_in_residual():
     net = init_regressor(6, 6, hidden=(10, 9), dropout_rate=0.0, seed=4)
     x = np.random.default_rng(0).uniform(0, 1, 6)
@@ -326,6 +385,79 @@ def test_zero_learning_rate_keeps_loss_constant():
         assert np.array_equal(a, b)
     for a, b in zip(after.biases, net.biases):
         assert np.array_equal(a, b)
+
+
+# Per-step losses of the run below, recorded from the per-sample trainer
+# that the batched kernel replaced. Only the gradient summation order
+# differs, so the traces agree to rounding.
+PER_SAMPLE_LOSS_TRACE = [
+    10.438785196001447, 9.834860610357676, 9.221997946768974, 8.441778083831174,
+    7.272289860641905, 6.608433218738595, 6.152011097561877, 5.857100272770913,
+    4.947709653620767, 7.1527592182306705, 6.1802054282732755, 6.475623015494171,
+    4.843094172718795, 4.141483182330633, 3.176285243166839, 2.838503263513206,
+    3.42868106171364, 1.7388247111820156, 2.2184726862790667, 2.4653874079216562,
+    2.6466931720859304, 2.620331421336479, 1.993522488770693, 3.5397280447473443,
+    2.8625479252732755, 1.287795928927857, 1.8240818170771949, 1.3679295813662722,
+    2.3879302438161867, 2.4432266297868597,
+]
+
+
+def test_training_matches_recorded_per_sample_trace():
+    pairs = _planar_pairs(60, 5)
+    net = init_regressor(6, 6, hidden=(12, 12), dropout_rate=0.1, seed=0)
+    cfg = TrainConfig(steps=30, batch_size=8, learning_rate=1e-2, warmup_steps=5, seed=0)
+    _, trace, _ = train_gim(net, pairs, cfg)
+    assert [step for step, _ in trace] == list(range(30))
+    got = np.array([loss for _, loss in trace])
+    want = np.array(PER_SAMPLE_LOSS_TRACE)
+    assert np.max(np.abs(got - want) / want) < 1e-10
+
+
+def test_train_gim_draws_masks_in_per_sample_stream_order(monkeypatch):
+    seen = []
+    kernel = distgeo._batch_loss_and_gradients
+
+    def spy(net, x, targets, masks):
+        seen.append(masks)
+        return kernel(net, x, targets, masks)
+
+    monkeypatch.setattr(distgeo, "_batch_loss_and_gradients", spy)
+    pairs = _planar_pairs(20, 3)
+    net = init_regressor(6, 6, hidden=(12, 10), dropout_rate=0.3, seed=0)
+    train_gim(net, pairs, TrainConfig(steps=4, batch_size=5, seed=4, start_step=2))
+    assert len(seen) == 2
+    keep = 1.0 - net.dropout_rate
+    for step, masks in zip((2, 3), seen):
+        rng = np.random.default_rng(np.random.SeedSequence((4, step)))
+        rng.integers(0, len(pairs), size=5)
+        for b in range(5):
+            assert np.array_equal(masks[0][b], (rng.random(12) < keep).astype(float) / keep)
+            assert np.array_equal(masks[1][b], (rng.random(10) < keep).astype(float) / keep)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("batch_size", -3),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", -1.0),
+        ("steps", -1),
+        ("warmup_steps", -1),
+        ("start_step", -1),
+        ("beta1", 1.0),
+        ("beta1", -0.1),
+        ("beta2", 1.0),
+        ("beta2", float("nan")),
+        ("eps", 0.0),
+        ("eps", float("nan")),
+    ],
+)
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(learning_rate=0.0, steps=0, warmup_steps=0, beta1=0.0, beta2=0.0)
 
 
 def test_desk_scale_training_run():
