@@ -152,7 +152,23 @@ def _parse_args(argv):
             **{key: _config_value(key, actions[key], value) for key, value in from_file.items()}
         )
         args = parser.parse_args(argv)
+    _check_values(args)
     return args
+
+
+def _check_values(args):
+    """Reject, naming the option, values that would fail later inside a scene:
+    seeds feed np.random.SeedSequence, which takes no negative integer, and a
+    zero-width hidden layer makes every predicted distance matrix the same."""
+    for dest in ("seed", "render_seed"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            option = "--" + dest.replace("_", "-")
+            raise CliError(EXIT_CONFIG, f"{option} must be a non-negative integer, got {value}")
+    hidden = getattr(args, "hidden", None)
+    if hidden is not None and min(hidden) < 1:
+        widths = " ".join(str(h) for h in hidden)
+        raise CliError(EXIT_CONFIG, f"--hidden widths must each be at least 1, got {widths}")
 
 
 def _resolve_chain(spec):

@@ -126,8 +126,12 @@ def anchor_indices(chain):
     configuration and keeps the first three that are pairwise distinct and not
     collinear. Depends only on the chain constants, never on a configuration.
     """
+    return _anchor_rows(chain, joint_points(chain, np.zeros(chain.dof)).stacked())
+
+
+def _anchor_rows(chain, reference):
+    """anchor_indices given the chain's stacked zero-configuration skeleton."""
     n = chain.dof
-    reference = joint_points(chain, np.zeros(n)).stacked()
     order = []
     for i in range(n):
         order.extend([i, n + i])
@@ -169,9 +173,10 @@ def align_points(x_raw, chain, targets=None):
     n = chain.dof
     if cloud.shape != (2 * n, 3):
         raise ValueError(f"expected a ({2 * n}, 3) cloud for chain {chain.name!r}")
-    idx = anchor_indices(chain)
+    reference = joint_points(chain, np.zeros(n)).stacked()
+    idx = _anchor_rows(chain, reference)
     if targets is None:
-        target_full = joint_points(chain, np.zeros(n)).stacked()
+        target_full = reference
         score_rows = idx
     else:
         target_full = np.asarray(targets, dtype=float)
@@ -214,27 +219,33 @@ def configuration_from_points(chain, points):
     if p_obs.shape[0] != chain.dof:
         raise ValueError(f"point set has {p_obs.shape[0]} origins, chain has {chain.dof} joints")
 
-    frame = chain.base_frame
+    # The frame walks as a raw (rotation, translation) pair composed in the
+    # order RigidTransform.compose uses, so every angle is bitwise the same as
+    # walking RigidTransform objects; the 3-vector cross products and norms
+    # are spelled out with the same float operations np.cross and
+    # np.linalg.norm perform.
+    rot, origin = chain.base_frame.rotation, chain.base_frame.translation
     angles = np.zeros(chain.dof)
     ambiguous = []
     for i, joint in enumerate(chain.joints):
-        axis = frame.rotation[:, 2]
-        origin = frame.translation
-        ref_frame = frame @ dh_transform(joint, -joint.theta_offset)
-        ref_vecs = [
-            ref_frame.translation - origin,
-            ref_frame.translation + ref_frame.rotation[:, 2] - origin,
-        ]
-        obs_vecs = [p_obs[i] - origin, q_obs[i] - origin]
+        axis = rot[:, 2]
+        zero = dh_transform(joint, -joint.theta_offset)
+        ref_rot = rot @ zero.rotation
+        ref_origin = rot @ zero.translation + origin
+        ref_vecs = (ref_origin - origin, ref_origin + ref_rot[:, 2] - origin)
+        obs_vecs = (p_obs[i] - origin, q_obs[i] - origin)
         sin_acc = 0.0
         cos_acc = 0.0
         strength = 0.0
         for ref, obs in zip(ref_vecs, obs_vecs):
             ref_perp = ref - axis * (axis @ ref)
             obs_perp = obs - axis * (axis @ obs)
-            sin_acc += float(axis @ np.cross(ref_perp, obs_perp))
+            r0, r1, r2 = ref_perp.tolist()
+            o0, o1, o2 = obs_perp.tolist()
+            cross = np.array([r1 * o2 - r2 * o1, r2 * o0 - r0 * o2, r0 * o1 - r1 * o0])
+            sin_acc += float(axis @ cross)
             cos_acc += float(ref_perp @ obs_perp)
-            strength += float(np.linalg.norm(ref_perp) * np.linalg.norm(obs_perp))
+            strength += math.sqrt(ref_perp @ ref_perp) * math.sqrt(obs_perp @ obs_perp)
         if strength < 1e-10:
             ambiguous.append(i)
             phi = 0.0
@@ -246,7 +257,8 @@ def configuration_from_points(chain, points):
         elif theta > joint.limit_hi and theta - 2.0 * math.pi >= joint.limit_lo:
             theta -= 2.0 * math.pi
         angles[i] = theta
-        frame = frame @ dh_transform(joint, phi - joint.theta_offset)
+        step = dh_transform(joint, phi - joint.theta_offset)
+        rot, origin = rot @ step.rotation, rot @ step.translation + origin
     if ambiguous:
         warnings.warn(
             f"joints {ambiguous} have no perpendicular lever; returned reference angles",
@@ -280,6 +292,7 @@ class MlpRegressor:
     def __post_init__(self):
         if len(self.layer_dims) != 4:
             raise ValueError("regressor is fixed at three weight stages (four layer dims)")
+        _check_widths(self.layer_dims)
         if self.activation != "tanh":
             raise ValueError(f"unsupported activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -326,9 +339,15 @@ class MlpRegressor:
         )
 
 
+def _check_widths(dims):
+    if min(dims) < 1:
+        raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
+
+
 def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=0.1, seed=0):
     """Fresh regressor with uniform Glorot weights and zero biases."""
     dims = [int(input_dim), int(hidden[0]), int(hidden[1]), int(output_dim)]
+    _check_widths(dims)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights = []
     biases = []

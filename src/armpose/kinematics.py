@@ -21,6 +21,10 @@ _EYE3 = np.eye(3)
 
 def wrap_angle(theta):
     """Wrap an angle (or array of angles) into (-pi, pi]."""
+    if isinstance(theta, (float, int)):
+        # Python's float % rounds exactly as np.remainder does
+        wrapped = (float(theta) + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if wrapped == -math.pi else wrapped
     wrapped = np.remainder(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     if np.ndim(theta) == 0:
@@ -115,18 +119,25 @@ class RigidTransform:
 
 
 def kabsch(src, dst):
-    """Proper rotation + translation minimizing ||R src + t - dst||."""
+    """Proper rotation + translation minimizing ||R src + t - dst||.
+
+    src and dst are (n, 3) point sets, or stacks (..., n, 3) of them that
+    broadcast against each other, solved in one pass; a stack returns
+    (..., 3, 3) rotations and (..., 3) translations, each bitwise equal to
+    solving its own pair alone.
+    """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    h = (src - c_src).T @ (dst - c_dst)
+    c_src = src.mean(axis=-2)
+    c_dst = dst.mean(axis=-2)
+    h = np.swapaxes(src - c_src[..., None, :], -1, -2) @ (dst - c_dst[..., None, :])
     u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0:
-        sign = 1.0
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    return rot, c_dst - rot @ c_src
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    sign = np.sign(np.linalg.det(v @ ut))
+    diag = np.ones(sign.shape + (3,))
+    diag[..., 2] = np.where(sign == 0, 1.0, sign)
+    rot = v * diag[..., None, :] @ ut
+    return rot, c_dst - (rot @ c_src[..., None])[..., 0]
 
 
 def rotation_geodesic(r_a, r_b):

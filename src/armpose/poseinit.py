@@ -159,102 +159,106 @@ def _barycentric(pts, ctrl):
 
 
 def _build_m(alphas, uv, k):
+    """The (2j, 3nc) projection system: rows 2i and 2i + 1 hold point i's u and v
+    equations, columns 3c to 3c + 2 control point c's camera coordinates."""
     j, nc = alphas.shape
     m = np.zeros((2 * j, 3 * nc))
-    for i in range(j):
-        u, v = uv[i]
-        for c in range(nc):
-            a = alphas[i, c]
-            m[2 * i, 3 * c] = a * k.fx
-            m[2 * i, 3 * c + 2] = a * (k.cx - u)
-            m[2 * i + 1, 3 * c + 1] = a * k.fy
-            m[2 * i + 1, 3 * c + 2] = a * (k.cy - v)
+    m[0::2, 0::3] = alphas * k.fx
+    m[0::2, 2::3] = alphas * (k.cx - uv[:, 0:1])
+    m[1::2, 1::3] = alphas * k.fy
+    m[1::2, 2::3] = alphas * (k.cy - uv[:, 1:2])
     return m
 
 
-def _pairs(nc):
-    return [(a, b) for a in range(nc) for b in range(a + 1, nc)]
+# Control-point pair indices for the planar (3) and general (4) cases.
+_PAIRS = {nc: np.triu_indices(nc, k=1) for nc in (3, 4)}
+
+# Unknowns of the linearized distance equations for two and three kernel
+# vectors: the products b_a b_c as kernel indices a and c, each with its
+# weight (2 for a cross term). The solution lists them in this order.
+_BETA_TERMS = {
+    2: ([0, 0, 1], [0, 1, 1], [1.0, 2.0, 1.0]),
+    3: ([0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2], [1.0, 2.0, 1.0, 2.0, 2.0, 1.0]),
+}
 
 
 def _rho(ctrl):
-    return np.array([float(np.sum((ctrl[a] - ctrl[b]) ** 2)) for a, b in _pairs(len(ctrl))])
+    """Squared distances between control-point pairs, in np.triu_indices order."""
+    a, b = _PAIRS[len(ctrl)]
+    return np.sum((ctrl[a] - ctrl[b]) ** 2, axis=1)
 
 
 def _kernel_pair_diffs(kernel, nc):
-    """For each kernel vector, the per-pair control-point differences (npairs, 3)."""
-    diffs = []
-    for col in range(kernel.shape[1]):
-        pts = kernel[:, col].reshape(nc, 3)
-        diffs.append(np.array([pts[a] - pts[b] for a, b in _pairs(nc)]))
-    return diffs
+    """Per-pair control-point differences of every kernel vector, (nb, npairs, 3).
+
+    C-contiguous on purpose: the row-wise dot products of _pair_gram round
+    differently on strided views.
+    """
+    pts = kernel.T.reshape(kernel.shape[1], nc, 3)
+    a, b = _PAIRS[nc]
+    return np.ascontiguousarray(pts[:, a] - pts[:, b])
 
 
-def _solve_betas(kernel, nc, rho, count):
+def _pair_gram(diffs):
+    """g[l, p, k] = diffs[l, p] . diffs[k, p], shape (nb, npairs, nb)."""
+    return np.einsum("lpi,kpi->lpk", diffs, diffs)
+
+
+def _solve_betas(gram, rho, count):
     """Linearized solve for the first `count` beta coefficients."""
-    diffs = _kernel_pair_diffs(kernel, nc)
-    npairs = len(rho)
     if count == 1:
-        s = diffs[0]
-        norms2 = np.einsum("ij,ij->i", s, s)
+        norms2 = gram[0, :, 0]
         dists = np.sqrt(rho)
         beta = float(np.sum(np.sqrt(norms2) * dists) / np.sum(norms2))
         return np.array([beta])
-    if count == 2:
-        cols = np.zeros((npairs, 3))
-        cols[:, 0] = np.einsum("ij,ij->i", diffs[0], diffs[0])
-        cols[:, 1] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[1])
-        cols[:, 2] = np.einsum("ij,ij->i", diffs[1], diffs[1])
-        sol, *_ = np.linalg.lstsq(cols, rho, rcond=None)
-        b1 = math.sqrt(abs(sol[0]))
-        b2 = math.sqrt(abs(sol[2]))
-        if sol[1] < 0:
-            b2 = -b2
-        return np.array([b1, b2])
-    cols = np.zeros((npairs, 6))
-    cols[:, 0] = np.einsum("ij,ij->i", diffs[0], diffs[0])
-    cols[:, 1] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[1])
-    cols[:, 2] = np.einsum("ij,ij->i", diffs[1], diffs[1])
-    cols[:, 3] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[2])
-    cols[:, 4] = 2.0 * np.einsum("ij,ij->i", diffs[1], diffs[2])
-    cols[:, 5] = np.einsum("ij,ij->i", diffs[2], diffs[2])
-    sol, *_ = np.linalg.lstsq(cols, rho, rcond=None)
-    b1 = math.sqrt(abs(sol[0]))
-    b2 = math.sqrt(abs(sol[2])) * (1.0 if sol[1] >= 0 else -1.0)
-    b3 = math.sqrt(abs(sol[5])) * (1.0 if sol[3] >= 0 else -1.0)
-    return np.array([b1, b2, b3])
+    rows, cols, weights = _BETA_TERMS[count]
+    sol, *_ = np.linalg.lstsq(gram[rows, :, cols].T * weights, rho, rcond=None)
+    betas = [math.sqrt(abs(sol[0])), math.sqrt(abs(sol[2])) * (1.0 if sol[1] >= 0 else -1.0)]
+    if count == 3:
+        betas.append(math.sqrt(abs(sol[5])) * (1.0 if sol[3] >= 0 else -1.0))
+    return np.array(betas)
 
 
-def _gauss_newton_betas(kernel, nc, rho, betas, iterations=10):
-    """Polish a full-width beta vector on the control-point distance constraints."""
-    diffs = _kernel_pair_diffs(kernel, nc)
-    betas = betas.copy()
-    nb = betas.shape[0]
+def _gauss_newton_betas(gram, rho, betas, iterations=10):
+    """Polish candidate beta vectors (S, nb) on the control-point distance constraints.
+
+    The squared pair distances are betas . h with h = betas g, and their
+    Jacobian is 2 h. Every candidate steps together: one batched
+    normal-equation solve per iteration. An exactly singular system falls
+    back to the minimum-norm least-squares step.
+    """
+    nb, npairs = gram.shape[:2]
+    flat = gram.reshape(nb, npairs * nb)
     for _ in range(iterations):
-        combo = sum(betas[k] * diffs[k] for k in range(nb))
-        resid = np.einsum("ij,ij->i", combo, combo) - rho
-        jac = np.zeros((len(rho), nb))
-        for k in range(nb):
-            jac[:, k] = 2.0 * np.einsum("ij,ij->i", combo, diffs[k])
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        betas = betas + step
+        h = (betas @ flat).reshape(len(betas), npairs, nb)
+        resid = h @ betas[..., None] - rho[:, None]
+        h_t = np.swapaxes(h, 1, 2)
+        try:
+            step = np.linalg.solve(h_t @ h, h_t @ resid)
+        except np.linalg.LinAlgError:
+            step = np.linalg.pinv(h) @ resid
+        betas = betas - 0.5 * step[..., 0]
     return betas
 
 
-def _pose_from_betas(kernel, nc, betas, alphas, pts3d):
-    ctrl_cam = sum(betas[k] * kernel[:, k].reshape(nc, 3) for k in range(betas.shape[0]))
+def _poses_from_betas(kernel, nc, betas, alphas, pts3d):
+    """Kabsch pose of every candidate (S, nb), mirrored in front of the camera
+    when most of its points land behind it. Returns (S, 3, 3) and (S, 3)."""
+    ctrl_cam = (betas @ kernel.T).reshape(len(betas), nc, 3)
     pts_cam = alphas @ ctrl_cam
-    if np.sum(pts_cam[:, 2] < 0.0) > pts_cam.shape[0] // 2:
-        pts_cam = -pts_cam
+    flip = np.sum(pts_cam[..., 2] < 0.0, axis=1) > pts_cam.shape[1] // 2
+    pts_cam = np.where(flip[:, None, None], -pts_cam, pts_cam)
     return kabsch(pts3d, pts_cam)
 
 
-def _reprojection_error(rot, tra, pts3d, uv, k):
-    """Mean pixel error; points behind the camera contribute a fixed penalty."""
-    cam = pts3d @ rot.T + tra
-    behind = cam[:, 2] <= 1e-9
+def _reprojection_errors(rots, tras, pts3d, uv, k):
+    """Mean pixel error of each candidate pose and its count of points behind the
+    camera; points behind the camera contribute a fixed penalty."""
+    cam = pts3d @ np.swapaxes(rots, 1, 2) + tras[:, None, :]
+    behind = cam[..., 2] <= 1e-9
     cam[behind, 2] = 1.0
-    per_point = np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=1))
-    return float(np.mean(per_point)), int(behind.sum())
+    per_point = np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=-1))
+    return per_point.mean(axis=1), behind.sum(axis=1)
 
 
 def epnp(points3d, points2d, k):
@@ -263,9 +267,10 @@ def epnp(points3d, points2d, k):
     points3d (j, 3) in the world/robot frame, points2d (j, 2) in pixels, j >= 4.
     Returns (RigidTransform world->camera, mean reprojection error in pixels).
     Coplanar point sets drop to the three-control-point variant; collinear
-    sets raise PnpDegenerateError. Candidate solutions from one, two, and
-    three kernel vectors are each polished with Gauss-Newton on the
-    control-point distances and the lowest reprojection error wins.
+    sets raise PnpDegenerateError. Candidate solutions seeded from one, two,
+    and three kernel vectors are polished together with Gauss-Newton on the
+    control-point distances and the lowest reprojection error wins, the
+    earlier seed on a tie.
     """
     pts3d = np.asarray(points3d, dtype=float)
     uv = np.asarray(points2d, dtype=float)
@@ -287,22 +292,23 @@ def epnp(points3d, points2d, k):
     n_kernel = 3 if planar else 4
     kernel = evecs[:, :n_kernel]
     rho = _rho(ctrl)
+    gram = _pair_gram(_kernel_pair_diffs(kernel, nc))
 
-    best = None
-    for count in (1, 2, 3) if not planar else (1, 2):
-        seed = _solve_betas(kernel, nc, rho, count)
-        # polish over the full kernel width regardless of the seeding order
-        betas = np.zeros(n_kernel)
-        betas[:count] = seed
-        betas = _gauss_newton_betas(kernel, nc, rho, betas)
-        rot, tra = _pose_from_betas(kernel, nc, betas, alphas, pts3d)
-        err, behind = _reprojection_error(rot, tra, pts3d, uv, k)
-        if best is None or err < best[0]:
-            best = (err, rot, tra, behind)
-    err, rot, tra, behind = best
-    if behind > pts3d.shape[0] // 2:
+    counts = (1, 2) if planar else (1, 2, 3)
+    # polish over the full kernel width regardless of the seeding order
+    betas = np.zeros((len(counts), n_kernel))
+    for s, count in enumerate(counts):
+        betas[s, :count] = _solve_betas(gram, rho, count)
+    betas = _gauss_newton_betas(gram, rho, betas)
+    rots, tras = _poses_from_betas(kernel, nc, betas, alphas, pts3d)
+    errs, behind = _reprojection_errors(rots, tras, pts3d, uv, k)
+    best = 0
+    for s in range(1, len(counts)):
+        if errs[s] < errs[best]:
+            best = s
+    if behind[best] > pts3d.shape[0] // 2:
         raise PnpDegenerateError("every candidate pose places most points behind the camera")
-    return RigidTransform(rot, tra), err
+    return RigidTransform(rots[best], tras[best]), float(errs[best])
 
 
 # ---------------------------------------------------------------------------

@@ -436,3 +436,44 @@ def test_refine_has_no_objective_option(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"objective": "iou"}))
     assert run(*base, "--config", cfg) == 2
+
+
+@pytest.mark.parametrize("hidden", [(0, 5), (5, 0)], ids=["first", "second"])
+def test_train_zero_hidden_width_exits_two(noisy_dataset, tmp_path, capsys, hidden):
+    net = tmp_path / "net.json"
+    assert run("train-gim", "--data", noisy_dataset, "--out", net, "--steps", 2, "--hidden", *hidden) == 2
+    err = capsys.readouterr().err
+    assert "--hidden" in err and "Traceback" not in err
+    assert not net.exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "train-gim", "estimate", "refine", "render"])
+def test_negative_seed_exits_two_naming_the_option(
+    fronto_dataset, trained_net, tmp_path, capsys, command, via_config
+):
+    out = tmp_path / "out"
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    args = {
+        "gen": ["--out", out, "--count", 2, "--workers", 1],
+        "train-gim": ["--data", fronto_dataset, "--out", out, "--steps", 2],
+        "estimate": ["--data", fronto_dataset, "--out", out, "--net", trained_net, "--workers", 1],
+        "refine": [
+            "--data", fronto_dataset, "--estimates", est, "--out", out,
+            "--iterations", 1, "--evals-per-iteration", 4, "--workers", 1,
+        ],
+        "render": ["--data", fronto_dataset, "--scene", 0, "--out", out],
+    }[command]
+    option = "--render-seed" if command in ("refine", "render") else "--seed"
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option[2:].replace("-", "_"): -1}))
+        args += ["--config", cfg]
+    else:
+        args += [option, -1]
+    capsys.readouterr()
+    assert run(command, *args) == 2
+    err = capsys.readouterr().err
+    assert option in err and "-1" in err and "Traceback" not in err
+    assert not out.exists()

@@ -25,14 +25,17 @@ from armpose import (
     look_at,
     mlp_forward,
     mlp_gradients,
+    perturb_keypoints,
     points_from_gram,
     project_keypoints,
+    sample_scene,
     save_regressor,
     skeleton_keypoints,
     train_gim,
 )
-from armpose import Keypoints2D, SamplerConfig
-from armpose import distgeo
+from armpose import ConfigurationAmbiguousWarning, Keypoints2D, SamplerConfig
+from armpose import distgeo, kinematics
+from armpose.kinematics import dh_transform, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,137 @@ def test_configuration_from_points_exact_on_true_points():
             assert np.max(np.abs(rec - theta)) < 1e-10
 
 
+def _reference_configuration_from_points(chain, points):
+    """The frame-object IK walk: compose RigidTransforms, np.cross and norm on 3-vectors.
+
+    Returns (angles, indices of ambiguous joints).
+    """
+    stacked = np.asarray(points, dtype=float)
+    half = stacked.shape[0] // 2
+    p_obs, q_obs = stacked[:half], stacked[half:]
+    frame = chain.base_frame
+    angles = np.zeros(chain.dof)
+    ambiguous = []
+    for i, joint in enumerate(chain.joints):
+        axis = frame.rotation[:, 2]
+        origin = frame.translation
+        ref_frame = frame @ dh_transform(joint, -joint.theta_offset)
+        ref_vecs = [
+            ref_frame.translation - origin,
+            ref_frame.translation + ref_frame.rotation[:, 2] - origin,
+        ]
+        obs_vecs = [p_obs[i] - origin, q_obs[i] - origin]
+        sin_acc = 0.0
+        cos_acc = 0.0
+        strength = 0.0
+        for ref, obs in zip(ref_vecs, obs_vecs):
+            ref_perp = ref - axis * (axis @ ref)
+            obs_perp = obs - axis * (axis @ obs)
+            sin_acc += float(axis @ np.cross(ref_perp, obs_perp))
+            cos_acc += float(ref_perp @ obs_perp)
+            strength += float(np.linalg.norm(ref_perp) * np.linalg.norm(obs_perp))
+        if strength < 1e-10:
+            ambiguous.append(i)
+            phi = 0.0
+        else:
+            phi = math.atan2(sin_acc, cos_acc)
+        theta = wrap_angle(phi - joint.theta_offset)
+        if theta < joint.limit_lo and theta + 2.0 * math.pi <= joint.limit_hi:
+            theta += 2.0 * math.pi
+        elif theta > joint.limit_hi and theta - 2.0 * math.pi >= joint.limit_lo:
+            theta -= 2.0 * math.pi
+        angles[i] = theta
+        frame = frame @ dh_transform(joint, phi - joint.theta_offset)
+    return angles, ambiguous
+
+
+@pytest.fixture(scope="module")
+def honest_clouds():
+    """Anchored clouds of the honest estimate path: a regressor trained for 150
+    steps on 200 scenes of seed 0, applied with dropout off to 100 noisy
+    scenes of seed 1 (the benchmark's init-train inputs at seed 0)."""
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k = cfg.intrinsics()
+
+    def keypoint_sets(seed, count):
+        out = []
+        for i in range(count):
+            theta, _, kp = sample_scene(chain, cfg, seed, i)
+            out.append((theta, perturb_keypoints(kp, cfg.noise_std, (seed, i, 1))))
+        return out
+
+    dataset = [
+        (keypoint_features(kp, k.width, k.height), edm_from_configuration(chain, theta))
+        for theta, kp in keypoint_sets(0, 200)
+    ]
+    net = init_regressor(2 * (chain.dof + 1), chain.dof * (2 * chain.dof - 1), seed=0)
+    net, _, _ = train_gim(net, dataset, TrainConfig(steps=150, seed=0, warmup_steps=7))
+    clouds = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _, kp in keypoint_sets(1, 100):
+            d = mlp_forward(net, keypoint_features(kp, k.width, k.height))
+            clouds.append(align_points(points_from_gram(gram_from_edm(d)), chain).stacked())
+    return chain, clouds
+
+
+def test_configuration_from_points_matches_frame_walk_bitwise(honest_clouds):
+    chain, clouds = honest_clouds
+    assert len(clouds) == 100
+    for cloud in clouds:
+        want, ambiguous = _reference_configuration_from_points(chain, cloud)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = configuration_from_points(chain, cloud)
+        assert np.array_equal(got, want)
+        flagged = [w for w in caught if issubclass(w.category, ConfigurationAmbiguousWarning)]
+        assert len(flagged) == (1 if ambiguous else 0)
+
+    planar = builtin_chain("planar2")
+    rng = np.random.default_rng(61)
+    lo, hi = planar.limits()
+    for _ in range(50):
+        cloud = joint_points(planar, rng.uniform(lo, hi)).stacked()
+        cloud = cloud + rng.normal(scale=0.01, size=cloud.shape)
+        want, ambiguous = _reference_configuration_from_points(planar, cloud)
+        assert not ambiguous
+        assert np.array_equal(configuration_from_points(planar, cloud), want)
+
+
+def test_configuration_from_points_ambiguous_joint_matches_frame_walk():
+    chain = builtin_chain("panda7")
+    cloud = joint_points(chain, np.full(chain.dof, 0.3)).stacked()
+    axis = chain.base_frame.rotation[:, 2]
+    origin = chain.base_frame.translation
+    # joint 1's origin and axis point both on the base axis: no lever
+    cloud[0] = origin + 0.333 * axis
+    cloud[chain.dof] = origin + 1.333 * axis
+    want, ambiguous = _reference_configuration_from_points(chain, cloud)
+    assert ambiguous == [0]
+    with pytest.warns(ConfigurationAmbiguousWarning, match=r"joints \[0\]"):
+        got = configuration_from_points(chain, cloud)
+    assert np.array_equal(got, want)
+
+
+def test_align_points_runs_forward_kinematics_once(monkeypatch):
+    chain = builtin_chain("panda7")
+    cloud = joint_points(chain, np.full(chain.dof, 0.2)).stacked()
+    want = align_points(cloud, chain).stacked()
+    calls = []
+    original = kinematics.forward_kinematics
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kinematics, "forward_kinematics", counting)
+    got = align_points(cloud, chain).stacked()
+    assert len(calls) == 1
+    assert np.array_equal(got, want)
+    assert anchor_indices(chain) == [0, chain.dof, chain.dof + 1]
+
+
 def test_configuration_from_points_shape_check():
     chain = builtin_chain("planar2")
     with pytest.raises(ValueError):
@@ -225,6 +359,19 @@ def test_init_regressor_shapes_and_round_trip(tmp_path):
     blob["input_normalization"] = "image_size"
     path.write_text(json.dumps(blob) + "\n", encoding="utf-8")
     assert load_regressor(path)[0].to_json() == net.to_json()
+
+
+@pytest.mark.parametrize("hidden", [(0, 5), (5, 0), (-1, 5)])
+def test_regressor_rejects_layers_narrower_than_one(hidden):
+    with pytest.raises(ValueError, match="width"):
+        init_regressor(6, 6, hidden=hidden)
+    net = init_regressor(6, 6, hidden=(5, 5))
+    dims = [6, hidden[0], hidden[1], 6]
+    weights = [np.zeros((max(dims[i + 1], 0), max(dims[i], 0))) for i in range(3)]
+    biases = [np.zeros(max(dims[i + 1], 0)) for i in range(3)]
+    with pytest.raises(ValueError, match="width"):
+        distgeo.MlpRegressor(layer_dims=dims, weights=weights, biases=biases)
+    assert net.layer_dims == [6, 5, 5, 6]
 
 
 def test_mlp_forward_is_symmetric_psd_shaped():

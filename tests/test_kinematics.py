@@ -18,6 +18,7 @@ from armpose import (
     rotation_geodesic,
     wrap_angle,
 )
+from armpose.kinematics import kabsch
 
 
 def _dh_matrix_oracle(a, d, alpha, phi):
@@ -44,6 +45,21 @@ def test_wrap_angle_convention():
     assert arr[0] == pytest.approx(0.3)
     assert arr[1] == pytest.approx(0.3)
     assert arr[2] == pytest.approx(-7.0 + 2.0 * math.pi)
+
+
+def test_wrap_angle_scalar_path_matches_array_path_bitwise():
+    rng = np.random.default_rng(12)
+    values = np.concatenate(
+        [rng.normal(scale=s, size=2000) for s in (1.0, 10.0, 1e6)]
+        + [[math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 0.0, -0.0, 2.0 * math.pi]]
+        + [[math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), 1e300]]
+    )
+    wrapped = wrap_angle(values)
+    for value, want in zip(values.tolist(), wrapped.tolist()):
+        got = wrap_angle(value)
+        assert isinstance(got, float)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert wrap_angle(np.float64(7.0)) == wrap_angle(np.array(7.0)) == wrap_angle(7)
 
 
 def test_dh_transform_matches_hand_composed_matrix():
@@ -228,3 +244,35 @@ def test_unsupported_convention_rejected():
             base_frame=RigidTransform.identity(),
             convention="dh_modified",
         )
+
+
+def _reference_kabsch(src, dst):
+    """The single-pair Kabsch solve as written before it took stacks."""
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    h = (src - c_src).T @ (dst - c_dst)
+    u, _, vt = np.linalg.svd(h)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    if sign == 0:
+        sign = 1.0
+    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    return rot, c_dst - rot @ c_src
+
+
+def test_kabsch_pairs_and_stacks_match_single_pair_reference_bitwise():
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n = int(rng.integers(3, 12))
+        src = rng.normal(size=(n, 3))
+        # odd trials: a reflected target, so the determinant fix is exercised
+        mirror = np.diag([1.0, 1.0, -1.0]) if trial % 2 else np.eye(3)
+        dst = src @ (rng.normal(size=(3, 3)) @ mirror) + rng.normal(scale=0.1, size=(n, 3))
+        rot, tra = kabsch(src, dst)
+        want_rot, want_tra = _reference_kabsch(src, dst)
+        assert np.array_equal(rot, want_rot) and np.array_equal(tra, want_tra)
+        stack = np.stack([dst, dst[::-1], rng.normal(size=(n, 3))])
+        rots, tras = kabsch(src, stack)
+        assert rots.shape == (3, 3, 3) and tras.shape == (3, 3)
+        for s in range(3):
+            want_rot, want_tra = _reference_kabsch(src, stack[s])
+            assert np.array_equal(rots[s], want_rot) and np.array_equal(tras[s], want_tra)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from armpose import poseinit
 from armpose import (
     CameraIntrinsics,
     InsufficientCorrespondencesError,
@@ -283,3 +284,205 @@ def test_joint_points_drives_estimate_consistency():
     pts = np.vstack([chain.base_frame.translation[None, :], [f.translation for f in frames]])
     uv = k.project(est.pose(k).apply(pts)[kp.visible])
     assert np.median(np.abs(uv - kp.uv[kp.visible])) < 5.0
+
+
+# ---------------------------------------------------------------------------
+# EPnP against the loop-built, per-seed reference solver
+
+
+def _ref_build_m(alphas, uv, k):
+    j, nc = alphas.shape
+    m = np.zeros((2 * j, 3 * nc))
+    for i in range(j):
+        u, v = uv[i]
+        for c in range(nc):
+            a = alphas[i, c]
+            m[2 * i, 3 * c] = a * k.fx
+            m[2 * i, 3 * c + 2] = a * (k.cx - u)
+            m[2 * i + 1, 3 * c + 1] = a * k.fy
+            m[2 * i + 1, 3 * c + 2] = a * (k.cy - v)
+    return m
+
+
+def _ref_pairs(nc):
+    return [(a, b) for a in range(nc) for b in range(a + 1, nc)]
+
+
+def _ref_rho(ctrl):
+    return np.array([float(np.sum((ctrl[a] - ctrl[b]) ** 2)) for a, b in _ref_pairs(len(ctrl))])
+
+
+def _ref_kernel_pair_diffs(kernel, nc):
+    diffs = []
+    for col in range(kernel.shape[1]):
+        pts = kernel[:, col].reshape(nc, 3)
+        diffs.append(np.array([pts[a] - pts[b] for a, b in _ref_pairs(nc)]))
+    return diffs
+
+
+def _ref_solve_betas(kernel, nc, rho, count):
+    diffs = _ref_kernel_pair_diffs(kernel, nc)
+    npairs = len(rho)
+    if count == 1:
+        s = diffs[0]
+        norms2 = np.einsum("ij,ij->i", s, s)
+        dists = np.sqrt(rho)
+        return np.array([float(np.sum(np.sqrt(norms2) * dists) / np.sum(norms2))])
+    if count == 2:
+        cols = np.zeros((npairs, 3))
+        cols[:, 0] = np.einsum("ij,ij->i", diffs[0], diffs[0])
+        cols[:, 1] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[1])
+        cols[:, 2] = np.einsum("ij,ij->i", diffs[1], diffs[1])
+        sol, *_ = np.linalg.lstsq(cols, rho, rcond=None)
+        b1 = math.sqrt(abs(sol[0]))
+        b2 = math.sqrt(abs(sol[2]))
+        if sol[1] < 0:
+            b2 = -b2
+        return np.array([b1, b2])
+    cols = np.zeros((npairs, 6))
+    cols[:, 0] = np.einsum("ij,ij->i", diffs[0], diffs[0])
+    cols[:, 1] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[1])
+    cols[:, 2] = np.einsum("ij,ij->i", diffs[1], diffs[1])
+    cols[:, 3] = 2.0 * np.einsum("ij,ij->i", diffs[0], diffs[2])
+    cols[:, 4] = 2.0 * np.einsum("ij,ij->i", diffs[1], diffs[2])
+    cols[:, 5] = np.einsum("ij,ij->i", diffs[2], diffs[2])
+    sol, *_ = np.linalg.lstsq(cols, rho, rcond=None)
+    b1 = math.sqrt(abs(sol[0]))
+    b2 = math.sqrt(abs(sol[2])) * (1.0 if sol[1] >= 0 else -1.0)
+    b3 = math.sqrt(abs(sol[5])) * (1.0 if sol[3] >= 0 else -1.0)
+    return np.array([b1, b2, b3])
+
+
+def _ref_gauss_newton_betas(kernel, nc, rho, betas, iterations=10):
+    diffs = _ref_kernel_pair_diffs(kernel, nc)
+    betas = betas.copy()
+    nb = betas.shape[0]
+    for _ in range(iterations):
+        combo = sum(betas[k] * diffs[k] for k in range(nb))
+        resid = np.einsum("ij,ij->i", combo, combo) - rho
+        jac = np.zeros((len(rho), nb))
+        for k in range(nb):
+            jac[:, k] = 2.0 * np.einsum("ij,ij->i", combo, diffs[k])
+        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        betas = betas + step
+    return betas
+
+
+def _ref_kernel(pts3d, uv, k):
+    """Control points, barycentric weights, kernel and rho, as the solver builds them."""
+    ctrl, planar = poseinit._control_points(pts3d)
+    nc = ctrl.shape[0]
+    alphas = poseinit._barycentric(pts3d, ctrl)
+    m = _ref_build_m(alphas, uv, k)
+    _, evecs = np.linalg.eigh(m.T @ m)
+    return ctrl, nc, alphas, evecs[:, : (3 if planar else 4)], _ref_rho(ctrl), planar
+
+
+def _ref_polished_betas(pts3d, uv, k):
+    """Per-seed lstsq Gauss-Newton betas, one row per seed count."""
+    _, nc, _, kernel, rho, planar = _ref_kernel(pts3d, uv, k)
+    rows = []
+    for count in (1, 2) if planar else (1, 2, 3):
+        betas = np.zeros(kernel.shape[1])
+        betas[:count] = _ref_solve_betas(kernel, nc, rho, count)
+        rows.append(_ref_gauss_newton_betas(kernel, nc, rho, betas))
+    return np.array(rows)
+
+
+def _ref_epnp(pts3d, uv, k):
+    """The per-seed solver: rotation, translation and error of the winning seed."""
+    _, nc, alphas, kernel, rho, planar = _ref_kernel(pts3d, uv, k)
+    best = None
+    for betas in _ref_polished_betas(pts3d, uv, k):
+        ctrl_cam = sum(betas[c] * kernel[:, c].reshape(nc, 3) for c in range(betas.shape[0]))
+        pts_cam = alphas @ ctrl_cam
+        if np.sum(pts_cam[:, 2] < 0.0) > pts_cam.shape[0] // 2:
+            pts_cam = -pts_cam
+        src, dst = pts3d - pts3d.mean(axis=0), pts_cam - pts_cam.mean(axis=0)
+        u, _, vt = np.linalg.svd(src.T @ dst)
+        sign = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
+        rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+        tra = pts_cam.mean(axis=0) - rot @ pts3d.mean(axis=0)
+        cam = pts3d @ rot.T + tra
+        behind = cam[:, 2] <= 1e-9
+        cam[behind, 2] = 1.0
+        err = float(np.mean(np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=1))))
+        if best is None or err < best[0]:
+            best = (err, rot, tra)
+    return best
+
+
+def _epnp_inputs(count=200, seed=900):
+    """Well-conditioned scenes in front of the camera, one in four coplanar,
+    with 0.5 px pixel noise. Six or more points keep M's null space at most
+    one-dimensional, so its kernel basis does not swing with the last bit."""
+    k = _camera()
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        pts3d = rng.uniform(-0.5, 0.5, size=(int(rng.integers(6, 10)), 3))
+        if i % 4 == 0:
+            pts3d[:, 2] = 0.0
+        rot = _random_rotation(rng)
+        tra = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(2.0, 3.5)])
+        uv = k.project(pts3d @ rot.T + tra) + rng.normal(0.0, 0.5, size=(pts3d.shape[0], 2))
+        out.append((pts3d, uv))
+    return k, out
+
+
+def test_epnp_setup_matches_loop_oracle_bitwise():
+    k, inputs = _epnp_inputs(count=60)
+    for pts3d, uv in inputs:
+        ctrl, nc, alphas, kernel, rho, _ = _ref_kernel(pts3d, uv, k)
+        assert np.array_equal(poseinit._build_m(alphas, uv, k), _ref_build_m(alphas, uv, k))
+        assert np.array_equal(poseinit._rho(ctrl), rho)
+        diffs = poseinit._kernel_pair_diffs(kernel, nc)
+        ref_diffs = _ref_kernel_pair_diffs(kernel, nc)
+        assert np.array_equal(diffs, np.stack(ref_diffs))
+        gram = poseinit._pair_gram(diffs)
+        for a, b in np.ndindex(gram.shape[0], gram.shape[2]):
+            assert np.array_equal(gram[a, :, b], np.einsum("ij,ij->i", ref_diffs[a], ref_diffs[b]))
+        for count in range(1, kernel.shape[1]):
+            seed = poseinit._solve_betas(gram, rho, count)
+            assert np.array_equal(seed, _ref_solve_betas(kernel, nc, rho, count))
+
+
+def test_batched_gauss_newton_matches_per_seed_lstsq():
+    k, inputs = _epnp_inputs()
+    planar_seen = 0
+    for pts3d, uv in inputs:
+        _, nc, _, kernel, rho, planar = _ref_kernel(pts3d, uv, k)
+        planar_seen += planar
+        counts = (1, 2) if planar else (1, 2, 3)
+        seeds = np.zeros((len(counts), kernel.shape[1]))
+        for s, count in enumerate(counts):
+            seeds[s, :count] = _ref_solve_betas(kernel, nc, rho, count)
+        gram = poseinit._pair_gram(poseinit._kernel_pair_diffs(kernel, nc))
+        got = poseinit._gauss_newton_betas(gram, rho, seeds)
+        want = _ref_polished_betas(pts3d, uv, k)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-9 * scale)
+    assert planar_seen == 50
+
+
+def test_epnp_matches_per_seed_oracle():
+    k, inputs = _epnp_inputs()
+    for pts3d, uv in inputs:
+        pose, err = epnp(pts3d, uv, k)
+        want_err, want_rot, want_tra = _ref_epnp(pts3d, uv, k)
+        assert rotation_geodesic(pose.rotation, want_rot) < 1e-9
+        assert np.max(np.abs(pose.translation - want_tra)) < 1e-9
+        assert err == pytest.approx(want_err, rel=1e-9)
+
+
+def test_gauss_newton_singular_system_takes_the_lstsq_step():
+    # zero betas make the Jacobian zero: lstsq's minimum-norm step is zero,
+    # and the batched solve must give the same instead of raising
+    k, inputs = _epnp_inputs(count=1)
+    pts3d, uv = inputs[0]
+    _, nc, _, kernel, rho, _ = _ref_kernel(pts3d, uv, k)
+    zero = np.zeros((2, kernel.shape[1]))
+    gram = poseinit._pair_gram(poseinit._kernel_pair_diffs(kernel, nc))
+    got = poseinit._gauss_newton_betas(gram, rho, zero)
+    assert np.array_equal(got, _ref_gauss_newton_betas(kernel, nc, rho, zero[0])[None].repeat(2, 0))
