@@ -45,7 +45,8 @@ from .distgeo import (
     save_regressor,
     train_gim,
 )
-from .kinematics import builtin_chain, check_configuration, joint_points, load_chain, forward_kinematics
+from .kinematics import builtin_chain, check_configuration, joint_points, load_chain, skeleton_keypoints
+from .kinematics import forward_kinematics  # noqa: F401  (perfbench's tracer wraps it here)
 from .distgeo import align_points, configuration_from_points
 from .metrics import EvalRecord, add_metric, build_report, mae_config, write_report_csv, write_report_json
 from .poseinit import (
@@ -56,6 +57,7 @@ from .poseinit import (
 )
 from .refine import Estimate, RefinerConfig, refine
 from .silhouette import (
+    NEAR_PLANE,
     RenderSettings,
     default_link_meshes,
     draw_segment,
@@ -540,14 +542,10 @@ def cmd_render(args):
     overlay[model] = 255
     write_pgm(args.out, overlay)
     if args.skeleton:
-        frames = forward_kinematics(chain, theta)
-        points = np.vstack(
-            [chain.base_frame.translation[None, :], [f.translation for f in frames]]
-        )
-        cam = pose.apply(points)
+        cam = pose.apply(skeleton_keypoints(chain, theta))
         image = np.zeros((k.height, k.width), dtype=np.uint8)
-        for a, b in zip(range(len(points) - 1), range(1, len(points))):
-            if cam[a, 2] <= 1e-6 or cam[b, 2] <= 1e-6:
+        for a, b in zip(range(len(cam) - 1), range(1, len(cam))):
+            if cam[a, 2] <= NEAR_PLANE or cam[b, 2] <= NEAR_PLANE:
                 continue
             pa = np.floor(k.project(cam[a]) + 0.5).astype(int)
             pb = np.floor(k.project(cam[b]) + 0.5).astype(int)

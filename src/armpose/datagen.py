@@ -20,6 +20,7 @@ from ._io import atomic_write_text
 from .kinematics import RigidTransform, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
+    NEAR_PLANE,
     RenderSettings,
     default_link_meshes,
     read_pgm,
@@ -163,7 +164,7 @@ def project_keypoints(points, pose, k):
     image rectangle.
     """
     cam = pose.apply(points)
-    front = cam[:, 2] > 1e-6
+    front = cam[:, 2] > NEAR_PLANE
     cam[~front, 2] = 1.0  # keeps the division finite; these points stay invisible
     uv = k.project(cam)
     u, v = uv[:, 0], uv[:, 1]

@@ -10,6 +10,7 @@ resolves what the distances cannot.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -126,7 +127,16 @@ def anchor_indices(chain):
     configuration and keeps the first three that are pairwise distinct and not
     collinear. Depends only on the chain constants, never on a configuration.
     """
-    return _anchor_rows(chain, joint_points(chain, np.zeros(chain.dof)).stacked())
+    return list(_zero_reference(chain)[1])
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_reference(chain):
+    """The chain's stacked zero-configuration skeleton (read-only) and its
+    anchor rows, built once per chain: both depend only on its constants."""
+    reference = joint_points(chain, np.zeros(chain.dof)).stacked()
+    reference.flags.writeable = False
+    return reference, _anchor_rows(chain, reference)
 
 
 def _anchor_rows(chain, reference):
@@ -173,8 +183,7 @@ def align_points(x_raw, chain, targets=None):
     n = chain.dof
     if cloud.shape != (2 * n, 3):
         raise ValueError(f"expected a ({2 * n}, 3) cloud for chain {chain.name!r}")
-    reference = joint_points(chain, np.zeros(n)).stacked()
-    idx = _anchor_rows(chain, reference)
+    reference, idx = _zero_reference(chain)
     if targets is None:
         target_full = reference
         score_rows = idx

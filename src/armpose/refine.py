@@ -6,6 +6,33 @@ matrix columns, re-orthogonalized on decode), and a positive scale factor
 that slides the base origin along the camera ray through a fixed pixel.
 The reference refiner is a deterministic coordinate pattern search on the
 rendered-silhouette overlap, so it needs no derivatives of the renderer.
+
+Every probe of the search moves one coordinate, so the objective is
+evaluated from the incumbent's render rows (``_Rows``: FK frames and, per
+stacked link sample, its world point, the point rotated into the camera,
+its int64 pixel center and its near-plane flag) and recomputes only what
+the probe moves:
+
+- a theta_j probe keeps frames 0..j and the rows of links 0..j, re-runs FK
+  from frame j, and recomputes world, rotated and pixel rows for the
+  contiguous suffix of rows from link j+1 on;
+- a rotation probe keeps the frames and world rows, and recomputes
+  ``world @ R.T``, the ``+ t`` and the projection;
+- a scale probe keeps the rotated rows too, and recomputes only the
+  ``+ t`` and the projection.
+
+A rejected probe leaves the incumbent's rows untouched; an accepted one
+hands its own rows on. The value is bitwise equal to ``1 -
+silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
+row goes through the same float operations in the same order: FK composes
+frame by frame, each link cloud is transformed on its own there too, the
+product ``world @ R.T`` over any stack of two or more rows gives each row
+the bits the full product gives it (an invariant of the BLAS that the tests
+check; a one-row product takes another path, so a theta suffix is
+multiplied together with the row before it), and the add, projection and
+rounding are elementwise. The splat window depends only on the set of pixel
+centers, and the IoU is integer counts, taken on that window against the
+observed mask.
 """
 
 from __future__ import annotations
@@ -15,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RigidTransform, check_rotation, forward_kinematics
+from .kinematics import RigidTransform, check_rotation, dh_transform, forward_kinematics
 from .metrics import add_metric
-from .silhouette import RenderSettings, render_link_clouds, sample_link_clouds, silhouette_iou
+from .silhouette import NEAR_PLANE, RenderSettings, _splat_window, sample_link_clouds
+from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
 def rot6d_to_matrix(r6):
@@ -153,18 +181,122 @@ class RefinerConfig:
             raise ValueError("need at least one iteration")
         if self.inner_evals_per_iteration < 1:
             raise ValueError("need a positive evaluation budget")
+        for name in ("step_theta", "step_rot"):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {step}")
         if not (0.0 < self.step_scale < 1.0):
             raise ValueError("step_scale must lie in (0, 1)")
 
 
 @dataclass
 class _SearchState:
-    """Raw search coordinates; only the returned result is validated."""
+    """Raw search coordinates and their render rows; only the returned
+    result is validated."""
 
     theta: np.ndarray
     rotation: np.ndarray
     r6: np.ndarray
     scale: float
+    rows: _Rows
+
+
+@dataclass
+class _Rows:
+    """Render data of one search state, one row per stacked link sample.
+
+    Rows follow render_link_clouds' order: link by link, links without
+    geometry skipped. pix holds zeros where front (camera z > NEAR_PLANE) is
+    False. The arrays are never written after construction, so states share
+    them freely.
+    """
+
+    frames: list
+    world: np.ndarray
+    rotated: np.ndarray
+    pix: np.ndarray
+    front: np.ndarray
+
+
+class _CachedObjective:
+    """One minus the silhouette IoU of a search state against the observed
+    mask, evaluated from render rows (see the module docstring)."""
+
+    def __init__(self, observed, chain, meshes, k, settings, base_pixel):
+        self.clouds = sample_link_clouds(meshes, settings)
+        if len(self.clouds) != chain.dof + 1:
+            raise ValueError("need one frame per link cloud")
+        if all(cloud is None for cloud in self.clouds):
+            raise ValueError("no link has geometry")
+        sizes = [0 if cloud is None else cloud.shape[0] for cloud in self.clouds]
+        # starts[i] is the first row of link i
+        self.starts = np.cumsum([0] + sizes).tolist()
+        self.chain, self.k, self.radius = chain, k, settings.splat_radius
+        self.observed = observed
+        self.n_observed = int(np.count_nonzero(observed))
+        self.base_pixel = base_pixel
+
+    def rows(self, theta, rotation, scale):
+        """Render rows of a state built from scratch; theta is checked here."""
+        frames = [self.chain.base_frame] + forward_kinematics(self.chain, theta)
+        world = self._world(frames, 0)
+        rotated = world @ rotation.T
+        return _Rows(frames, world, rotated, *self._project(rotated, scale))
+
+    def moved(self, parent, kind, index, theta, rotation, scale):
+        """Render rows of a state that differs from parent's only in the
+        coordinate (kind, index); parent is left untouched."""
+        if kind == "theta":
+            frames = parent.frames[: index + 1]
+            for i in range(index, self.chain.dof):
+                frames.append(frames[i] @ dh_transform(self.chain.joints[i], theta[i]))
+            start = self.starts[index + 1]
+            world = np.concatenate([parent.world[:start], self._world(frames, index + 1)])
+            # a one-row product takes another BLAS path than a stack does, so
+            # the suffix is multiplied together with the row before it
+            lead = max(start - 1, 0)
+            rotated = (world[lead:] @ rotation.T)[start - lead :]
+            pix, front = self._project(rotated, scale)
+            return _Rows(
+                frames,
+                world,
+                np.concatenate([parent.rotated[:start], rotated]),
+                np.concatenate([parent.pix[:start], pix]),
+                np.concatenate([parent.front[:start], front]),
+            )
+        if kind == "rot":
+            rotated = parent.world @ rotation.T
+            return _Rows(parent.frames, parent.world, rotated, *self._project(rotated, scale))
+        return _Rows(parent.frames, parent.world, parent.rotated, *self._project(parent.rotated, scale))
+
+    def value(self, rows):
+        """1 - IoU of the rows' splat window against the observed mask."""
+        pix = rows.pix if rows.front.all() else rows.pix[rows.front]
+        splat = _splat_window(pix, self.k, self.radius)
+        inter = drawn = 0
+        if splat is not None:
+            window, y0, x0 = splat
+            h, w = window.shape
+            drawn = np.count_nonzero(window)
+            inter = np.count_nonzero(window & self.observed[y0 : y0 + h, x0 : x0 + w])
+        union = drawn + self.n_observed - inter
+        return 1.0 - (1.0 if union == 0 else float(inter) / union)
+
+    def _world(self, frames, first):
+        """World rows of links first.. stacked, as render_link_clouds builds them."""
+        parts = [frames[i].apply(self.clouds[i]) for i in range(first, len(self.clouds))
+                 if self.clouds[i] is not None]
+        return np.concatenate(parts) if parts else np.empty((0, 3))
+
+    def _project(self, rotated, scale):
+        """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
+        cam = rotated + self.k.backproject(scale, self.base_pixel)
+        front = cam[:, 2] > NEAR_PLANE
+        if front.all():
+            return np.floor(self.k.project(cam) + 0.5).astype(np.int64), front
+        pix = np.zeros((cam.shape[0], 2), dtype=np.int64)
+        pix[front] = np.floor(self.k.project(cam[front]) + 0.5).astype(np.int64)
+        return pix, front
 
 
 def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground_truth=None):
@@ -183,23 +315,17 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     if observed.shape != (k.height, k.width):
         raise ValueError(f"observed mask is {observed.shape}, camera expects {(k.height, k.width)}")
 
-    clouds = sample_link_clouds(meshes, settings)
-    lo, hi = chain.limits()
     base_pixel = estimate.base_pixel
+    cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
+    lo, hi = chain.limits()
     if ground_truth is not None:
         gt_pose = ground_truth.pose(k)
-
-    # every candidate rotation comes from a valid estimate or from
-    # rot6d_to_matrix, so it is proper and its pose needs no check
-    def objective(cand):
-        pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
-        frames = [chain.base_frame] + forward_kinematics(chain, cand.theta)
-        mask = render_link_clouds(clouds, frames, pose, k, settings)
-        return 1.0 - silhouette_iou(mask, observed)
 
     def tracked_error(cand):
         if ground_truth is None:
             return None
+        # every candidate rotation comes from a valid estimate or from
+        # rot6d_to_matrix, so it is proper and its pose needs no check
         pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
         return add_metric(gt_pose, ground_truth.theta, pose, cand.theta, chain)
 
@@ -208,8 +334,9 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
         rotation=estimate.rotation,
         r6=matrix_to_rot6d(estimate.rotation),
         scale=estimate.scale,
+        rows=cost.rows(estimate.theta, estimate.rotation, estimate.scale),
     )
-    f_curr = objective(state)
+    f_curr = cost.value(state.rows)
     trace = [_trace_row(0, 0, f_curr, tracked_error(state))]
     evals_total = 0
     dof = chain.dof
@@ -230,7 +357,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                 return None
         else:
             scl = scl * (1.0 + direction * steps[2])
-        return _SearchState(theta, rot, r6, scl)
+        return _SearchState(theta, rot, r6, scl, cost.moved(state.rows, kind, index, theta, rot, scl))
 
     coords = [("theta", i) for i in range(dof)] + [("rot", i) for i in range(6)] + [("scale", 0)]
 
@@ -249,7 +376,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                     cand = probe(kind, index, direction, steps)
                     if cand is None:
                         continue
-                    trials.append((objective(cand), direction, cand))
+                    trials.append((cost.value(cand.rows), direction, cand))
                     used += 1
                 if not trials:
                     continue
@@ -263,7 +390,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                         cand = probe(kind, index, direction, steps)
                         if cand is None:
                             break
-                        f_new = objective(cand)
+                        f_new = cost.value(cand.rows)
                         used += 1
                         if f_new < f_curr:
                             f_curr = f_new

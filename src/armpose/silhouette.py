@@ -5,6 +5,18 @@ the link surfaces, transforms them through forward kinematics and the camera
 pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
+
+The splat has one implementation, ``_splat_window``: it turns int64 pixel
+centers into the clipped image window their discs cover. render_silhouette
+pastes that window into a full image. The refiner scores it directly
+against the observed mask, from a per-row cache of world, camera-rotated
+and pixel rows (see ``refine``): a theta_j probe recomputes the rows of
+links j+1 on, a rotation probe the camera rotation, translation and
+projection of every row, a scale probe only the translation and
+projection. Its bits match a full render because every recomputed row goes
+through the same float operations as here, and because the window depends
+only on the set of centers, not on their order or on how the rows were
+assembled.
 """
 
 from __future__ import annotations
@@ -147,9 +159,8 @@ def render_silhouette(points, pose, k, settings):
 
     Points behind the near plane (camera z <= 1e-6) are dropped. Pixel centers
     round half-up; each surviving sample sets a disc of settings.splat_radius
-    pixels, clipped to the image. The discs are drawn by dilating the centers
-    inside their bounding box, padded by the radius, which is then pasted
-    into the image.
+    pixels, clipped to the image. The discs are drawn by ``_splat_window``,
+    whose window is then pasted into the image.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
@@ -157,22 +168,39 @@ def render_silhouette(points, pose, k, settings):
     front = cam[:, 2] > NEAR_PLANE
     if not front.all():
         cam = cam[front]
-    if cam.shape[0] == 0:
-        return bits
     pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
+    splat = _splat_window(pix, k, settings.splat_radius)
+    if splat is not None:
+        window, y0, x0 = splat
+        bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
+    return bits
+
+
+def _splat_window(pix, k, r):
+    """Discs of radius r around int64 pixel centers (n, 2), as an image window.
+
+    The centers are dilated inside their bounding box, padded by r, and the
+    result is clipped to the image. Returns (window, y0, x0), where window[y, x]
+    is image pixel (y0 + y, x0 + x) and every disc pixel inside the image lies
+    in the window, or None when no disc reaches the image. The window depends
+    only on the set of centers, not on their order or multiplicity.
+    """
+    if pix.shape[0] == 0:
+        return None
     ui, vi = pix[:, 0], pix[:, 1]
-    r = settings.splat_radius
     u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
     if u0 < -r or u1 >= k.width + r or v0 < -r or v1 >= k.height + r:
         # centers this far out cannot reach the image
         near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
         ui, vi = ui[near], vi[near]
         if ui.size == 0:
-            return bits
+            return None
         u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
     ch, cw = v1 - v0 + 1, u1 - u0 + 1
-    centers = np.zeros((ch, cw), dtype=bool)
-    centers[vi - v0, ui - u0] = True
+    # one flat index per center is far cheaper to scatter than a (row, col) pair
+    centers = np.zeros(ch * cw, dtype=bool)
+    centers[vi * cw + ui - (v0 * cw + u0)] = True
+    centers = centers.reshape(ch, cw)
     # crop pixel (y, x) is image pixel (v0 - r + y, u0 - r + x)
     crop = np.zeros((ch + 2 * r, cw + 2 * r), dtype=bool)
     for dx, dy in _splat_offsets(r):
@@ -180,8 +208,7 @@ def render_silhouette(points, pose, k, settings):
     top, left = v0 - r, u0 - r
     y0, x0 = max(top, 0), max(left, 0)
     y1, x1 = min(top + crop.shape[0], k.height), min(left + crop.shape[1], k.width)
-    bits[y0:y1, x0:x1] = crop[y0 - top : y1 - top, x0 - left : x1 - left]
-    return bits
+    return crop[y0 - top : y1 - top, x0 - left : x1 - left], y0, x0
 
 
 def render_chain_silhouette(chain, theta, meshes, pose, k, settings):

@@ -304,6 +304,24 @@ def test_refine_writes_traces_and_provenance(fronto_dataset, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--step-theta", "nan"), ("--step-theta", "-0.1"), ("--step-rot", "0"), ("--step-rot", "inf")]
+)
+def test_refine_bad_step_size_exits_two(fronto_dataset, tmp_path, capsys, flag, value):
+    est = tmp_path / "est.jsonl"
+    out = tmp_path / "refined.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    capsys.readouterr()
+    code = run(
+        "refine", "--data", fronto_dataset, "--estimates", est, "--out", out,
+        "--iterations", 1, "--evals-per-iteration", 4, "--workers", 1, flag, value,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path):
     est = tmp_path / "est.jsonl"
     assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0

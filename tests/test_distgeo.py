@@ -308,7 +308,8 @@ def test_configuration_from_points_ambiguous_joint_matches_frame_walk():
 def test_align_points_runs_forward_kinematics_once(monkeypatch):
     chain = builtin_chain("panda7")
     cloud = joint_points(chain, np.full(chain.dof, 0.2)).stacked()
-    want = align_points(cloud, chain).stacked()
+    # an equal chain loaded separately has its own cache entry
+    want = align_points(cloud, builtin_chain("panda7")).stacked()
     calls = []
     original = kinematics.forward_kinematics
 
@@ -320,7 +321,10 @@ def test_align_points_runs_forward_kinematics_once(monkeypatch):
     got = align_points(cloud, chain).stacked()
     assert len(calls) == 1
     assert np.array_equal(got, want)
+    # the zero-configuration reference and anchors are built once per chain
+    assert np.array_equal(align_points(cloud, chain).stacked(), want)
     assert anchor_indices(chain) == [0, chain.dof, chain.dof + 1]
+    assert len(calls) == 1
 
 
 def test_configuration_from_points_shape_check():

@@ -14,14 +14,19 @@ from armpose import (
     builtin_chain,
     config_loss,
     default_link_meshes,
+    forward_kinematics,
     matrix_to_rot6d,
     pose_loss,
     refine,
     render_chain_silhouette,
+    render_link_clouds,
     rot6d_to_matrix,
     rotation_geodesic,
+    sample_link_clouds,
+    silhouette_iou,
 )
 from armpose.datagen import SamplerConfig, build_scene
+from armpose.refine import _CachedObjective
 
 
 def _random_rotation(rng):
@@ -189,6 +194,14 @@ def test_refiner_config_validation():
         RefinerConfig(iterations=0)
 
 
+@pytest.mark.parametrize("field", ["step_theta", "step_rot"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05])
+def test_refiner_config_rejects_bad_step_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        RefinerConfig(**{field: value})
+    RefinerConfig(**{field: 1e-3})
+
+
 def test_refine_already_optimal_returns_unchanged():
     chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
     observed = render_chain_silhouette(chain, truth.theta, meshes, truth.pose(k), k, settings)
@@ -243,9 +256,12 @@ def test_refine_checks_mask_shape():
 
 
 # sha256 of one fixed short refinement, recorded from the pre-optimization
-# code (per-compose validated FK, full-image splat, Estimate per candidate).
-# A speed-up that flips a mask pixel, an accepted move or a tracked error on
-# this path changes it.
+# code (per-compose validated FK, full-image splat, Estimate per candidate,
+# every evaluation rendered from scratch). It guards the speed-ups since:
+# unchecked FK, the crop-and-dilate splat, count-based IoU, and the cached
+# objective that recomputes only the rows a probe moves and scores the splat
+# window. A speed-up that flips a mask pixel, an accepted move or a tracked
+# error on this path changes it.
 GOLDEN_REFINE_SHA256 = "dd26db26dbe7d1d4a0913ad813b88eb42a9c7f4dc1d1caddd521698f8e898a4c"
 
 
@@ -282,3 +298,99 @@ def test_refine_returns_a_validated_estimate():
     bad = Estimate(np.full(chain.dof, np.nan), truth.rotation, truth.scale, truth.base_pixel)
     with pytest.raises(ValueError):
         refine(bad, mask, chain, meshes, k, cfg, settings)
+
+
+# ---------------------------------------------------------------------------
+# cached objective
+
+
+_PROBES = [("theta", i) for i in range(7)] + [("rot", i) for i in range(6)] + [("scale", 0)]
+
+
+def _full_render_objective(chain, meshes, settings, k, observed, theta, rotation, scale, base_pixel):
+    clouds = sample_link_clouds(meshes, settings)
+    frames = [chain.base_frame] + forward_kinematics(chain, theta)
+    pose = RigidTransform(rotation, k.backproject(scale, base_pixel))
+    return 1.0 - silhouette_iou(render_link_clouds(clouds, frames, pose, k, settings), observed)
+
+
+@pytest.mark.parametrize(
+    "case", ["default", "splat_radius_0", "mesh_none", "near_plane", "off_image", "one_sample"]
+)
+def test_cached_objective_equals_full_render_for_every_probe(case):
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k = cfg.intrinsics()
+    scene, observed = build_scene(
+        chain, cfg, seed=11, index=0, meshes=default_link_meshes(chain), render_settings=RenderSettings()
+    )
+    meshes = default_link_meshes(chain)
+    settings = RenderSettings()
+    t = scene.pose.translation
+    scale, base_pixel = float(t[2]), k.project(t)
+    if case == "splat_radius_0":
+        settings = RenderSettings(splat_radius=0)
+    elif case == "one_sample":
+        settings = RenderSettings(samples_per_link=1)  # one-row theta suffixes
+    elif case == "mesh_none":
+        meshes[3] = meshes[-1] = None  # the last theta probe moves no row
+    elif case == "near_plane":
+        scale *= 0.1
+    elif case == "off_image":
+        base_pixel = base_pixel + np.array([110.0, 0.0])
+
+    rng = np.random.default_rng(sum(map(ord, case)))
+    lo, hi = chain.limits()
+    theta = np.clip(scene.theta + rng.uniform(-0.3, 0.3, chain.dof), lo, hi)
+    r6 = matrix_to_rot6d(scene.pose.rotation) + rng.normal(0.0, 0.05, 6)
+    rotation = rot6d_to_matrix(r6)
+    cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
+    rows = cost.rows(theta, rotation, scale)
+    if case == "near_plane":
+        assert rows.front.any() and not rows.front.all()
+    if case == "off_image":
+        assert rows.pix[:, 0].max() >= k.width + settings.splat_radius  # the clip branch runs
+    assert cost.value(rows) == _full_render_objective(
+        chain, meshes, settings, k, observed, theta, rotation, scale, base_pixel
+    )
+
+    # a one-row product misses the stack's bits in about half the draws on
+    # some BLAS builds, so that case runs enough rounds to see it
+    rounds = 12 if case == "one_sample" else 2
+    for step, (kind, index) in enumerate(_PROBES * rounds):
+        new_theta, new_r6, new_rotation, new_scale = theta, r6, rotation, scale
+        if kind == "theta":
+            new_theta = theta.copy()
+            new_theta[index] = np.clip(theta[index] + rng.uniform(-0.2, 0.2), lo[index], hi[index])
+        elif kind == "rot":
+            new_r6 = r6.copy()
+            new_r6[index] += rng.uniform(-0.05, 0.05)
+            new_rotation = rot6d_to_matrix(new_r6)
+        else:
+            new_scale = scale * (1.0 + rng.uniform(-0.05, 0.05))
+        names = ("world", "rotated", "pix", "front")
+        before = [getattr(rows, name).copy() for name in names]
+        moved = cost.moved(rows, kind, index, new_theta, new_rotation, new_scale)
+        want = _full_render_objective(
+            chain, meshes, settings, k, observed, new_theta, new_rotation, new_scale, base_pixel
+        )
+        assert cost.value(moved) == want, (kind, index)
+        # the parent's rows are untouched, and the probe's equal a fresh build
+        assert all(np.array_equal(old, getattr(rows, name)) for old, name in zip(before, names))
+        fresh = cost.rows(new_theta, new_rotation, new_scale)
+        assert all(np.array_equal(getattr(moved, name), getattr(fresh, name)) for name in names)
+        if step % 2 == 0:  # adopt the probe's rows, as an accepted move does
+            theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved
+
+
+def test_camera_rotation_rows_match_the_full_product():
+    """The cached objective relies on this BLAS property: over a stack of two
+    or more rows, W[s:e] @ R.T equals rows s:e of W @ R.T bit for bit."""
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 8, 601, 4800):
+        w = rng.normal(size=(n, 3))
+        rot = _random_rotation(rng)
+        full = w @ rot.T
+        for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
+            assert np.array_equal(w[s:] @ rot.T, full[s:]), (n, s)
+            assert np.array_equal(w[s : s + 2] @ rot.T, full[s : s + 2]), (n, s)
