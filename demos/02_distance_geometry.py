@@ -32,7 +32,7 @@ for trial in range(5):
 
     # the eigendecomposition fixes neither handedness nor which way the
     # first two joints point, so align onto the true points before the IK
-    targets = joint_points(chain, theta).stacked()
+    targets = joint_points(chain, theta)
     aligned = align_points(cloud, chain, targets)
     recovered = configuration_from_points(chain, aligned)
 
@@ -41,7 +41,7 @@ for trial in range(5):
 
 # the same distances survive any rigid motion of the points
 theta = rng.uniform(lo, hi)
-pts = joint_points(chain, theta).stacked()
+pts = joint_points(chain, theta)
 spun = pts @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).T + [5.0, -2.0, 1.0]
 
 

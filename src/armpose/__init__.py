@@ -48,7 +48,6 @@ from .distgeo import (
 from .kinematics import (
     JointSpec,
     KinematicChain,
-    PointSet,
     RigidTransform,
     builtin_chain,
     check_configuration,
@@ -71,6 +70,7 @@ from .metrics import (
 )
 from .poseinit import (
     CameraIntrinsics,
+    Estimate,
     InsufficientCorrespondencesError,
     Keypoints2D,
     PnpDegenerateError,
@@ -78,10 +78,8 @@ from .poseinit import (
     epnp,
     initial_estimate,
     scale_factor,
-    translation_from_scale,
 )
 from .refine import (
-    Estimate,
     RefinerConfig,
     config_loss,
     matrix_to_rot6d,
@@ -95,14 +93,12 @@ from .silhouette import (
     bresenham_line,
     default_link_meshes,
     draw_segment,
-    load_obj,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
     render_silhouette,
     sample_link_clouds,
     sample_surface,
-    save_obj,
     silhouette_iou,
     write_pgm,
 )

@@ -35,6 +35,8 @@ from .distgeo import (
     AlignmentDegenerateError,
     TrainConfig,
     TrainingDivergedError,
+    align_points,
+    configuration_from_points,
     edm_from_configuration,
     gram_from_edm,
     init_regressor,
@@ -47,20 +49,20 @@ from .distgeo import (
 )
 from .kinematics import builtin_chain, check_configuration, joint_points, load_chain, skeleton_keypoints
 from .kinematics import forward_kinematics  # noqa: F401  (perfbench's tracer wraps it here)
-from .distgeo import align_points, configuration_from_points
 from .metrics import EvalRecord, add_metric, build_report, mae_config, write_report_csv, write_report_json
 from .poseinit import (
+    Estimate,
     InsufficientCorrespondencesError,
     PnpDegenerateError,
     ScaleUndefinedError,
     initial_estimate,
 )
-from .refine import Estimate, RefinerConfig, refine
+from .refine import RefinerConfig, refine
 from .silhouette import (
-    NEAR_PLANE,
     RenderSettings,
     default_link_meshes,
     draw_segment,
+    pixel_centers,
     render_chain_silhouette,
     write_pgm,
 )
@@ -360,7 +362,7 @@ def _estimate_scene(payload):
     try:
         if oracle:
             d = edm_from_configuration(chain, scene.theta)
-            targets = joint_points(chain, scene.theta).stacked()
+            targets = joint_points(chain, scene.theta)
         else:
             feats = keypoint_features(scene.keypoints, k.width, k.height)
             rng = None if freeze else np.random.default_rng(np.random.SeedSequence((seed, scene.index)))
@@ -542,14 +544,11 @@ def cmd_render(args):
     overlay[model] = 255
     write_pgm(args.out, overlay)
     if args.skeleton:
-        cam = pose.apply(skeleton_keypoints(chain, theta))
+        pix, front = pixel_centers(pose.apply(skeleton_keypoints(chain, theta)), k)
         image = np.zeros((k.height, k.width), dtype=np.uint8)
-        for a, b in zip(range(len(cam) - 1), range(1, len(cam))):
-            if cam[a, 2] <= NEAR_PLANE or cam[b, 2] <= NEAR_PLANE:
-                continue
-            pa = np.floor(k.project(cam[a]) + 0.5).astype(int)
-            pb = np.floor(k.project(cam[b]) + 0.5).astype(int)
-            draw_segment(image, pa, pb)
+        for a in range(len(pix) - 1):
+            if front[a] and front[a + 1]:
+                draw_segment(image, pix[a], pix[a + 1])
         write_pgm(args.skeleton, image)
     print(f"wrote {args.out}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import atomic_write_text
-from .kinematics import PointSet, dh_transform, joint_points, kabsch, wrap_angle
+from .kinematics import dh_transform, joint_points, kabsch, wrap_angle
 
 
 class AlignmentDegenerateError(ValueError):
@@ -57,7 +57,7 @@ def edm_from_configuration(chain, theta):
     Row/column order is [p_1..p_n, q_1..q_n]. Invariant to the chain's base
     placement since distances are rigid invariants.
     """
-    return edm_from_points(joint_points(chain, theta).stacked())
+    return edm_from_points(joint_points(chain, theta))
 
 
 def _check_edm(d):
@@ -121,7 +121,7 @@ def points_from_gram(g):
 
 
 def anchor_indices(chain):
-    """Indices into the stacked point set used as alignment anchors.
+    """Indices into the skeleton array used as alignment anchors.
 
     Scans base-side candidates (p_1, q_1, p_2, q_2, p_3, ...) at the zero
     configuration and keeps the first three that are pairwise distinct and not
@@ -132,15 +132,10 @@ def anchor_indices(chain):
 
 @functools.lru_cache(maxsize=16)
 def _zero_reference(chain):
-    """The chain's stacked zero-configuration skeleton (read-only) and its
-    anchor rows, built once per chain: both depend only on its constants."""
-    reference = joint_points(chain, np.zeros(chain.dof)).stacked()
+    """The chain's zero-configuration skeleton (read-only) and its anchor
+    rows, built once per chain: both depend only on its constants."""
+    reference = joint_points(chain, np.zeros(chain.dof))
     reference.flags.writeable = False
-    return reference, _anchor_rows(chain, reference)
-
-
-def _anchor_rows(chain, reference):
-    """anchor_indices given the chain's stacked zero-configuration skeleton."""
     n = chain.dof
     order = []
     for i in range(n):
@@ -157,7 +152,7 @@ def _anchor_rows(chain, reference):
             if area > 1e-8 * scale * scale:
                 chosen.append(cand)
         if len(chosen) == 3:
-            return chosen
+            return reference, chosen
     raise AlignmentDegenerateError(
         f"chain {chain.name!r} has no non-collinear anchor triple at the zero configuration"
     )
@@ -178,6 +173,7 @@ def align_points(x_raw, chain, targets=None):
     canonical alignment leaves the first two joint angles in a gauge the
     distances carry no information about, and the configuration's chirality
     follows the embedding's sign convention rather than the true arm.
+    Returns the mapped (2n, 3) cloud.
     """
     cloud = np.asarray(x_raw, dtype=float)
     n = chain.dof
@@ -190,7 +186,7 @@ def align_points(x_raw, chain, targets=None):
     else:
         target_full = np.asarray(targets, dtype=float)
         if target_full.shape != (2 * n, 3):
-            raise ValueError("targets must match the stacked point-set shape")
+            raise ValueError(f"targets must be a ({2 * n}, 3) skeleton array")
         score_rows = slice(None)
 
     best = None
@@ -201,7 +197,7 @@ def align_points(x_raw, chain, targets=None):
         residual = float(np.linalg.norm(mapped[score_rows] - target_full[score_rows]))
         if best is None or residual < best[0]:
             best = (residual, mapped)
-    return PointSet.from_stacked(best[1], strict=False)
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def align_points(x_raw, chain, targets=None):
 
 
 def configuration_from_points(chain, points):
-    """Recover joint angles from an anchored skeleton point set.
+    """Recover joint angles from an anchored (2n, 3) skeleton array.
 
     Walks the chain from the base. For joint i the observed vectors from the
     previous frame origin to p_i and q_i are compared against their zero-angle
@@ -219,14 +215,10 @@ def configuration_from_points(chain, points):
     and flagged with ConfigurationAmbiguousWarning. Recovered angles are
     shifted by 2*pi into the joint limits when that makes them in-range.
     """
-    if isinstance(points, PointSet):
-        p_obs, q_obs = points.p, points.q
-    else:
-        stacked = np.asarray(points, dtype=float)
-        half = stacked.shape[0] // 2
-        p_obs, q_obs = stacked[:half], stacked[half:]
-    if p_obs.shape[0] != chain.dof:
-        raise ValueError(f"point set has {p_obs.shape[0]} origins, chain has {chain.dof} joints")
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (2 * chain.dof, 3):
+        raise ValueError(f"expected a ({2 * chain.dof}, 3) skeleton for chain {chain.name!r}")
+    p_obs, q_obs = pts[: chain.dof], pts[chain.dof :]
 
     # The frame walks as a raw (rotation, translation) pair composed in the
     # order RigidTransform.compose uses, so every angle is bitwise the same as

@@ -298,47 +298,6 @@ def forward_kinematics(chain, theta):
     return frames
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Skeleton points: frame origins p (n, 3) and unit axis points q = p + z_i.
-
-    Recovered point clouds from noisy distance matrices need not satisfy the
-    unit-axis property; construct those with strict=False.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    strict: bool = True
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        q = np.array(self.q, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape != q.shape:
-            raise ValueError("point set needs matching (n, 3) arrays")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValueError("point set entries must be finite")
-        if self.strict:
-            norms = np.linalg.norm(q - p, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ValueError("axis points must sit at unit distance from their origins")
-        p.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def stacked(self):
-        """All points as one (2n, 3) array, origins first."""
-        return np.vstack([self.p, self.q])
-
-    @classmethod
-    def from_stacked(cls, points, strict=True):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] % 2 != 0:
-            raise ValueError("stacked point set must be (2n, 3)")
-        half = pts.shape[0] // 2
-        return cls(pts[:half], pts[half:], strict=strict)
-
-
 def skeleton_keypoints(chain, theta):
     """Base origin followed by each joint-frame origin, (dof + 1, 3)."""
     frames = forward_kinematics(chain, theta)
@@ -346,8 +305,8 @@ def skeleton_keypoints(chain, theta):
 
 
 def joint_points(chain, theta):
-    """Skeleton points of a configuration: p_i = frame origin, q_i = p_i + z_i."""
+    """The skeleton of a configuration as one (2n, 3) array: the frame origins
+    p_1..p_n, then the axis points q_i = p_i + z_i."""
     frames = forward_kinematics(chain, theta)
     p = np.array([f.translation for f in frames])
-    q = p + np.array([f.rotation[:, 2] for f in frames])
-    return PointSet(p, q)
+    return np.vstack([p, p + np.array([f.rotation[:, 2] for f in frames])])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ def auc(errors, threshold=0.1):
         raise ValueError("need at least one error value")
     if np.any(errs < 0):
         raise ValueError("errors must be nonnegative")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     kept = errs[errs <= threshold]
     return float(100.0 * np.sum(threshold - kept) / (errs.size * threshold))
 

@@ -4,7 +4,8 @@ Rotation comes from an EPnP solve over the visible keypoints against forward
 kinematics at the initial configuration. The EPnP translation is discarded:
 depth is recovered from the apparent length of the base-adjacent link in
 normalized image coordinates, and the full translation back-projects the base
-keypoint along its camera ray at that depth.
+keypoint along its camera ray at that depth. The result is an ``Estimate``,
+the record that refinement then moves and the CLI reads and writes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RigidTransform, check_configuration, kabsch, skeleton_keypoints
+from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
 
 
 class InsufficientCorrespondencesError(ValueError):
@@ -86,6 +87,68 @@ class CameraIntrinsics:
             cy=float(obj["cy"]),
             width=int(obj["width"]),
             height=int(obj["height"]),
+        )
+
+
+def _camera_pose(rotation, scale, base_pixel, k):
+    """Camera-from-base pose: the base sits at scale along the ray through
+    base_pixel. rotation must already be a checked proper rotation."""
+    return RigidTransform._unchecked(rotation, k.backproject(scale, base_pixel))
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Joint angles plus camera-from-base pose split as (rotation, ray scale).
+
+    The translation is recovered as scale * Kinv @ (u, v, 1) for the stored
+    base pixel, so refinement moves the base along its viewing ray.
+    """
+
+    theta: np.ndarray
+    rotation: np.ndarray
+    scale: float
+    base_pixel: np.ndarray
+    provenance: str = "initial"
+
+    def __post_init__(self):
+        # theta may be non-finite here; forward kinematics rejects it on use
+        theta = np.array(self.theta, dtype=float).reshape(-1)
+        rot = check_rotation(self.rotation)
+        scale = float(self.scale)
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError("estimate scale must be finite and positive")
+        pix = np.array(self.base_pixel, dtype=float).reshape(2)
+        if not np.all(np.isfinite(pix)):
+            raise ValueError("estimate base pixel must be finite")
+        for arr in (theta, rot, pix):
+            arr.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "base_pixel", pix)
+
+    def pose(self, k):
+        """Camera-from-base transform implied by this estimate."""
+        return _camera_pose(self.rotation, self.scale, self.base_pixel, k)
+
+    def to_json(self):
+        # rotation is stored row-major as a flat list of 9 floats
+        return {
+            "theta": self.theta.tolist(),
+            "rotation": self.rotation.ravel().tolist(),
+            "lambda": self.scale,
+            "p_base_pixel": self.base_pixel.tolist(),
+            "provenance": self.provenance,
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(
+            theta=np.asarray(obj["theta"], dtype=float),
+            rotation=np.asarray(obj["rotation"], dtype=float).reshape(3, 3),
+            scale=float(obj["lambda"]),
+            base_pixel=np.asarray(obj["p_base_pixel"], dtype=float),
+            provenance=str(obj.get("provenance", "initial")),
         )
 
 
@@ -332,13 +395,6 @@ def scale_factor(kp_i, kp_j, link_length, k):
     return float(link_length) / den
 
 
-def translation_from_scale(scale, k, p_base_pixel):
-    """Camera-frame translation: the base keypoint's ray scaled to depth `scale`."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return k.backproject(float(scale), p_base_pixel)
-
-
 def initial_estimate(keypoints, theta_init, chain, k):
     """Assemble the geometric initialization for one scene.
 
@@ -348,8 +404,6 @@ def initial_estimate(keypoints, theta_init, chain, k):
     keypoint ray at the scale of the base-adjacent link. The base and first
     joint keypoints must both be visible for the scale to exist.
     """
-    from .refine import Estimate
-
     theta = check_configuration(chain, theta_init)
     if len(keypoints) != chain.dof + 1:
         raise ValueError(

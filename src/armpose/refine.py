@@ -42,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RigidTransform, check_rotation, dh_transform, forward_kinematics
+from .kinematics import dh_transform, forward_kinematics
 from .metrics import add_metric
-from .silhouette import NEAR_PLANE, RenderSettings, _splat_window, sample_link_clouds
+from .poseinit import Estimate, _camera_pose
+from .silhouette import RenderSettings, _splat_window, pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
@@ -74,68 +75,6 @@ def matrix_to_rot6d(rotation):
     """First two columns of the matrix, stacked into a 6-vector."""
     rotation = np.asarray(rotation, dtype=float).reshape(3, 3)
     return np.concatenate([rotation[:, 0], rotation[:, 1]])
-
-
-def _camera_pose(rotation, scale, base_pixel, k):
-    """Camera-from-base pose: the base sits at scale along the ray through
-    base_pixel. rotation must already be a checked proper rotation."""
-    return RigidTransform._unchecked(rotation, k.backproject(scale, base_pixel))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Joint angles plus camera-from-base pose split as (rotation, ray scale).
-
-    The translation is recovered as scale * Kinv @ (u, v, 1) for the stored
-    base pixel, so refinement moves the base along its viewing ray.
-    """
-
-    theta: np.ndarray
-    rotation: np.ndarray
-    scale: float
-    base_pixel: np.ndarray
-    provenance: str = "initial"
-
-    def __post_init__(self):
-        # theta may be non-finite here; forward kinematics rejects it on use
-        theta = np.array(self.theta, dtype=float).reshape(-1)
-        rot = check_rotation(self.rotation)
-        scale = float(self.scale)
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise ValueError("estimate scale must be finite and positive")
-        pix = np.array(self.base_pixel, dtype=float).reshape(2)
-        if not np.all(np.isfinite(pix)):
-            raise ValueError("estimate base pixel must be finite")
-        for arr in (theta, rot, pix):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "base_pixel", pix)
-
-    def pose(self, k):
-        """Camera-from-base transform implied by this estimate."""
-        return _camera_pose(self.rotation, self.scale, self.base_pixel, k)
-
-    def to_json(self):
-        # rotation is stored row-major as a flat list of 9 floats
-        return {
-            "theta": self.theta.tolist(),
-            "rotation": self.rotation.ravel().tolist(),
-            "lambda": self.scale,
-            "p_base_pixel": self.base_pixel.tolist(),
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            theta=np.asarray(obj["theta"], dtype=float),
-            rotation=np.asarray(obj["rotation"], dtype=float).reshape(3, 3),
-            scale=float(obj["lambda"]),
-            base_pixel=np.asarray(obj["p_base_pixel"], dtype=float),
-            provenance=str(obj.get("provenance", "initial")),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +229,7 @@ class _CachedObjective:
 
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
-        cam = rotated + self.k.backproject(scale, self.base_pixel)
-        front = cam[:, 2] > NEAR_PLANE
-        if front.all():
-            return np.floor(self.k.project(cam) + 0.5).astype(np.int64), front
-        pix = np.zeros((cam.shape[0], 2), dtype=np.int64)
-        pix[front] = np.floor(self.k.project(cam[front]) + 0.5).astype(np.int64)
-        return pix, front
+        return pixel_centers(rotated + self.k.backproject(scale, self.base_pixel), self.k)
 
 
 def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground_truth=None):

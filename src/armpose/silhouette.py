@@ -6,17 +6,13 @@ pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
-The splat has one implementation, ``_splat_window``: it turns int64 pixel
+Camera-frame points become pixel centers in one place, ``pixel_centers``,
+and the splat has one implementation, ``_splat_window``: it turns the
 centers into the clipped image window their discs cover. render_silhouette
-pastes that window into a full image. The refiner scores it directly
-against the observed mask, from a per-row cache of world, camera-rotated
-and pixel rows (see ``refine``): a theta_j probe recomputes the rows of
-links j+1 on, a rotation probe the camera rotation, translation and
-projection of every row, a scale probe only the translation and
-projection. Its bits match a full render because every recomputed row goes
-through the same float operations as here, and because the window depends
-only on the set of centers, not on their order or on how the rows were
-assembled.
+pastes that window into a full image; the refiner scores it directly
+against the observed mask. The window depends only on the set of centers,
+not on their order or multiplicity, so any caller that produces the same
+centers gets the same window.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_bytes, atomic_write_text
+from ._io import atomic_write_bytes
 from .kinematics import forward_kinematics
 
 NEAR_PLANE = 1e-6
@@ -54,43 +50,6 @@ class Mesh:
                 raise ValueError("triangle indices out of range")
             tris.flags.writeable = False
             object.__setattr__(self, "triangles", tris)
-
-
-def load_obj(path):
-    """Minimal OBJ reader: v records and fan-triangulated f records."""
-    verts = []
-    faces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{lineno}: vertex record needs 3 coordinates")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{lineno}: face record needs 3 vertices")
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    value = int(head)
-                    if value < 0:
-                        raise ValueError(f"{path}:{lineno}: negative face indices unsupported")
-                    idx.append(value - 1)
-                for b, c in zip(idx[1:-1], idx[2:]):
-                    faces.append([idx[0], b, c])
-            # other record types (vn, vt, o, usemtl, ...) are ignored
-    return Mesh(np.array(verts), np.array(faces) if faces else None)
-
-
-def save_obj(mesh, path):
-    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices]
-    if mesh.triangles is not None:
-        lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles)
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -157,23 +116,35 @@ def _splat_offsets(radius):
 def render_silhouette(points, pose, k, settings):
     """Project base-frame points through pose and splat into a boolean mask.
 
-    Points behind the near plane (camera z <= 1e-6) are dropped. Pixel centers
-    round half-up; each surviving sample sets a disc of settings.splat_radius
+    Points behind the near plane (camera z <= NEAR_PLANE) are dropped. Pixel
+    centers come from ``pixel_centers``; each surviving sample sets a disc of settings.splat_radius
     pixels, clipped to the image. The discs are drawn by ``_splat_window``,
     whose window is then pasted into the image.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
-    cam = pose.apply(pts)
-    front = cam[:, 2] > NEAR_PLANE
+    pix, front = pixel_centers(pose.apply(pts), k)
     if not front.all():
-        cam = cam[front]
-    pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
+        pix = pix[front]
     splat = _splat_window(pix, k, settings.splat_radius)
     if splat is not None:
         window, y0, x0 = splat
         bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
     return bits
+
+
+def pixel_centers(cam, k):
+    """Pixel centers of camera-frame points (n, 3), rounded half-up.
+
+    Returns int64 centers (n, 2) and the front mask (camera z > NEAR_PLANE);
+    rows behind the near plane are not projected and hold zeros.
+    """
+    front = cam[:, 2] > NEAR_PLANE
+    if front.all():
+        return np.floor(k.project(cam) + 0.5).astype(np.int64), front
+    pix = np.zeros((cam.shape[0], 2), dtype=np.int64)
+    pix[front] = np.floor(k.project(cam[front]) + 0.5).astype(np.int64)
+    return pix, front
 
 
 def _splat_window(pix, k, r):

@@ -50,7 +50,6 @@ from armpose import (
     sample_surface,
     scale_factor,
     skeleton_keypoints,
-    translation_from_scale,
 )
 
 
@@ -81,7 +80,7 @@ def test_criterion_01_gim_round_trip():
         theta = rng.uniform(lo, hi)
         d = edm_from_configuration(chain, theta)
         cloud = points_from_gram(gram_from_edm(d))
-        aligned = align_points(cloud, chain, joint_points(chain, theta).stacked())
+        aligned = align_points(cloud, chain, joint_points(chain, theta))
         recovered = configuration_from_points(chain, aligned)
         worst = max(worst, float(np.max(np.abs(recovered - theta))))
     elapsed = time.perf_counter() - start
@@ -185,7 +184,7 @@ def test_criterion_04_scale_and_backprojection():
     worst_pix = 0.0
     for _ in range(50):
         pix = rng.uniform(0, 223, size=2)
-        t = translation_from_scale(rng.uniform(0.5, 5.0), k, pix)
+        t = k.backproject(rng.uniform(0.5, 5.0), pix)
         uv = np.array([k.fx * t[0] / t[2] + k.cx, k.fy * t[1] / t[2] + k.cy])
         worst_pix = max(worst_pix, float(np.max(np.abs(uv - pix))))
     assert worst_scale < 1e-9

@@ -401,6 +401,17 @@ def test_eval_unwritable_output_exits_three(fronto_dataset, tmp_path):
     assert run("eval", "--data", fronto_dataset, "--estimates", est, "--out", blocker / "r.json") == 3
 
 
+def test_eval_non_finite_threshold_exits_two(fronto_dataset, tmp_path, capsys):
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    for value in ("nan", "inf"):
+        report = tmp_path / f"r_{value}.json"
+        code = run("eval", "--data", fronto_dataset, "--estimates", est, "--out", report, "--threshold", value)
+        assert code == 2
+        assert "threshold must be finite and positive" in capsys.readouterr().err
+        assert not report.exists()
+
+
 def test_eval_writes_csv_report(fronto_dataset, tmp_path):
     est = tmp_path / "est.jsonl"
     csv_path = tmp_path / "report.csv"

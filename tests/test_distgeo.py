@@ -132,7 +132,7 @@ def test_anchor_indices_are_noncollinear():
         chain = builtin_chain(name)
         idx = anchor_indices(chain)
         assert len(idx) == 3
-        pts = joint_points(chain, np.zeros(chain.dof)).stacked()[list(idx)]
+        pts = joint_points(chain, np.zeros(chain.dof))[list(idx)]
         area = np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
         assert area > 1e-6
 
@@ -143,7 +143,7 @@ def test_align_points_recovers_rigidly_moved_cloud():
     lo, hi = chain.limits()
     for _ in range(10):
         theta = rng.uniform(lo, hi)
-        truth = joint_points(chain, theta).stacked()
+        truth = joint_points(chain, theta)
         ang = rng.uniform(-3, 3)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
@@ -153,7 +153,7 @@ def test_align_points_recovers_rigidly_moved_cloud():
         rot = np.eye(3) + math.sin(ang) * kx + (1 - math.cos(ang)) * (kx @ kx)
         moved = truth @ rot.T + rng.normal(size=3)
         aligned = align_points(moved, chain, targets=truth)
-        assert np.max(np.abs(aligned.stacked() - truth)) < 1e-9
+        assert np.max(np.abs(aligned - truth)) < 1e-9
 
 
 def test_align_points_resolves_reflection_with_targets():
@@ -161,10 +161,10 @@ def test_align_points_resolves_reflection_with_targets():
     rng = np.random.default_rng(22)
     lo, hi = chain.limits()
     theta = rng.uniform(lo, hi)
-    truth = joint_points(chain, theta).stacked()
+    truth = joint_points(chain, theta)
     mirrored = truth * np.array([1.0, 1.0, -1.0])
     aligned = align_points(mirrored, chain, targets=truth)
-    assert np.max(np.abs(aligned.stacked() - truth)) < 1e-9
+    assert np.max(np.abs(aligned - truth)) < 1e-9
 
 
 def test_full_round_trip_with_true_targets():
@@ -175,7 +175,7 @@ def test_full_round_trip_with_true_targets():
         theta = rng.uniform(lo, hi)
         d = edm_from_configuration(chain, theta)
         cloud = points_from_gram(gram_from_edm(d))
-        targets = joint_points(chain, theta).stacked()
+        targets = joint_points(chain, theta)
         aligned = align_points(cloud, chain, targets=targets)
         rec = configuration_from_points(chain, aligned)
         assert np.max(np.abs(rec - theta)) < 1e-8
@@ -263,7 +263,7 @@ def honest_clouds():
         warnings.simplefilter("ignore")
         for _, kp in keypoint_sets(1, 100):
             d = mlp_forward(net, keypoint_features(kp, k.width, k.height))
-            clouds.append(align_points(points_from_gram(gram_from_edm(d)), chain).stacked())
+            clouds.append(align_points(points_from_gram(gram_from_edm(d)), chain))
     return chain, clouds
 
 
@@ -283,7 +283,7 @@ def test_configuration_from_points_matches_frame_walk_bitwise(honest_clouds):
     rng = np.random.default_rng(61)
     lo, hi = planar.limits()
     for _ in range(50):
-        cloud = joint_points(planar, rng.uniform(lo, hi)).stacked()
+        cloud = joint_points(planar, rng.uniform(lo, hi))
         cloud = cloud + rng.normal(scale=0.01, size=cloud.shape)
         want, ambiguous = _reference_configuration_from_points(planar, cloud)
         assert not ambiguous
@@ -292,7 +292,7 @@ def test_configuration_from_points_matches_frame_walk_bitwise(honest_clouds):
 
 def test_configuration_from_points_ambiguous_joint_matches_frame_walk():
     chain = builtin_chain("panda7")
-    cloud = joint_points(chain, np.full(chain.dof, 0.3)).stacked()
+    cloud = joint_points(chain, np.full(chain.dof, 0.3))
     axis = chain.base_frame.rotation[:, 2]
     origin = chain.base_frame.translation
     # joint 1's origin and axis point both on the base axis: no lever
@@ -307,9 +307,9 @@ def test_configuration_from_points_ambiguous_joint_matches_frame_walk():
 
 def test_align_points_runs_forward_kinematics_once(monkeypatch):
     chain = builtin_chain("panda7")
-    cloud = joint_points(chain, np.full(chain.dof, 0.2)).stacked()
+    cloud = joint_points(chain, np.full(chain.dof, 0.2))
     # an equal chain loaded separately has its own cache entry
-    want = align_points(cloud, builtin_chain("panda7")).stacked()
+    want = align_points(cloud, builtin_chain("panda7"))
     calls = []
     original = kinematics.forward_kinematics
 
@@ -318,11 +318,11 @@ def test_align_points_runs_forward_kinematics_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(kinematics, "forward_kinematics", counting)
-    got = align_points(cloud, chain).stacked()
+    got = align_points(cloud, chain)
     assert len(calls) == 1
     assert np.array_equal(got, want)
     # the zero-configuration reference and anchors are built once per chain
-    assert np.array_equal(align_points(cloud, chain).stacked(), want)
+    assert np.array_equal(align_points(cloud, chain), want)
     assert anchor_indices(chain) == [0, chain.dof, chain.dof + 1]
     assert len(calls) == 1
 

@@ -7,7 +7,6 @@ import pytest
 from armpose import (
     JointSpec,
     KinematicChain,
-    PointSet,
     RigidTransform,
     builtin_chain,
     check_configuration,
@@ -179,16 +178,10 @@ def test_joint_points_layout():
     theta = np.zeros(chain.dof)
     pts = joint_points(chain, theta)
     frames = forward_kinematics(chain, theta)
-    assert pts.p.shape == (chain.dof, 3)
-    assert pts.q.shape == (chain.dof, 3)
+    assert pts.shape == (2 * chain.dof, 3)
     for i, frame in enumerate(frames):
-        assert np.max(np.abs(pts.p[i] - frame.translation)) < 1e-12
-        assert np.max(np.abs(pts.q[i] - (frame.translation + frame.rotation[:, 2]))) < 1e-12
-    stacked = pts.stacked()
-    assert stacked.shape == (2 * chain.dof, 3)
-    back = PointSet.from_stacked(stacked)
-    assert np.array_equal(back.p, pts.p)
-    assert np.array_equal(back.q, pts.q)
+        assert np.max(np.abs(pts[i] - frame.translation)) < 1e-12
+        assert np.max(np.abs(pts[chain.dof + i] - (frame.translation + frame.rotation[:, 2]))) < 1e-12
 
 
 def test_check_configuration_rejects_bad_input():

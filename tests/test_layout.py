@@ -1,0 +1,83 @@
+"""Import structure of the armpose package, read from its source with ast.
+
+Every module imports the package modules it needs at module level, so a
+module's dependencies show in its header, and the package's internal
+imports form an acyclic graph.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "armpose"
+
+
+def _module_names():
+    return sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _internal_targets(node, names):
+    """Package modules an import node names; empty for outside imports."""
+    if isinstance(node, ast.Import):
+        parts = [alias.name.split(".") for alias in node.names]
+        return {p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "armpose"}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 0:
+        if node.module is None or node.module.split(".")[0] != "armpose":
+            return set()
+        module = node.module.split(".")[1:]
+    else:
+        module = node.module.split(".") if node.module else []
+    if module:
+        return {module[0]}
+    # "from . import x" names the submodule x when it is one
+    return {alias.name for alias in node.names if alias.name in names} or {"__init__"}
+
+
+def _imports():
+    """(module, imported package module, line, inside a function) for every import."""
+    names = set(_module_names())
+    found = []
+    for name in _module_names():
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        in_function = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                in_function.update(id(inner) for inner in ast.walk(node) if inner is not node)
+        for node in ast.walk(tree):
+            for target in _internal_targets(node, names):
+                found.append((name, target, node.lineno, id(node) in in_function))
+    return found
+
+
+def test_the_parser_sees_the_package_imports():
+    edges = {(src, dst) for src, dst, _, _ in _imports()}
+    assert {("cli", "refine"), ("refine", "kinematics"), ("__init__", "poseinit")} <= edges
+
+
+def test_no_function_imports_a_package_module():
+    lazy = [f"{src}.py:{line} imports {dst}" for src, dst, line, inside in _imports() if inside]
+    assert lazy == []
+
+
+def test_internal_import_graph_is_acyclic():
+    graph = {name: set() for name in _module_names()}
+    for src, dst, _, _ in _imports():
+        if dst in graph and dst != src:
+            graph[src].add(dst)
+    done, active = set(), []
+
+    def visit(node):
+        if node in active:
+            cycle = active[active.index(node):] + [node]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if node in done:
+            return
+        active.append(node)
+        for dst in sorted(graph[node]):
+            visit(dst)
+        active.pop()
+        done.add(node)
+
+    for node in sorted(graph):
+        visit(node)

@@ -68,6 +68,12 @@ def test_auc_edge_cases_exact():
     assert auc([0.0, 0.2]) == 50.0
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_auc_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        auc([0.05], threshold=threshold)
+
+
 def test_auc_step_matches_numeric_integration():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -7,6 +7,7 @@ import pytest
 from armpose import poseinit
 from armpose import (
     CameraIntrinsics,
+    Estimate,
     InsufficientCorrespondencesError,
     Keypoints2D,
     PnpDegenerateError,
@@ -22,7 +23,6 @@ from armpose import (
     rotation_geodesic,
     scale_factor,
     skeleton_keypoints,
-    translation_from_scale,
 )
 
 
@@ -209,12 +209,14 @@ def test_translation_reproduces_base_pixel():
     for _ in range(20):
         pix = rng.uniform(0, 223, size=2)
         lam = rng.uniform(0.5, 5.0)
-        t = translation_from_scale(lam, k, pix)
+        t = k.backproject(lam, pix)
         assert t[2] == pytest.approx(lam, abs=1e-12)
         uv = k.project(t[None, :])[0]
         assert np.max(np.abs(uv - pix)) < 1e-9
+        assert np.array_equal(Estimate(np.zeros(7), np.eye(3), lam, pix).pose(k).translation, t)
+    # a non-positive scale never reaches the back-projection
     with pytest.raises(ValueError):
-        translation_from_scale(-1.0, k, [0.0, 0.0])
+        Estimate(np.zeros(7), np.eye(3), -1.0, [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

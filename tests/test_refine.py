@@ -25,7 +25,9 @@ from armpose import (
     sample_link_clouds,
     silhouette_iou,
 )
-from armpose.datagen import SamplerConfig, build_scene
+from armpose.cli import _estimate_scene
+from armpose.datagen import SamplerConfig, Scene, build_scene, perturb_keypoints, sample_scene
+from armpose.distgeo import TrainConfig, edm_from_configuration, init_regressor, keypoint_features, train_gim
 from armpose.refine import _CachedObjective
 
 
@@ -281,6 +283,43 @@ def test_refine_golden_digest():
     refined, trace = refine(start, mask, chain, meshes, k, refine_cfg, settings, ground_truth=truth)
     blob = json.dumps({"estimate": refined.to_json(), "trace": trace}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_SHA256
+
+
+# sha256 of the estimate rows `armpose estimate` writes for ten fixed scenes,
+# on the oracle path (true distances and anchors) and on the honest path (a
+# regressor trained 30 steps on 40 scenes, dropout off at inference). It
+# covers MDS, alignment, the IK, EPnP and the scale; a change that moves a
+# bit of an initial estimate changes it and has to say why.
+GOLDEN_INIT_SHA256 = "e0eb38d5e8dc2ddd71763e5eb501137767dafb4a23fc576c7aff49ccac91fa92"
+
+
+def _unrendered_scenes(chain, cfg, seed, count):
+    """The scenes build_scene draws for (seed, 0..count-1), without their masks."""
+    scenes = []
+    for index in range(count):
+        theta, pose, keypoints = sample_scene(chain, cfg, seed, index)
+        noisy = perturb_keypoints(keypoints, cfg.noise_std, (seed, index, 1))
+        scenes.append(Scene(index, theta, pose, noisy, keypoints, ""))
+    return scenes
+
+
+def test_init_golden_digest():
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k = cfg.intrinsics()
+    train = [
+        (keypoint_features(s.keypoints, k.width, k.height), edm_from_configuration(chain, s.theta))
+        for s in _unrendered_scenes(chain, cfg, seed=11, count=40)
+    ]
+    net = init_regressor(2 * (chain.dof + 1), chain.dof * (2 * chain.dof - 1), seed=0)
+    net, _, _ = train_gim(net, train, TrainConfig(steps=30, warmup_steps=5))
+    rows = []
+    for oracle in (True, False):
+        for scene in _unrendered_scenes(chain, cfg, seed=12, count=10):
+            index, est, error = _estimate_scene((chain, k, scene, net, oracle, True, 0))
+            rows.append({"index": index, "error": error} if est is None else {"index": index, **est.to_json()})
+    blob = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_INIT_SHA256
 
 
 def test_refine_returns_a_validated_estimate():

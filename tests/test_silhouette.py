@@ -12,17 +12,16 @@ from armpose import (
     builtin_chain,
     default_link_meshes,
     draw_segment,
-    load_obj,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
     render_silhouette,
     sample_link_clouds,
     sample_surface,
-    save_obj,
     silhouette_iou,
     write_pgm,
 )
+from armpose.silhouette import NEAR_PLANE, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -57,35 +56,6 @@ def test_mesh_validation():
         Mesh(np.array([[0.0, 0.0, np.inf]]), None)
     with pytest.raises(ValueError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
-
-
-def test_obj_round_trip(tmp_path):
-    mesh = _cube_mesh([0.0, 0.0, 0.0], 0.5)
-    path = tmp_path / "cube.obj"
-    save_obj(mesh, path)
-    again = load_obj(path)
-    assert np.max(np.abs(again.vertices - mesh.vertices)) == 0.0
-    assert np.array_equal(again.triangles, mesh.triangles)
-
-
-def test_load_obj_slash_forms_and_fan(tmp_path):
-    path = tmp_path / "pentagon.obj"
-    path.write_text(
-        "v 0 0 0\nv 1 0 0\nv 1.3 1 0\nv 0.5 1.7 0\nv -0.3 1 0\n"
-        "f 1/1 2/2/2 3//3 4 5\n",
-        encoding="utf-8",
-    )
-    mesh = load_obj(path)
-    assert mesh.vertices.shape == (5, 3)
-    assert mesh.triangles.shape == (3, 3)  # 5-gon fans into 3 triangles
-    assert np.array_equal(mesh.triangles[:, 0], [0, 0, 0])
-
-
-def test_load_obj_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.obj"
-    path.write_text("v 0 0 0\nv 1 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":2:"):
-        load_obj(path)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +135,21 @@ def test_render_half_up_rounding_single_point():
     on = np.argwhere(img)
     assert on.shape == (1, 2)
     assert (on[0] == [20, 11]).all()  # row = v, column = u
+
+
+def test_pixel_centers_round_half_up_and_zero_rows_behind():
+    k = CameraIntrinsics(fx=2.0, fy=2.0, cx=10.0, cy=10.0, width=20, height=20)
+    cam = np.array(
+        [[0.0, 0.0, 1.0], [0.25, -0.25, 1.0], [0.3, 0.2, -1.0], [0.1, 0.1, NEAR_PLANE]]
+    )
+    pix, front = pixel_centers(cam, k)
+    assert pix.dtype == np.int64
+    # 10.5 and 9.5 both round up
+    assert pix.tolist() == [[10, 10], [11, 10], [0, 0], [0, 0]]
+    assert front.tolist() == [True, True, False, False]
+    # projecting only the front rows gives those rows' centers unchanged
+    front_pix, front_only = pixel_centers(cam[:2], k)
+    assert front_only.all() and np.array_equal(front_pix, pix[:2])
 
 
 def test_render_splat_disc_shape():
