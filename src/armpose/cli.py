@@ -544,11 +544,12 @@ def cmd_render(args):
     overlay[model] = 255
     write_pgm(args.out, overlay)
     if args.skeleton:
-        pix, front = pixel_centers(pose.apply(skeleton_keypoints(chain, theta)), k)
+        rotated = skeleton_keypoints(chain, theta) @ pose.rotation.T
+        pix, front = pixel_centers(rotated, pose.translation, k)
         image = np.zeros((k.height, k.width), dtype=np.uint8)
-        for a in range(len(pix) - 1):
+        for a in range(front.size - 1):
             if front[a] and front[a + 1]:
-                draw_segment(image, pix[a], pix[a + 1])
+                draw_segment(image, pix[:, a], pix[:, a + 1])
         write_pgm(args.skeleton, image)
     print(f"wrote {args.out}")
 

@@ -60,12 +60,16 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("distance", "elevation", "azimuth"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} range must be finite, got ({lo}, {hi})")
             if hi < lo:
                 raise ValueError(f"{name} range is inverted")
         if self.distance[0] <= 0:
             raise ValueError("camera distance must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (math.isfinite(self.focal) and self.focal > 0):
+            raise ValueError(f"focal must be finite and positive, got {self.focal}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
 
     def intrinsics(self):
         return CameraIntrinsics(

@@ -17,9 +17,10 @@ the probe moves:
   from frame j, and recomputes world, rotated and pixel rows for the
   contiguous suffix of rows from link j+1 on;
 - a rotation probe keeps the frames and world rows, and recomputes
-  ``world @ R.T``, the ``+ t`` and the projection;
+  ``world @ R.T`` and the projection (``pixel_centers``, which adds the
+  translation column by column);
 - a scale probe keeps the rotated rows too, and recomputes only the
-  ``+ t`` and the projection.
+  projection.
 
 A rejected probe leaves the incumbent's rows untouched; an accepted one
 hands its own rows on. The value is bitwise equal to ``1 -
@@ -33,6 +34,20 @@ multiplied together with the row before it), and the add, projection and
 rounding are elementwise. The splat window depends only on the set of pixel
 centers, and the IoU is integer counts, taken on that window against the
 observed mask.
+
+Each refine call also keeps a memo of every state it has evaluated, keyed by
+the exact bits of (theta, rotation matrix, scale); the matrix is keyed, not
+its 6D code, because the start rotation need not equal the decode of its
+own encoding. A probe that lands on a stored state (a rotation step undone,
+a theta step clipped back onto the incumbent) takes the stored value and
+builds no rows. No stored value lies below the incumbent's: each one was
+either accepted, or lost to a probe that was, or was not below the
+incumbent of its time, and the incumbent's value never rises. A probe is
+accepted only on a strict decrease, so a revisited state is never accepted
+and its rows are never needed. A revisit still counts against
+inner_evals_per_iteration, so the search takes the same path it would
+without the memo, and the trace's ``evaluations`` column counts probes,
+revisits included, not renders.
 """
 
 from __future__ import annotations
@@ -67,8 +82,12 @@ def rot6d_to_matrix(r6):
     if n2 < 1e-12:
         raise ValueError("rotation columns are numerically parallel")
     b2 = w / n2
-    b3 = np.cross(b1, b2)
-    return np.column_stack([b1, b2, b3])
+    # plain-float cross product: the products and differences np.cross forms,
+    # without its per-call array set-up
+    x1, y1, z1 = b1.tolist()
+    x2, y2, z2 = b2.tolist()
+    b3 = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    return np.array([[x1, x2, b3[0]], [y1, y2, b3[1]], [z1, z2, b3[2]]])
 
 
 def matrix_to_rot6d(rotation):
@@ -145,9 +164,10 @@ class _Rows:
     """Render data of one search state, one row per stacked link sample.
 
     Rows follow render_link_clouds' order: link by link, links without
-    geometry skipped. pix holds zeros where front (camera z > NEAR_PLANE) is
-    False. The arrays are never written after construction, so states share
-    them freely.
+    geometry skipped. pix is (2, n), the layout ``pixel_centers`` returns,
+    and holds zeros where front (camera z > NEAR_PLANE) is False. The
+    arrays are never written after construction, so states share them
+    freely.
     """
 
     frames: list
@@ -174,6 +194,23 @@ class _CachedObjective:
         self.observed = observed
         self.n_observed = int(np.count_nonzero(observed))
         self.base_pixel = base_pixel
+        # value of every state evaluated so far, by its exact coordinates
+        self.seen = {}
+
+    def evaluate(self, parent, kind, index, theta, rotation, scale):
+        """(value, rows) of a probe state one coordinate away from parent's.
+
+        A state evaluated before returns its stored value and None for rows:
+        no stored value lies below the incumbent's, so the search never
+        accepts it and never needs its rows.
+        """
+        key = _state_key(theta, rotation, scale)
+        value = self.seen.get(key)
+        if value is not None:
+            return value, None
+        rows = self.moved(parent, kind, index, theta, rotation, scale)
+        value = self.seen[key] = self.value(rows)
+        return value, rows
 
     def rows(self, theta, rotation, scale):
         """Render rows of a state built from scratch; theta is checked here."""
@@ -200,7 +237,7 @@ class _CachedObjective:
                 frames,
                 world,
                 np.concatenate([parent.rotated[:start], rotated]),
-                np.concatenate([parent.pix[:start], pix]),
+                np.concatenate([parent.pix[:, :start], pix], axis=1),
                 np.concatenate([parent.front[:start], front]),
             )
         if kind == "rot":
@@ -210,7 +247,7 @@ class _CachedObjective:
 
     def value(self, rows):
         """1 - IoU of the rows' splat window against the observed mask."""
-        pix = rows.pix if rows.front.all() else rows.pix[rows.front]
+        pix = rows.pix if rows.front.all() else rows.pix[:, rows.front]
         splat = _splat_window(pix, self.k, self.radius)
         inter = drawn = 0
         if splat is not None:
@@ -229,7 +266,14 @@ class _CachedObjective:
 
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
-        return pixel_centers(rotated + self.k.backproject(scale, self.base_pixel), self.k)
+        return pixel_centers(rotated, self.k.backproject(scale, self.base_pixel), self.k)
+
+
+def _state_key(theta, rotation, scale):
+    """The memo key of a search state: the bytes of theta and of the rotation
+    matrix, and the scale, which is positive, so float equality is bit
+    equality."""
+    return theta.tobytes(), rotation.tobytes(), float(scale)
 
 
 def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground_truth=None):
@@ -270,12 +314,14 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
         rows=cost.rows(estimate.theta, estimate.rotation, estimate.scale),
     )
     f_curr = cost.value(state.rows)
+    cost.seen[_state_key(state.theta, state.rotation, state.scale)] = f_curr
     trace = [_trace_row(0, 0, f_curr, tracked_error(state))]
     evals_total = 0
     dof = chain.dof
 
     def probe(kind, index, direction, steps):
-        """Build a candidate one step away along a single coordinate."""
+        """(value, candidate) one step away along a single coordinate, or None
+        when a rotation step is degenerate. A revisit's candidate is None."""
         theta, r6, scl = state.theta, state.r6, state.scale
         rot = state.rotation
         if kind == "theta":
@@ -290,7 +336,8 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                 return None
         else:
             scl = scl * (1.0 + direction * steps[2])
-        return _SearchState(theta, rot, r6, scl, cost.moved(state.rows, kind, index, theta, rot, scl))
+        value, rows = cost.evaluate(state.rows, kind, index, theta, rot, scl)
+        return value, None if rows is None else _SearchState(theta, rot, r6, scl, rows)
 
     coords = [("theta", i) for i in range(dof)] + [("rot", i) for i in range(6)] + [("scale", 0)]
 
@@ -306,10 +353,11 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                 for direction in (1.0, -1.0):
                     if used >= cfg.inner_evals_per_iteration:
                         break
-                    cand = probe(kind, index, direction, steps)
-                    if cand is None:
+                    probed = probe(kind, index, direction, steps)
+                    if probed is None:
                         continue
-                    trials.append((cost.value(cand.rows), direction, cand))
+                    f_new, cand = probed
+                    trials.append((f_new, direction, cand))
                     used += 1
                 if not trials:
                     continue
@@ -320,10 +368,10 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
                     moved = True
                     # ride the same direction while it keeps paying off
                     while used < cfg.inner_evals_per_iteration:
-                        cand = probe(kind, index, direction, steps)
-                        if cand is None:
+                        probed = probe(kind, index, direction, steps)
+                        if probed is None:
                             break
-                        f_new = cost.value(cand.rows)
+                        f_new, cand = probed
                         used += 1
                         if f_new < f_curr:
                             f_curr = f_new

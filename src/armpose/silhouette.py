@@ -6,13 +6,15 @@ pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
-Camera-frame points become pixel centers in one place, ``pixel_centers``,
-and the splat has one implementation, ``_splat_window``: it turns the
-centers into the clipped image window their discs cover. render_silhouette
-pastes that window into a full image; the refiner scores it directly
-against the observed mask. The window depends only on the set of centers,
-not on their order or multiplicity, so any caller that produces the same
-centers gets the same window.
+Camera-rotated points and the camera translation become pixel centers in
+one place, ``pixel_centers``, and the splat has one implementation,
+``_splat_window``: it turns the centers into the clipped image window their
+discs cover. Centers are one contiguous int64 array of shape (2, n), u on
+row 0 and v on row 1, so each coordinate is read as one contiguous run.
+render_silhouette pastes the window into a full image; the refiner scores it
+directly against the observed mask. The window depends only on the set of
+centers, not on their order or multiplicity, so any caller that produces
+the same centers gets the same window.
 """
 
 from __future__ import annotations
@@ -117,15 +119,15 @@ def render_silhouette(points, pose, k, settings):
     """Project base-frame points through pose and splat into a boolean mask.
 
     Points behind the near plane (camera z <= NEAR_PLANE) are dropped. Pixel
-    centers come from ``pixel_centers``; each surviving sample sets a disc of settings.splat_radius
-    pixels, clipped to the image. The discs are drawn by ``_splat_window``,
-    whose window is then pasted into the image.
+    centers come from ``pixel_centers``; each surviving sample sets a disc of
+    settings.splat_radius pixels, clipped to the image. The discs are drawn
+    by ``_splat_window``, whose window is then pasted into the image.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
-    pix, front = pixel_centers(pose.apply(pts), k)
+    pix, front = pixel_centers(pts @ pose.rotation.T, pose.translation, k)
     if not front.all():
-        pix = pix[front]
+        pix = pix[:, front]
     splat = _splat_window(pix, k, settings.splat_radius)
     if splat is not None:
         window, y0, x0 = splat
@@ -133,22 +135,39 @@ def render_silhouette(points, pose, k, settings):
     return bits
 
 
-def pixel_centers(cam, k):
-    """Pixel centers of camera-frame points (n, 3), rounded half-up.
+def pixel_centers(rotated, t, k):
+    """Pixel centers of camera-rotated points (n, 3) translated by t, rounded half-up.
 
-    Returns int64 centers (n, 2) and the front mask (camera z > NEAR_PLANE);
-    rows behind the near plane are not projected and hold zeros.
+    Returns the int64 centers as one contiguous (2, n) array, u on row 0 and
+    v on row 1, and the front mask (camera z > NEAR_PLANE); columns behind
+    the near plane are not projected and hold zeros. The translation is added
+    column by column, so each center is ``floor((f * (x + tx)) / (z + tz) + c
+    + 0.5)``, the same float operations in the same order as
+    ``floor(k.project(rotated + t) + 0.5)``.
     """
-    front = cam[:, 2] > NEAR_PLANE
-    if front.all():
-        return np.floor(k.project(cam) + 0.5).astype(np.int64), front
-    pix = np.zeros((cam.shape[0], 2), dtype=np.int64)
-    pix[front] = np.floor(k.project(cam[front]) + 0.5).astype(np.int64)
+    z = rotated[:, 2] + t[2]
+    front = z > NEAR_PLANE
+    every = front.all()
+    if not every:
+        rotated, z = rotated[front], z[front]
+    pix = np.zeros((2, front.size), dtype=np.int64)
+    buf = np.empty(z.size)
+    for row, f, c in ((0, k.fx, k.cx), (1, k.fy, k.cy)):
+        np.add(rotated[:, row], t[row], out=buf)
+        np.multiply(f, buf, out=buf)
+        np.divide(buf, z, out=buf)
+        np.add(buf, c, out=buf)
+        np.add(buf, 0.5, out=buf)
+        np.floor(buf, out=buf)
+        if every:
+            pix[row] = buf
+        else:
+            pix[row, front] = buf
     return pix, front
 
 
 def _splat_window(pix, k, r):
-    """Discs of radius r around int64 pixel centers (n, 2), as an image window.
+    """Discs of radius r around int64 pixel centers (2, n), as an image window.
 
     The centers are dilated inside their bounding box, padded by r, and the
     result is clipped to the image. Returns (window, y0, x0), where window[y, x]
@@ -156,9 +175,9 @@ def _splat_window(pix, k, r):
     in the window, or None when no disc reaches the image. The window depends
     only on the set of centers, not on their order or multiplicity.
     """
-    if pix.shape[0] == 0:
+    if pix.shape[1] == 0:
         return None
-    ui, vi = pix[:, 0], pix[:, 1]
+    ui, vi = pix[0], pix[1]
     u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
     if u0 < -r or u1 >= k.width + r or v0 < -r or v1 >= k.height + r:
         # centers this far out cannot reach the image
@@ -167,15 +186,26 @@ def _splat_window(pix, k, r):
         if ui.size == 0:
             return None
         u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
-    ch, cw = v1 - v0 + 1, u1 - u0 + 1
-    # one flat index per center is far cheaper to scatter than a (row, col) pair
-    centers = np.zeros(ch * cw, dtype=bool)
-    centers[vi * cw + ui - (v0 * cw + u0)] = True
-    centers = centers.reshape(ch, cw)
+    # the crop is the centers' bounding box padded by r on every side, kept
+    # flat: the padding stops a disc from wrapping into the next row, so each
+    # disc offset is one shift of the whole flat array, and one flat index
+    # per center is far cheaper to scatter than a (row, col) pair
+    height, width = v1 - v0 + 1 + 2 * r, u1 - u0 + 1 + 2 * r
+    size = height * width
+    centers = np.zeros(size, dtype=bool)
+    flat = vi * width
+    flat += ui
+    flat += (r - v0) * width + r - u0
+    centers[flat] = True
     # crop pixel (y, x) is image pixel (v0 - r + y, u0 - r + x)
-    crop = np.zeros((ch + 2 * r, cw + 2 * r), dtype=bool)
+    crop = np.zeros(size, dtype=bool)
     for dx, dy in _splat_offsets(r):
-        crop[r + dy : r + dy + ch, r + dx : r + dx + cw] |= centers
+        shift = dy * width + dx
+        if shift >= 0:
+            crop[shift:] |= centers[: size - shift]
+        else:
+            crop[:shift] |= centers[-shift:]
+    crop = crop.reshape(height, width)
     top, left = v0 - r, u0 - r
     y0, x0 = max(top, 0), max(left, 0)
     y1, x1 = min(top + crop.shape[0], k.height), min(left + crop.shape[1], k.width)

@@ -96,6 +96,22 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, capsys, body, key):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        (["--noise-std", "nan"], "noise_std"),
+        (["--distance", "nan", "nan"], "distance"),
+        (["--elevation", "nan", "0.3"], "elevation"),
+        (["--focal", "inf"], "focal"),
+    ],
+)
+def test_gen_non_finite_sampler_value_exits_two(tmp_path, capsys, extra, field):
+    out = tmp_path / "d"
+    assert run("gen", "--out", out, "--count", 2, "--workers", 1, *extra) == 2
+    assert f"{field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_flag_accepts_only_booleans(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"freeze_dropout": 1}))

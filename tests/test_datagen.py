@@ -38,6 +38,25 @@ def test_sampler_config_validation_and_round_trip():
         SamplerConfig(noise_std=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("distance", (math.nan, math.nan)),
+        ("distance", (1.8, math.inf)),
+        ("elevation", (math.nan, 0.3)),
+        ("azimuth", (-math.inf, 0.0)),
+        ("focal", math.inf),
+        ("focal", math.nan),
+        ("focal", 0.0),
+        ("noise_std", math.nan),
+        ("noise_std", math.inf),
+    ],
+)
+def test_sampler_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(**{field: value})
+
+
 def test_look_at_geometry():
     cam = np.array([2.0, 0.0, 0.5])
     target = np.zeros(3)

@@ -66,6 +66,13 @@ def test_rot6d_unnormalized_input_still_maps_to_rotation():
     assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
 
+def test_rot6d_third_column_is_the_numpy_cross_product_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    r6 = rng.normal(size=(12000, 6)) * rng.uniform(1e-3, 1e3, size=(12000, 1))
+    rots = np.array([rot6d_to_matrix(v) for v in r6])
+    assert np.array_equal(rots[:, :, 2], np.cross(rots[:, :, 0], rots[:, :, 1]))
+
+
 def test_rot6d_degenerate_raises():
     with pytest.raises(ValueError):
         rot6d_to_matrix([1, 0, 0, 2, 0, 0])  # parallel columns
@@ -267,7 +274,9 @@ def test_refine_checks_mask_shape():
 GOLDEN_REFINE_SHA256 = "dd26db26dbe7d1d4a0913ad813b88eb42a9c7f4dc1d1caddd521698f8e898a4c"
 
 
-def test_refine_golden_digest():
+def _golden_scene():
+    """Chain, camera, meshes, render settings, observed mask and truth of the
+    golden refinement's scene."""
     chain = builtin_chain("panda7")
     cfg = SamplerConfig()
     k = cfg.intrinsics()
@@ -276,6 +285,11 @@ def test_refine_golden_digest():
     scene, mask = build_scene(chain, cfg, seed=5, index=3, meshes=meshes, render_settings=settings)
     t = scene.pose.translation
     truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t), provenance="truth")
+    return chain, k, meshes, settings, mask, truth
+
+
+def test_refine_golden_digest():
+    chain, k, meshes, settings, mask, truth = _golden_scene()
     start = Estimate(
         np.clip(truth.theta + 0.1, *chain.limits()), truth.rotation, truth.scale * 1.1, truth.base_pixel
     )
@@ -283,6 +297,58 @@ def test_refine_golden_digest():
     refined, trace = refine(start, mask, chain, meshes, k, refine_cfg, settings, ground_truth=truth)
     blob = json.dumps({"estimate": refined.to_json(), "trace": trace}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_SHA256
+
+
+@pytest.mark.parametrize("case", ["golden", 0, 1, 2])
+def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch, case):
+    if case == "golden":  # the golden-digest scene and start, with the default budget
+        chain, k, meshes, settings, mask, truth = _golden_scene()
+        start_theta = np.clip(truth.theta + 0.1, *chain.limits())
+    else:  # criterion 9's scenes and starts: theta +- 0.1 per joint, depth x 1.1
+        chain = builtin_chain("panda7")
+        sampler = SamplerConfig()
+        k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings()
+        scene, mask = build_scene(chain, sampler, 900, case, meshes=meshes, render_settings=settings)
+        t = scene.pose.translation
+        truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t))
+        rng = np.random.default_rng(np.random.SeedSequence((900, case, 3)))
+        signs = rng.choice([-1.0, 1.0], size=chain.dof)
+        start_theta = np.clip(truth.theta + 0.1 * signs, *chain.limits())
+    start = Estimate(start_theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
+    cfg = RefinerConfig()
+
+    values, renders, probes = {}, [], []
+    real_value, real_moved = _CachedObjective.value, _CachedObjective.moved
+    real_evaluate = _CachedObjective.evaluate
+
+    def value(self, rows):
+        # the rows are kept alive, so no two of them share an id
+        values[id(rows)] = (rows, real_value(self, rows))
+        return values[id(rows)][1]
+
+    def moved(self, parent, *args):
+        renders.append(args)
+        return real_moved(self, parent, *args)
+
+    def evaluate(self, parent, *args):
+        rendered = len(renders)
+        value, rows = real_evaluate(self, parent, *args)
+        # the parent is the incumbent when the probe is made
+        probes.append((value, values[id(parent)][1], len(renders) > rendered))
+        return value, rows
+
+    monkeypatch.setattr(_CachedObjective, "value", value)
+    monkeypatch.setattr(_CachedObjective, "moved", moved)
+    monkeypatch.setattr(_CachedObjective, "evaluate", evaluate)
+    _, trace = refine(start, mask, chain, meshes, k, cfg, settings)
+
+    hits = [(stored, incumbent) for stored, incumbent, rendered in probes if not rendered]
+    assert len(renders) < len(probes) and len(renders) + len(hits) == len(probes)
+    assert all(stored >= incumbent for stored, incumbent in hits)
+    # every probe counts against the budget, a revisit included
+    budget = cfg.inner_evals_per_iteration
+    assert [row["evaluations"] for row in trace] == [i * budget for i in range(cfg.iterations + 1)]
+    assert len(probes) == trace[-1]["evaluations"]
 
 
 # sha256 of the estimate rows `armpose estimate` writes for ten fixed scenes,
@@ -388,7 +454,7 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     if case == "near_plane":
         assert rows.front.any() and not rows.front.all()
     if case == "off_image":
-        assert rows.pix[:, 0].max() >= k.width + settings.splat_radius  # the clip branch runs
+        assert rows.pix[0].max() >= k.width + settings.splat_radius  # the clip branch runs
     assert cost.value(rows) == _full_render_objective(
         chain, meshes, settings, k, observed, theta, rotation, scale, base_pixel
     )

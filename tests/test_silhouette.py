@@ -21,7 +21,7 @@ from armpose import (
     silhouette_iou,
     write_pgm,
 )
-from armpose.silhouette import NEAR_PLANE, pixel_centers
+from armpose.silhouette import NEAR_PLANE, _splat_window, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -142,14 +142,85 @@ def test_pixel_centers_round_half_up_and_zero_rows_behind():
     cam = np.array(
         [[0.0, 0.0, 1.0], [0.25, -0.25, 1.0], [0.3, 0.2, -1.0], [0.1, 0.1, NEAR_PLANE]]
     )
-    pix, front = pixel_centers(cam, k)
-    assert pix.dtype == np.int64
+    pix, front = pixel_centers(cam, np.zeros(3), k)
+    assert pix.dtype == np.int64 and pix.shape == (2, 4) and pix.flags.c_contiguous
     # 10.5 and 9.5 both round up
-    assert pix.tolist() == [[10, 10], [11, 10], [0, 0], [0, 0]]
+    assert pix.T.tolist() == [[10, 10], [11, 10], [0, 0], [0, 0]]
     assert front.tolist() == [True, True, False, False]
     # projecting only the front rows gives those rows' centers unchanged
-    front_pix, front_only = pixel_centers(cam[:2], k)
-    assert front_only.all() and np.array_equal(front_pix, pix[:2])
+    front_pix, front_only = pixel_centers(cam[:2], np.zeros(3), k)
+    assert front_only.all() and np.array_equal(front_pix, pix[:, :2])
+
+
+def test_pixel_centers_equal_the_projection_of_the_translated_rows():
+    k = CameraIntrinsics(fx=260.0, fy=255.0, cx=112.0, cy=108.0, width=224, height=224)
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(1, 400))
+        rotated = rng.normal(0.0, 0.4, size=(n, 3))
+        t = np.array([rng.normal(0.0, 0.3), rng.normal(0.0, 0.3), rng.uniform(-0.5, 2.5)])
+        if trial % 3 == 0:
+            # a few rows just in front of the camera land far outside the image
+            near = rng.random(n) < 0.1
+            rotated[near, 2] = rng.uniform(1e-5, 1e-3, near.sum()) - t[2]
+        if trial % 5 == 0:
+            rotated[rng.random(n) < 0.1, 2] = NEAR_PLANE - t[2]
+        # rows aimed at half-pixel boundaries, where a reordered float
+        # operation flips the rounded center
+        edge = (rng.random(n) < 0.3) & (rotated[:, 2] + t[2] > 0.1)
+        z = rotated[edge, 2] + t[2]
+        for axis, f, c in ((0, k.fx, k.cx), (1, k.fy, k.cy)):
+            rotated[edge, axis] = (rng.integers(0, 224, edge.sum()) - 0.5 - c) * z / f - t[axis]
+        pix, front = pixel_centers(rotated, t, k)
+        cam = rotated + t
+        assert np.array_equal(front, cam[:, 2] > NEAR_PLANE)
+        want = np.zeros((n, 2), dtype=np.int64)
+        want[front] = np.floor(k.project(cam[front]) + 0.5).astype(np.int64)
+        assert pix.dtype == np.int64 and pix.flags.c_contiguous
+        assert np.array_equal(pix, want.T), trial
+
+
+def _reference_splat_window(pix, k, r):
+    """The splat window as a full (rows, cols) scatter of the (n, 2) centers
+    dilated in a 2-D crop, clipped to the image (the layout before the
+    centers became one (2, n) array)."""
+    pix = pix.T
+    if pix.shape[0] == 0:
+        return None
+    ui, vi = pix[:, 0], pix[:, 1]
+    near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
+    ui, vi = ui[near], vi[near]
+    if ui.size == 0:
+        return None
+    u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
+    ch, cw = v1 - v0 + 1, u1 - u0 + 1
+    centers = np.zeros((ch, cw), dtype=bool)
+    centers[vi - v0, ui - u0] = True
+    crop = np.zeros((ch + 2 * r, cw + 2 * r), dtype=bool)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if dx * dx + dy * dy <= r * r:
+                crop[r + dy : r + dy + ch, r + dx : r + dx + cw] |= centers
+    top, left = v0 - r, u0 - r
+    y0, x0 = max(top, 0), max(left, 0)
+    y1, x1 = min(top + crop.shape[0], k.height), min(left + crop.shape[1], k.width)
+    return crop[y0 - top : y1 - top, x0 - left : x1 - left], y0, x0
+
+
+def test_splat_window_matches_the_two_dimensional_reference():
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
+    rng = np.random.default_rng(12)
+    assert _splat_window(np.zeros((2, 0), dtype=np.int64), k, 2) is None
+    for trial in range(300):
+        r = int(rng.integers(0, 4))
+        n = int(rng.integers(1, 60))
+        spread = (8, 60, 1000)[trial % 3]  # inside, around the edges, mostly far out
+        pix = np.stack([rng.integers(20 - spread, 20 + spread, n), rng.integers(15 - spread, 15 + spread, n)])
+        got, want = _splat_window(pix, k, r), _reference_splat_window(pix, k, r)
+        if want is None:
+            assert got is None, trial
+            continue
+        assert got[1:] == want[1:] and np.array_equal(got[0], want[0]), trial
 
 
 def test_render_splat_disc_shape():
