@@ -34,7 +34,7 @@ rng = np.random.default_rng(1)
 lo, hi = chain.limits()
 theta0 = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], chain.dof), lo, hi)
 t = scene.pose.translation
-pix = np.array([k.fx * t[0] / t[2] + k.cx, k.fy * t[1] / t[2] + k.cy])
+pix = k.project(t)
 start = Estimate(theta0, scene.pose.rotation, 1.1 * float(t[2]), pix)
 truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), pix, provenance="truth")
 

@@ -13,6 +13,7 @@ failures, 4 training divergence, 5 inconsistent or unusable data.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .datagen import (
 )
 from .distgeo import (
     AlignmentDegenerateError,
+    MlpRegressor,
     TrainConfig,
     TrainingDivergedError,
     align_points,
@@ -49,7 +51,8 @@ from .distgeo import (
 )
 from .kinematics import builtin_chain, check_configuration, joint_points, load_chain, skeleton_keypoints
 from .kinematics import forward_kinematics  # noqa: F401  (perfbench's tracer wraps it here)
-from .metrics import EvalRecord, add_metric, build_report, mae_config, write_report_csv, write_report_json
+from .metrics import ADD_THRESHOLD, EvalRecord, add_metric, build_report, mae_config
+from .metrics import write_report_csv, write_report_json
 from .poseinit import (
     Estimate,
     InsufficientCorrespondencesError,
@@ -161,10 +164,12 @@ def _parse_args(argv):
 
 
 def _check_values(args):
-    """Reject, naming the option, values that would fail later inside a scene:
-    seeds feed np.random.SeedSequence, which takes no negative integer, and a
-    zero-width hidden layer makes every predicted distance matrix the same."""
-    for dest in ("seed", "render_seed"):
+    """Reject, naming the option, values that would fail later inside a scene
+    or mean nothing: seeds feed np.random.SeedSequence, which takes no
+    negative integer, a worker count is a number of processes (0 = all
+    cores), and a zero-width hidden layer makes every predicted distance
+    matrix the same."""
+    for dest in ("seed", "render_seed", "workers"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             option = "--" + dest.replace("_", "-")
@@ -538,6 +543,9 @@ def cmd_render(args):
         theta, pose = match[0].theta, match[0].pose(k)
     meshes = default_link_meshes(chain)
     observed = load_scene_mask(args.data, scene)
+    if observed.shape != (k.height, k.width):
+        path = os.path.join(args.data, scene.silhouette)
+        raise DatasetFormatError(f"{path}: mask is {observed.shape}, camera expects {(k.height, k.width)}")
     model = render_chain_silhouette(chain, theta, meshes, pose, k, _render_settings(args))
     overlay = np.zeros((k.height, k.width), dtype=np.uint8)
     overlay[observed] = 128
@@ -609,8 +617,9 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--warmup-steps", type=int, default=TrainConfig.warmup_steps)
-    p.add_argument("--hidden", type=int, nargs=2, default=(160, 160), metavar=("H1", "H2"))
-    p.add_argument("--dropout", type=float, default=0.1)
+    hidden = inspect.signature(init_regressor).parameters["hidden"].default
+    p.add_argument("--hidden", type=int, nargs=2, default=hidden, metavar=("H1", "H2"))
+    p.add_argument("--dropout", type=float, default=MlpRegressor.dropout_rate)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--resume", help="regressor JSON with trainer state to continue from")
     p.add_argument("--trace", help="write per-step losses to this CSV")
@@ -655,7 +664,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--csv", help="also write the per-scene table as CSV")
     p.add_argument(
-        "--threshold", type=float, default=0.1, help="ADD threshold for the area-under-curve score"
+        "--threshold", type=float, default=ADD_THRESHOLD, help="ADD threshold for the area-under-curve score"
     )
 
     p = command("render", cmd_render, "overlay and skeleton images for one scene")

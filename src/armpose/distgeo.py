@@ -336,7 +336,7 @@ class MlpRegressor:
             weights=weights,
             biases=biases,
             activation=obj.get("activation", "tanh"),
-            dropout_rate=float(obj.get("dropout_rate", 0.1)),
+            dropout_rate=float(obj.get("dropout_rate", cls.dropout_rate)),
         )
 
 
@@ -345,7 +345,7 @@ def _check_widths(dims):
         raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
 
 
-def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=0.1, seed=0):
+def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=MlpRegressor.dropout_rate, seed=0):
     """Fresh regressor with uniform Glorot weights and zero biases."""
     dims = [int(input_dim), int(hidden[0]), int(hidden[1]), int(output_dim)]
     _check_widths(dims)
@@ -451,7 +451,7 @@ def mlp_forward(net, keypoints, dropout_active=False, rng=None):
 
     keypoints is the flat (2k,) vector of [0, 1] coordinates. When
     dropout_active is set, hidden units are dropped with the net's rate using
-    rng (a fresh default generator when omitted), so outputs are stochastic.
+    rng, which is then required, so outputs are stochastic but seeded.
     """
     x = np.asarray(keypoints, dtype=float).reshape(1, -1)
     if x.shape[1] != net.layer_dims[0]:
@@ -460,7 +460,9 @@ def mlp_forward(net, keypoints, dropout_active=False, rng=None):
         raise ValueError("keypoint inputs must be finite")
     masks = None
     if dropout_active:
-        masks = _sample_masks(net, rng if rng is not None else np.random.default_rng(), 1)
+        if rng is None:
+            raise ValueError("dropout at inference needs a seeded rng")
+        masks = _sample_masks(net, rng, 1)
     raw, _ = _forward(net, x, masks)
     return _matrix_from_upper(raw[0] * raw[0], net.matrix_size)
 

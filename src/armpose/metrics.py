@@ -13,6 +13,9 @@ import numpy as np
 from ._io import atomic_write_text
 from .kinematics import forward_kinematics, wrap_angle
 
+# ADD threshold (m) of the area-under-curve score
+ADD_THRESHOLD = 0.1
+
 
 def add_metric(pose_gt, theta_gt, pose_est, theta_est, chain):
     """Average camera-frame distance between matched joint origins.
@@ -30,7 +33,7 @@ def _camera_origins(pose, theta, chain):
     return np.array([(pose @ f).translation for f in frames])
 
 
-def auc(errors, threshold=0.1):
+def auc(errors, threshold=ADD_THRESHOLD):
     """Area under the accuracy-vs-threshold curve, as a percentage.
 
     Exact for the empirical step curve: each error e <= threshold contributes
@@ -69,7 +72,7 @@ class EvalRecord:
         return {"scene_index": self.scene_index, "add": self.add, "mae_deg": self.mae_deg}
 
 
-def build_report(records, add_threshold=0.1):
+def build_report(records, add_threshold=ADD_THRESHOLD):
     """Aggregate per-scene records into the report structure."""
     if not records:
         raise ValueError("no evaluation records")

@@ -7,10 +7,11 @@ that slides the base origin along the camera ray through a fixed pixel.
 The reference refiner is a deterministic coordinate pattern search on the
 rendered-silhouette overlap, so it needs no derivatives of the renderer.
 
-Every probe of the search moves one coordinate, so the objective is
-evaluated from the incumbent's render rows (``_Rows``: FK frames and, per
-stacked link sample, its world point, the point rotated into the camera,
-its int64 pixel center and its near-plane flag) and recomputes only what
+A search point is one ``_State``: its coordinates and its render rows (FK
+frames and, per link sample in ``silhouette._link_rows``' order, its world
+point, the point rotated into the camera, its int64 pixel center and its
+near-plane flag). Every probe of the search moves one coordinate, so the
+objective is evaluated from the incumbent's rows and recomputes only what
 the probe moves:
 
 - a theta_j probe keeps frames 0..j and the rows of links 0..j, re-runs FK
@@ -22,8 +23,8 @@ the probe moves:
 - a scale probe keeps the rotated rows too, and recomputes only the
   projection.
 
-A rejected probe leaves the incumbent's rows untouched; an accepted one
-hands its own rows on. The value is bitwise equal to ``1 -
+A rejected probe leaves the incumbent's state untouched; an accepted one
+becomes the incumbent. The value is bitwise equal to ``1 -
 silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
 row goes through the same float operations in the same order: FK composes
 frame by frame, each link cloud is transformed on its own there too, the
@@ -35,15 +36,15 @@ rounding are elementwise. The splat window depends only on the set of pixel
 centers, and the IoU is integer counts, taken on that window against the
 observed mask.
 
-Each refine call also keeps a memo of every state it has evaluated, keyed by
+Each refine call also keeps a memo of every point it has evaluated, keyed by
 the exact bits of (theta, rotation matrix, scale); the matrix is keyed, not
 its 6D code, because the start rotation need not equal the decode of its
-own encoding. A probe that lands on a stored state (a rotation step undone,
+own encoding. A probe that lands on a stored point (a rotation step undone,
 a theta step clipped back onto the incumbent) takes the stored value and
 builds no rows. No stored value lies below the incumbent's: each one was
 either accepted, or lost to a probe that was, or was not below the
 incumbent of its time, and the incumbent's value never rises. A probe is
-accepted only on a strict decrease, so a revisited state is never accepted
+accepted only on a strict decrease, so a revisited point is never accepted
 and its rows are never needed. A revisit still counts against
 inner_evals_per_iteration, so the search takes the same path it would
 without the memo, and the trace's ``evaluations`` column counts probes,
@@ -60,7 +61,7 @@ import numpy as np
 from .kinematics import dh_transform, forward_kinematics
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
-from .silhouette import RenderSettings, _splat_window, pixel_centers, sample_link_clouds
+from .silhouette import RenderSettings, _link_rows, _splat_window, pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
@@ -148,28 +149,17 @@ class RefinerConfig:
 
 
 @dataclass
-class _SearchState:
-    """Raw search coordinates and their render rows; only the returned
-    result is validated."""
+class _State:
+    """One search point: raw coordinates (theta, the rotation matrix and its
+    6D code, the scale) and their render rows; only the returned result is
+    validated. frames start with the base frame; pix is (2, n), as
+    ``pixel_centers`` returns it, with zeros where front is False. The arrays
+    are never written after construction, so states share them freely."""
 
     theta: np.ndarray
     rotation: np.ndarray
     r6: np.ndarray
     scale: float
-    rows: _Rows
-
-
-@dataclass
-class _Rows:
-    """Render data of one search state, one row per stacked link sample.
-
-    Rows follow render_link_clouds' order: link by link, links without
-    geometry skipped. pix is (2, n), the layout ``pixel_centers`` returns,
-    and holds zeros where front (camera z > NEAR_PLANE) is False. The
-    arrays are never written after construction, so states share them
-    freely.
-    """
-
     frames: list
     world: np.ndarray
     rotated: np.ndarray
@@ -178,8 +168,9 @@ class _Rows:
 
 
 class _CachedObjective:
-    """One minus the silhouette IoU of a search state against the observed
-    mask, evaluated from render rows (see the module docstring)."""
+    """One minus the silhouette IoU of a search point against the observed
+    mask, evaluated from render rows, with a memo of every point evaluated
+    (see the module docstring)."""
 
     def __init__(self, observed, chain, meshes, k, settings, base_pixel):
         self.clouds = sample_link_clouds(meshes, settings)
@@ -191,64 +182,84 @@ class _CachedObjective:
         # starts[i] is the first row of link i
         self.starts = np.cumsum([0] + sizes).tolist()
         self.chain, self.k, self.radius = chain, k, settings.splat_radius
+        self.lo, self.hi = chain.limits()
         self.observed = observed
         self.n_observed = int(np.count_nonzero(observed))
         self.base_pixel = base_pixel
-        # value of every state evaluated so far, by its exact coordinates
+        # value of every point evaluated so far, by its exact coordinates
         self.seen = {}
 
-    def evaluate(self, parent, kind, index, theta, rotation, scale):
-        """(value, rows) of a probe state one coordinate away from parent's.
+    def start(self, theta, rotation, scale):
+        """(value, state) of the search's start point, built from scratch and
+        stored in the memo; theta is checked here."""
+        frames = [self.chain.base_frame] + forward_kinematics(self.chain, theta)
+        world = _link_rows(self.clouds, frames)
+        rotated = world @ rotation.T
+        r6 = matrix_to_rot6d(rotation)
+        state = _State(theta, rotation, r6, scale, frames, world, rotated, *self._project(rotated, scale))
+        value = self.seen[_state_key(theta, rotation, scale)] = self.value(state)
+        return value, state
 
-        A state evaluated before returns its stored value and None for rows:
-        no stored value lies below the incumbent's, so the search never
-        accepts it and never needs its rows.
+    def probe(self, state, kind, index, step):
+        """(value, state) one step from state along the coordinate (kind,
+        index): theta[index] + step clipped to the joint limits, r6[index] +
+        step, or scale * (1 + step); state is left untouched.
+
+        None when the stepped 6D code is degenerate. A point evaluated before
+        gives its stored value and None for its state, which the search never
+        accepts (see the module docstring).
         """
+        theta, rotation, r6, scale = state.theta, state.rotation, state.r6, state.scale
+        if kind == "theta":
+            theta = theta.copy()
+            theta[index] = np.clip(theta[index] + step, self.lo[index], self.hi[index])
+        elif kind == "rot":
+            r6 = r6.copy()
+            r6[index] += step
+            try:
+                rotation = rot6d_to_matrix(r6)
+            except ValueError:
+                return None
+        else:
+            scale = scale * (1.0 + step)
         key = _state_key(theta, rotation, scale)
         value = self.seen.get(key)
         if value is not None:
             return value, None
-        rows = self.moved(parent, kind, index, theta, rotation, scale)
-        value = self.seen[key] = self.value(rows)
-        return value, rows
+        moved = self.moved(state, kind, index, theta, rotation, r6, scale)
+        value = self.seen[key] = self.value(moved)
+        return value, moved
 
-    def rows(self, theta, rotation, scale):
-        """Render rows of a state built from scratch; theta is checked here."""
-        frames = [self.chain.base_frame] + forward_kinematics(self.chain, theta)
-        world = self._world(frames, 0)
-        rotated = world @ rotation.T
-        return _Rows(frames, world, rotated, *self._project(rotated, scale))
-
-    def moved(self, parent, kind, index, theta, rotation, scale):
-        """Render rows of a state that differs from parent's only in the
-        coordinate (kind, index); parent is left untouched."""
+    def moved(self, parent, kind, index, theta, rotation, r6, scale):
+        """The state at (theta, rotation, r6, scale), which differs from
+        parent's only in the coordinate (kind, index), built from parent's
+        rows; parent is left untouched."""
+        coords = (theta, rotation, r6, scale)
         if kind == "theta":
             frames = parent.frames[: index + 1]
             for i in range(index, self.chain.dof):
                 frames.append(frames[i] @ dh_transform(self.chain.joints[i], theta[i]))
             start = self.starts[index + 1]
-            world = np.concatenate([parent.world[:start], self._world(frames, index + 1)])
+            world = np.concatenate([parent.world[:start], _link_rows(self.clouds, frames, index + 1)])
             # a one-row product takes another BLAS path than a stack does, so
             # the suffix is multiplied together with the row before it
             lead = max(start - 1, 0)
             rotated = (world[lead:] @ rotation.T)[start - lead :]
             pix, front = self._project(rotated, scale)
-            return _Rows(
+            return _State(
+                *coords,
                 frames,
                 world,
                 np.concatenate([parent.rotated[:start], rotated]),
                 np.concatenate([parent.pix[:, :start], pix], axis=1),
                 np.concatenate([parent.front[:start], front]),
             )
-        if kind == "rot":
-            rotated = parent.world @ rotation.T
-            return _Rows(parent.frames, parent.world, rotated, *self._project(rotated, scale))
-        return _Rows(parent.frames, parent.world, parent.rotated, *self._project(parent.rotated, scale))
+        rotated = parent.world @ rotation.T if kind == "rot" else parent.rotated
+        return _State(*coords, parent.frames, parent.world, rotated, *self._project(rotated, scale))
 
-    def value(self, rows):
-        """1 - IoU of the rows' splat window against the observed mask."""
-        pix = rows.pix if rows.front.all() else rows.pix[:, rows.front]
-        splat = _splat_window(pix, self.k, self.radius)
+    def value(self, state):
+        """1 - IoU of the state's splat window against the observed mask."""
+        splat = _splat_window(state.pix, state.front, self.k, self.radius)
         inter = drawn = 0
         if splat is not None:
             window, y0, x0 = splat
@@ -257,12 +268,6 @@ class _CachedObjective:
             inter = np.count_nonzero(window & self.observed[y0 : y0 + h, x0 : x0 + w])
         union = drawn + self.n_observed - inter
         return 1.0 - (1.0 if union == 0 else float(inter) / union)
-
-    def _world(self, frames, first):
-        """World rows of links first.. stacked, as render_link_clouds builds them."""
-        parts = [frames[i].apply(self.clouds[i]) for i in range(first, len(self.clouds))
-                 if self.clouds[i] is not None]
-        return np.concatenate(parts) if parts else np.empty((0, 3))
 
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
@@ -294,7 +299,6 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
 
     base_pixel = estimate.base_pixel
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
-    lo, hi = chain.limits()
     if ground_truth is not None:
         gt_pose = ground_truth.pose(k)
 
@@ -306,80 +310,47 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
         pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
         return add_metric(gt_pose, ground_truth.theta, pose, cand.theta, chain)
 
-    state = _SearchState(
-        theta=estimate.theta.copy(),
-        rotation=estimate.rotation,
-        r6=matrix_to_rot6d(estimate.rotation),
-        scale=estimate.scale,
-        rows=cost.rows(estimate.theta, estimate.rotation, estimate.scale),
-    )
-    f_curr = cost.value(state.rows)
-    cost.seen[_state_key(state.theta, state.rotation, state.scale)] = f_curr
+    f_curr, state = cost.start(estimate.theta, estimate.rotation, estimate.scale)
     trace = [_trace_row(0, 0, f_curr, tracked_error(state))]
     evals_total = 0
-    dof = chain.dof
-
-    def probe(kind, index, direction, steps):
-        """(value, candidate) one step away along a single coordinate, or None
-        when a rotation step is degenerate. A revisit's candidate is None."""
-        theta, r6, scl = state.theta, state.r6, state.scale
-        rot = state.rotation
-        if kind == "theta":
-            theta = theta.copy()
-            theta[index] = np.clip(theta[index] + direction * steps[0], lo[index], hi[index])
-        elif kind == "rot":
-            r6 = r6.copy()
-            r6[index] += direction * steps[1]
-            try:
-                rot = rot6d_to_matrix(r6)
-            except ValueError:
-                return None
-        else:
-            scl = scl * (1.0 + direction * steps[2])
-        value, rows = cost.evaluate(state.rows, kind, index, theta, rot, scl)
-        return value, None if rows is None else _SearchState(theta, rot, r6, scl, rows)
-
-    coords = [("theta", i) for i in range(dof)] + [("rot", i) for i in range(6)] + [("scale", 0)]
+    budget = cfg.inner_evals_per_iteration
+    coords = [("theta", i) for i in range(chain.dof)] + [("rot", i) for i in range(6)] + [("scale", 0)]
 
     for it in range(1, cfg.iterations + 1):
-        steps = [cfg.step_theta, cfg.step_rot, cfg.step_scale]
+        steps = {"theta": cfg.step_theta, "rot": cfg.step_rot, "scale": cfg.step_scale}
         used = 0
-        while used < cfg.inner_evals_per_iteration:
+        while used < budget:
             moved = False
             for kind, index in coords:
-                if used >= cfg.inner_evals_per_iteration:
+                if used >= budget:
                     break
                 trials = []
                 for direction in (1.0, -1.0):
-                    if used >= cfg.inner_evals_per_iteration:
+                    if used >= budget:
                         break
-                    probed = probe(kind, index, direction, steps)
-                    if probed is None:
-                        continue
-                    f_new, cand = probed
-                    trials.append((f_new, direction, cand))
-                    used += 1
+                    probed = cost.probe(state, kind, index, direction * steps[kind])
+                    if probed is not None:
+                        trials.append((probed[0], direction, probed[1]))
+                        used += 1
                 if not trials:
                     continue
-                best = min(trials, key=lambda t: t[0])
-                if best[0] < f_curr:
-                    f_curr, direction, accepted = best[0], best[1], best[2]
-                    state = accepted
+                f_new, direction, cand = min(trials, key=lambda t: t[0])
+                if f_new < f_curr:
+                    f_curr, state = f_new, cand
                     moved = True
                     # ride the same direction while it keeps paying off
-                    while used < cfg.inner_evals_per_iteration:
-                        probed = probe(kind, index, direction, steps)
+                    while used < budget:
+                        probed = cost.probe(state, kind, index, direction * steps[kind])
                         if probed is None:
                             break
                         f_new, cand = probed
                         used += 1
                         if f_new < f_curr:
-                            f_curr = f_new
-                            state = cand
+                            f_curr, state = f_new, cand
                         else:
                             break
             if not moved:
-                steps = [s * 0.5 for s in steps]
+                steps = {kind: step * 0.5 for kind, step in steps.items()}
         evals_total += used
         trace.append(_trace_row(it, evals_total, f_curr, tracked_error(state)))
 

@@ -6,15 +6,16 @@ pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
+Posed link clouds become stacked rows in one place, ``_link_rows``.
 Camera-rotated points and the camera translation become pixel centers in
 one place, ``pixel_centers``, and the splat has one implementation,
-``_splat_window``: it turns the centers into the clipped image window their
-discs cover. Centers are one contiguous int64 array of shape (2, n), u on
-row 0 and v on row 1, so each coordinate is read as one contiguous run.
-render_silhouette pastes the window into a full image; the refiner scores it
-directly against the observed mask. The window depends only on the set of
-centers, not on their order or multiplicity, so any caller that produces
-the same centers gets the same window.
+``_splat_window``: it turns the centers in front of the near plane into the
+clipped image window their discs cover. Centers are one contiguous int64
+array of shape (2, n), u on row 0 and v on row 1, so each coordinate is read
+as one contiguous run. render_silhouette pastes the window into a full
+image; the refiner scores it directly against the observed mask. The window
+depends only on the set of centers, not on their order or multiplicity, so
+any caller that produces the same centers gets the same window.
 """
 
 from __future__ import annotations
@@ -126,9 +127,7 @@ def render_silhouette(points, pose, k, settings):
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
     pix, front = pixel_centers(pts @ pose.rotation.T, pose.translation, k)
-    if not front.all():
-        pix = pix[:, front]
-    splat = _splat_window(pix, k, settings.splat_radius)
+    splat = _splat_window(pix, front, k, settings.splat_radius)
     if splat is not None:
         window, y0, x0 = splat
         bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
@@ -166,8 +165,9 @@ def pixel_centers(rotated, t, k):
     return pix, front
 
 
-def _splat_window(pix, k, r):
-    """Discs of radius r around int64 pixel centers (2, n), as an image window.
+def _splat_window(pix, front, k, r):
+    """Discs of radius r around the int64 pixel centers (2, n) whose front
+    flag is set (``pixel_centers``' pair), as an image window.
 
     The centers are dilated inside their bounding box, padded by r, and the
     result is clipped to the image. Returns (window, y0, x0), where window[y, x]
@@ -175,6 +175,8 @@ def _splat_window(pix, k, r):
     in the window, or None when no disc reaches the image. The window depends
     only on the set of centers, not on their order or multiplicity.
     """
+    if not front.all():
+        pix = pix[:, front]
     if pix.shape[1] == 0:
         return None
     ui, vi = pix[0], pix[1]
@@ -235,10 +237,17 @@ def render_link_clouds(clouds, frames, pose, k, settings):
     """Render presampled local clouds given their world frames."""
     if len(clouds) != len(frames):
         raise ValueError("need one frame per link cloud")
-    world = [frame.apply(cloud) for frame, cloud in zip(frames, clouds) if cloud is not None]
-    if not world:
+    if all(cloud is None for cloud in clouds):
         raise ValueError("no link has geometry")
-    return render_silhouette(np.vstack(world), pose, k, settings)
+    return render_silhouette(_link_rows(clouds, frames), pose, k, settings)
+
+
+def _link_rows(clouds, frames, first=0):
+    """World points of link clouds first.. under their frames, stacked link
+    by link, one row per sample, links without geometry (None) skipped: the
+    one row order that render_link_clouds and the refiner's cache share."""
+    parts = [frames[i].apply(clouds[i]) for i in range(first, len(clouds)) if clouds[i] is not None]
+    return np.concatenate(parts) if parts else np.empty((0, 3))
 
 
 def bresenham_line(p0, p1):

@@ -473,6 +473,23 @@ def test_render_unknown_scene_exits_five(fronto_dataset, tmp_path):
     assert run("render", "--data", fronto_dataset, "--scene", 77, "--out", tmp_path / "x.pgm") == 5
 
 
+def test_render_mask_of_the_wrong_size_exits_five_naming_it(fronto_dataset, tmp_path, capsys):
+    import shutil
+
+    import numpy as np
+
+    from armpose import write_pgm
+
+    data = shutil.copytree(fronto_dataset, tmp_path / "data")
+    mask = data / "silhouettes" / "scene_00000.pgm"
+    write_pgm(str(mask), np.zeros((100, 100), dtype=bool))  # the camera is 224 x 224
+    capsys.readouterr()
+    assert run("render", "--data", data, "--scene", 0, "--out", tmp_path / "x.pgm") == 5
+    err = capsys.readouterr().err
+    assert "scene_00000.pgm" in err and "Traceback" not in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_refine_has_no_objective_option(tmp_path):
     base = ("refine", "--data", tmp_path, "--estimates", tmp_path / "e.jsonl", "--out", tmp_path / "o")
     with pytest.raises(SystemExit) as info:
@@ -493,9 +510,21 @@ def test_train_zero_hidden_width_exits_two(noisy_dataset, tmp_path, capsys, hidd
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("command", ["gen", "train-gim", "estimate", "refine", "render"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        pytest.param("gen", "--seed", id="gen"),
+        pytest.param("train-gim", "--seed", id="train-gim"),
+        pytest.param("estimate", "--seed", id="estimate"),
+        pytest.param("refine", "--render-seed", id="refine"),
+        pytest.param("render", "--render-seed", id="render"),
+        pytest.param("gen", "--workers", id="gen-workers"),
+        pytest.param("estimate", "--workers", id="estimate-workers"),
+        pytest.param("refine", "--workers", id="refine-workers"),
+    ],
+)
 def test_negative_seed_exits_two_naming_the_option(
-    fronto_dataset, trained_net, tmp_path, capsys, command, via_config
+    fronto_dataset, trained_net, tmp_path, capsys, command, option, via_config
 ):
     out = tmp_path / "out"
     est = tmp_path / "est.jsonl"
@@ -510,7 +539,9 @@ def test_negative_seed_exits_two_naming_the_option(
         ],
         "render": ["--data", fronto_dataset, "--scene", 0, "--out", out],
     }[command]
-    option = "--render-seed" if command in ("refine", "render") else "--seed"
+    if option == "--workers":  # an explicit --workers 1 would win over the file
+        at = args.index("--workers")
+        del args[at : at + 2]
     if via_config:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({option[2:].replace("-", "_"): -1}))

@@ -401,6 +401,8 @@ def test_mlp_dropout_modes():
     same_a = mlp_forward(net, x, dropout_active=True, rng=np.random.default_rng(9))
     same_b = mlp_forward(net, x, dropout_active=True, rng=np.random.default_rng(9))
     assert np.array_equal(same_a, same_b)
+    with pytest.raises(ValueError, match="rng"):  # no unseeded fallback
+        mlp_forward(net, x, dropout_active=True)
 
 
 def test_gradients_match_finite_differences():

@@ -319,27 +319,28 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
 
     values, renders, probes = {}, [], []
     real_value, real_moved = _CachedObjective.value, _CachedObjective.moved
-    real_evaluate = _CachedObjective.evaluate
+    real_probe = _CachedObjective.probe
 
-    def value(self, rows):
-        # the rows are kept alive, so no two of them share an id
-        values[id(rows)] = (rows, real_value(self, rows))
-        return values[id(rows)][1]
+    def value(self, state):
+        # the states are kept alive, so no two of them share an id
+        values[id(state)] = (state, real_value(self, state))
+        return values[id(state)][1]
 
     def moved(self, parent, *args):
         renders.append(args)
         return real_moved(self, parent, *args)
 
-    def evaluate(self, parent, *args):
+    def probe(self, parent, *args):
         rendered = len(renders)
-        value, rows = real_evaluate(self, parent, *args)
-        # the parent is the incumbent when the probe is made
-        probes.append((value, values[id(parent)][1], len(renders) > rendered))
-        return value, rows
+        probed = real_probe(self, parent, *args)
+        if probed is not None:  # a degenerate rotation step is no probe
+            # the parent is the incumbent when the probe is made
+            probes.append((probed[0], values[id(parent)][1], len(renders) > rendered))
+        return probed
 
     monkeypatch.setattr(_CachedObjective, "value", value)
     monkeypatch.setattr(_CachedObjective, "moved", moved)
-    monkeypatch.setattr(_CachedObjective, "evaluate", evaluate)
+    monkeypatch.setattr(_CachedObjective, "probe", probe)
     _, trace = refine(start, mask, chain, meshes, k, cfg, settings)
 
     hits = [(stored, incumbent) for stored, incumbent, rendered in probes if not rendered]
@@ -405,6 +406,30 @@ def test_refine_returns_a_validated_estimate():
         refine(bad, mask, chain, meshes, k, cfg, settings)
 
 
+def test_refine_skips_degenerate_rotation_probes_without_counting_them(monkeypatch):
+    chain = builtin_chain("panda7")
+    sampler = SamplerConfig()
+    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings(samples_per_link=50)
+    scene, mask = build_scene(chain, sampler, seed=5, index=0, meshes=meshes, render_settings=settings)
+    t = scene.pose.translation
+    # from the identity's code (1, 0, 0, 0, 1, 0), a unit step down of r6[0]
+    # or r6[4] zeroes a column, which rot6d_to_matrix rejects
+    start = Estimate(scene.theta, np.eye(3), float(t[2]), k.project(t))
+    real_probe, probed = _CachedObjective.probe, []
+
+    def probe(self, *args):
+        probed.append(real_probe(self, *args))  # None for a degenerate step
+        return probed[-1]
+
+    monkeypatch.setattr(_CachedObjective, "probe", probe)
+    cfg = RefinerConfig(iterations=1, inner_evals_per_iteration=40, step_rot=1.0)
+    refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
+    skipped = sum(p is None for p in probed)
+    assert skipped == 2 and len(probed) - skipped == cfg.inner_evals_per_iteration
+    assert trace[-1]["evaluations"] == cfg.inner_evals_per_iteration
+    assert type(refined) is Estimate and refined.provenance == "refined(1)"
+
+
 # ---------------------------------------------------------------------------
 # cached objective
 
@@ -450,7 +475,7 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     r6 = matrix_to_rot6d(scene.pose.rotation) + rng.normal(0.0, 0.05, 6)
     rotation = rot6d_to_matrix(r6)
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
-    rows = cost.rows(theta, rotation, scale)
+    _, rows = cost.start(theta, rotation, scale)
     if case == "near_plane":
         assert rows.front.any() and not rows.front.all()
     if case == "off_image":
@@ -475,14 +500,14 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
             new_scale = scale * (1.0 + rng.uniform(-0.05, 0.05))
         names = ("world", "rotated", "pix", "front")
         before = [getattr(rows, name).copy() for name in names]
-        moved = cost.moved(rows, kind, index, new_theta, new_rotation, new_scale)
+        moved = cost.moved(rows, kind, index, new_theta, new_rotation, new_r6, new_scale)
         want = _full_render_objective(
             chain, meshes, settings, k, observed, new_theta, new_rotation, new_scale, base_pixel
         )
         assert cost.value(moved) == want, (kind, index)
         # the parent's rows are untouched, and the probe's equal a fresh build
         assert all(np.array_equal(old, getattr(rows, name)) for old, name in zip(before, names))
-        fresh = cost.rows(new_theta, new_rotation, new_scale)
+        _, fresh = cost.start(new_theta, new_rotation, new_scale)
         assert all(np.array_equal(getattr(moved, name), getattr(fresh, name)) for name in names)
         if step % 2 == 0:  # adopt the probe's rows, as an accepted move does
             theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved

@@ -210,17 +210,21 @@ def _reference_splat_window(pix, k, r):
 def test_splat_window_matches_the_two_dimensional_reference():
     k = CameraIntrinsics(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
     rng = np.random.default_rng(12)
-    assert _splat_window(np.zeros((2, 0), dtype=np.int64), k, 2) is None
+    flags = np.random.default_rng(13)  # near-plane flags, apart from the centers' draws
+    assert _splat_window(np.zeros((2, 0), dtype=np.int64), np.ones(0, dtype=bool), k, 2) is None
+    assert _splat_window(np.full((2, 3), 20, dtype=np.int64), np.zeros(3, dtype=bool), k, 2) is None
     for trial in range(300):
         r = int(rng.integers(0, 4))
         n = int(rng.integers(1, 60))
         spread = (8, 60, 1000)[trial % 3]  # inside, around the edges, mostly far out
         pix = np.stack([rng.integers(20 - spread, 20 + spread, n), rng.integers(15 - spread, 15 + spread, n)])
-        got, want = _splat_window(pix, k, r), _reference_splat_window(pix, k, r)
-        if want is None:
-            assert got is None, trial
-            continue
-        assert got[1:] == want[1:] and np.array_equal(got[0], want[0]), trial
+        # every center in front, then only those a random near-plane flag keeps
+        for front in (np.ones(n, dtype=bool), flags.random(n) < 0.7):
+            got, want = _splat_window(pix, front, k, r), _reference_splat_window(pix[:, front], k, r)
+            if want is None:
+                assert got is None, trial
+                continue
+            assert got[1:] == want[1:] and np.array_equal(got[0], want[0]), trial
 
 
 def test_render_splat_disc_shape():
