@@ -33,7 +33,6 @@ from .datagen import (
     write_dataset,
 )
 from .distgeo import (
-    AlignmentDegenerateError,
     MlpRegressor,
     TrainConfig,
     TrainingDivergedError,
@@ -53,13 +52,7 @@ from .kinematics import builtin_chain, check_configuration, joint_points, load_c
 from .kinematics import forward_kinematics  # noqa: F401  (perfbench's tracer wraps it here)
 from .metrics import ADD_THRESHOLD, EvalRecord, add_metric, build_report, mae_config
 from .metrics import write_report_csv, write_report_json
-from .poseinit import (
-    Estimate,
-    InsufficientCorrespondencesError,
-    PnpDegenerateError,
-    ScaleUndefinedError,
-    initial_estimate,
-)
+from .poseinit import Estimate, PnpDegenerateError, initial_estimate
 from .refine import RefinerConfig, refine
 from .silhouette import (
     RenderSettings,
@@ -222,14 +215,42 @@ def _parallel_map(fn, payloads, workers):
         return list(pool.map(fn, payloads))
 
 
-def _load_estimates(path, chain):
-    """estimates.jsonl -> ordered list of (index, Estimate or None, error).
+def _scene_rows(worker, payloads, workers, none_done):
+    """Run a per-scene worker over payloads; its (index, result, error) rows
+    sorted by scene index.
 
-    Each estimate's angles are checked against the chain here, so a bad row
-    is reported with its file and line.
+    A worker returns result None and an error text for a scene it could not
+    do; each such scene gets one warning. Raises DatasetFormatError(none_done)
+    when no scene succeeded.
+    """
+    rows = sorted(_parallel_map(worker, payloads, workers), key=lambda r: r[0])
+    for index, result, error in rows:
+        if result is None:
+            print(f"warning: scene {index}: {error}", file=sys.stderr)
+    if all(result is None for _, result, _ in rows):
+        raise DatasetFormatError(none_done)
+    return rows
+
+
+def _dataset_scene(by_index, index, where=""):
+    """The scene with this index; where prefixes the error for a missing one."""
+    if index not in by_index:
+        raise DatasetFormatError(f"{where}scene {index} is not in the dataset")
+    return by_index[index]
+
+
+def _load_estimates(path, chain, scenes):
+    """estimates.jsonl joined to the dataset: (Scene, Estimate or None, error)
+    rows in file order.
+
+    A row that does not parse, whose angles do not fit the chain, or that
+    names a scene the dataset lacks or an earlier row already named is
+    reported with its file and line.
     """
     _require_file(path, "estimates file")
+    by_index = {scene.index: scene for scene in scenes}
     rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -238,16 +259,29 @@ def _load_estimates(path, chain):
                 obj = json.loads(line)
                 index = int(obj["index"])
                 if "error" in obj:
-                    rows.append((index, None, str(obj["error"])))
+                    est, error = None, str(obj["error"])
                 else:
-                    est = Estimate.from_json(obj)
+                    est, error = Estimate.from_json(obj), None
                     check_configuration(chain, est.theta)
-                    rows.append((index, est, None))
             except (ValueError, KeyError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: bad estimate record: {exc}") from exc
+            if index in seen:
+                raise DatasetFormatError(f"{path}:{lineno}: scene {index} already has an estimate")
+            seen.add(index)
+            rows.append((_dataset_scene(by_index, index, f"{path}:{lineno}: "), est, error))
     if not rows:
         raise DatasetFormatError(f"{path}: no estimate records")
     return rows
+
+
+def _scene_mask(data_dir, scene, k):
+    """A scene's observed silhouette; a mask that does not fit the camera is
+    reported with its file."""
+    mask = load_scene_mask(data_dir, scene)
+    if mask.shape != (k.height, k.width):
+        path = os.path.join(data_dir, scene.silhouette)
+        raise DatasetFormatError(f"{path}: mask is {mask.shape}, camera expects {(k.height, k.width)}")
+    return mask
 
 
 def _write_estimates(path, rows):
@@ -267,10 +301,10 @@ def _write_estimates(path, rows):
 def _gen_worker(payload):
     chain, cfg, seed, index, meshes, settings = payload
     try:
-        scene, mask = build_scene(chain, cfg, seed, index, meshes, settings)
-        return index, scene, mask, None
+        return index, build_scene(chain, cfg, seed, index, meshes, settings), None
     except SceneGenerationError as exc:
-        return index, None, None, str(exc)
+        # build_scene's message starts with the scene, which the warning names already
+        return index, None, f"{type(exc).__name__}: {str(exc).removeprefix(f'scene {index}: ')}"
 
 
 def cmd_gen(args):
@@ -293,16 +327,8 @@ def cmd_gen(args):
     payloads = [
         (chain, cfg, args.seed, index, meshes, settings) for index in range(args.count)
     ]
-    results = _parallel_map(_gen_worker, payloads, _workers(args.workers))
-    scenes, masks = [], []
-    for index, scene, mask, error in sorted(results, key=lambda r: r[0]):
-        if error is not None:
-            print(f"warning: {error}", file=sys.stderr)
-            continue
-        scenes.append(scene)
-        masks.append(mask)
-    if not scenes:
-        raise SceneGenerationError("every scene failed to sample")
+    rows = _scene_rows(_gen_worker, payloads, _workers(args.workers), "every scene failed to sample")
+    scenes, masks = zip(*(result for _, result, _ in rows if result is not None))
     write_dataset(args.out, chain, cfg, scenes, masks)
     print(f"wrote {len(scenes)} scenes to {args.out}")
 
@@ -380,13 +406,7 @@ def _estimate_scene(payload):
             theta0 = configuration_from_points(chain, aligned)
         est = initial_estimate(scene.keypoints, theta0, chain, k)
         return scene.index, est, None
-    except (
-        InsufficientCorrespondencesError,
-        ScaleUndefinedError,
-        PnpDegenerateError,
-        AlignmentDegenerateError,
-        ValueError,
-    ) as exc:
+    except (ValueError, PnpDegenerateError) as exc:
         return scene.index, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -405,14 +425,8 @@ def cmd_estimate(args):
         (chain, k, scene, net, bool(args.oracle_edm), bool(args.freeze_dropout), args.seed)
         for scene in scenes
     ]
-    results = _parallel_map(_estimate_scene, payloads, _workers(args.workers))
-    rows = sorted(results, key=lambda r: r[0])
+    rows = _scene_rows(_estimate_scene, payloads, _workers(args.workers), "no scene produced an estimate")
     good = sum(1 for _, est, _ in rows if est is not None)
-    for index, est, error in rows:
-        if est is None:
-            print(f"warning: scene {index}: {error}", file=sys.stderr)
-    if good == 0:
-        raise DatasetFormatError("no scene produced an estimate")
     _write_estimates(args.out, rows)
     print(f"estimated {good}/{len(rows)} scenes, wrote {args.out}")
 
@@ -430,18 +444,16 @@ def _scene_truth(scene, k):
 def _refine_worker(payload):
     chain, k, data_dir, scene, est, meshes, cfg, settings = payload
     try:
-        observed = load_scene_mask(data_dir, scene)
-        truth = _scene_truth(scene, k)
-        refined, trace = refine(est, observed, chain, meshes, k, cfg, settings, ground_truth=truth)
-        return scene.index, refined, trace, None
+        observed = _scene_mask(data_dir, scene, k)
+        result = refine(est, observed, chain, meshes, k, cfg, settings, ground_truth=_scene_truth(scene, k))
+        return scene.index, result, None
     except (ValueError, OSError) as exc:
-        return scene.index, None, None, f"{type(exc).__name__}: {exc}"
+        return scene.index, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_refine(args):
     chain, k, _, scenes = _require_dataset(args.data)
-    by_index = {scene.index: scene for scene in scenes}
-    estimates = _load_estimates(args.estimates, chain)
+    estimates = _load_estimates(args.estimates, chain, scenes)
     cfg = RefinerConfig(
         iterations=int(args.iterations),
         inner_evals_per_iteration=int(args.evals_per_iteration),
@@ -451,34 +463,24 @@ def cmd_refine(args):
     )
     settings = _render_settings(args)
     meshes = default_link_meshes(chain)
-    payloads = []
-    passthrough = []
-    for index, est, error in estimates:
-        if index not in by_index:
-            raise DatasetFormatError(f"estimate references scene {index}, not in the dataset")
-        if est is None:
-            passthrough.append((index, None, error))
-            continue
-        payloads.append((chain, k, args.data, by_index[index], est, meshes, cfg, settings))
-    if not payloads:
-        raise DatasetFormatError("no usable estimates to refine")
-    results = _parallel_map(_refine_worker, payloads, _workers(args.workers))
-    rows = list(passthrough)
-    traces = {}
-    for index, refined, trace, error in results:
-        if refined is None:
-            print(f"warning: scene {index}: {error}", file=sys.stderr)
-            rows.append((index, None, error))
-        else:
-            rows.append((index, refined, None))
-            traces[index] = trace
-    rows.sort(key=lambda r: r[0])
-    if not traces:
-        raise DatasetFormatError("refinement failed on every scene")
+    payloads = [
+        (chain, k, args.data, scene, est, meshes, cfg, settings)
+        for scene, est, _ in estimates
+        if est is not None
+    ]
+    done = _scene_rows(_refine_worker, payloads, _workers(args.workers), "no estimate could be refined")
+    outcome = {index: (result, error) for index, result, error in done}
+    rows, traces = [], []
+    for scene, _, error in sorted(estimates, key=lambda r: r[0].index):
+        result, error = outcome.get(scene.index, (None, error))
+        refined, trace = result or (None, None)
+        rows.append((scene.index, refined, error))
+        if trace is not None:
+            traces.append((scene.index, trace))
     _write_estimates(args.out, rows)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-        for index, trace in sorted(traces.items()):
+        for index, trace in traces:
             lines = ["iteration,evals,objective,add"]
             lines += [
                 f"{r['iteration']},{r['evaluations']},{r['objective']!r},{r['point_error']!r}"
@@ -496,17 +498,13 @@ def cmd_refine(args):
 
 def cmd_eval(args):
     chain, k, _, scenes = _require_dataset(args.data)
-    by_index = {scene.index: scene for scene in scenes}
     records = []
-    for index, est, _error in _load_estimates(args.estimates, chain):
-        if index not in by_index:
-            raise DatasetFormatError(f"estimate references scene {index}, not in the dataset")
+    for scene, est, _ in _load_estimates(args.estimates, chain, scenes):
         if est is None:
             continue
-        scene = by_index[index]
         records.append(
             EvalRecord(
-                scene_index=index,
+                scene_index=scene.index,
                 add=add_metric(scene.pose, scene.theta, est.pose(k), est.theta, chain),
                 mae_deg=mae_config(scene.theta, est.theta),
             )
@@ -530,22 +528,16 @@ def cmd_eval(args):
 
 def cmd_render(args):
     chain, k, _, scenes = _require_dataset(args.data)
-    by_index = {scene.index: scene for scene in scenes}
-    if args.scene not in by_index:
-        raise DatasetFormatError(f"scene {args.scene} is not in the dataset")
-    scene = by_index[args.scene]
+    scene = _dataset_scene({scene.index: scene for scene in scenes}, args.scene)
     theta, pose = scene.theta, scene.pose
     if args.estimates:
-        rows = _load_estimates(args.estimates, chain)
-        match = [est for index, est, _ in rows if index == args.scene]
-        if not match or match[0] is None:
-            raise DatasetFormatError(f"estimates file has no usable entry for scene {args.scene}")
-        theta, pose = match[0].theta, match[0].pose(k)
+        rows = _load_estimates(args.estimates, chain, scenes)
+        est = next((est for row_scene, est, _ in rows if row_scene is scene), None)
+        if est is None:
+            raise DatasetFormatError(f"{args.estimates}: no usable entry for scene {args.scene}")
+        theta, pose = est.theta, est.pose(k)
     meshes = default_link_meshes(chain)
-    observed = load_scene_mask(args.data, scene)
-    if observed.shape != (k.height, k.width):
-        path = os.path.join(args.data, scene.silhouette)
-        raise DatasetFormatError(f"{path}: mask is {observed.shape}, camera expects {(k.height, k.width)}")
+    observed = _scene_mask(args.data, scene, k)
     model = render_chain_silhouette(chain, theta, meshes, pose, k, _render_settings(args))
     overlay = np.zeros((k.height, k.width), dtype=np.uint8)
     overlay[observed] = 128
@@ -689,7 +681,7 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (DatasetFormatError, SceneGenerationError) as exc:
+    except DatasetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,20 +220,13 @@ def configuration_from_points(chain, points):
         raise ValueError(f"expected a ({2 * chain.dof}, 3) skeleton for chain {chain.name!r}")
     p_obs, q_obs = pts[: chain.dof], pts[chain.dof :]
 
-    # The frame walks as a raw (rotation, translation) pair composed in the
-    # order RigidTransform.compose uses, so every angle is bitwise the same as
-    # walking RigidTransform objects; the 3-vector cross products and norms
-    # are spelled out with the same float operations np.cross and
-    # np.linalg.norm perform.
-    rot, origin = chain.base_frame.rotation, chain.base_frame.translation
+    frame = chain.base_frame
     angles = np.zeros(chain.dof)
     ambiguous = []
     for i, joint in enumerate(chain.joints):
-        axis = rot[:, 2]
-        zero = dh_transform(joint, -joint.theta_offset)
-        ref_rot = rot @ zero.rotation
-        ref_origin = rot @ zero.translation + origin
-        ref_vecs = (ref_origin - origin, ref_origin + ref_rot[:, 2] - origin)
+        axis, origin = frame.rotation[:, 2], frame.translation
+        zero = frame @ dh_transform(joint, -joint.theta_offset)
+        ref_vecs = (zero.translation - origin, zero.translation + zero.rotation[:, 2] - origin)
         obs_vecs = (p_obs[i] - origin, q_obs[i] - origin)
         sin_acc = 0.0
         cos_acc = 0.0
@@ -243,6 +236,7 @@ def configuration_from_points(chain, points):
             obs_perp = obs - axis * (axis @ obs)
             r0, r1, r2 = ref_perp.tolist()
             o0, o1, o2 = obs_perp.tolist()
+            # np.cross and np.linalg.norm, spelled out with the same float operations
             cross = np.array([r1 * o2 - r2 * o1, r2 * o0 - r0 * o2, r0 * o1 - r1 * o0])
             sin_acc += float(axis @ cross)
             cos_acc += float(ref_perp @ obs_perp)
@@ -258,8 +252,7 @@ def configuration_from_points(chain, points):
         elif theta > joint.limit_hi and theta - 2.0 * math.pi >= joint.limit_lo:
             theta -= 2.0 * math.pi
         angles[i] = theta
-        step = dh_transform(joint, phi - joint.theta_offset)
-        rot, origin = rot @ step.rotation, rot @ step.translation + origin
+        frame = frame @ dh_transform(joint, phi - joint.theta_offset)
     if ambiguous:
         warnings.warn(
             f"joints {ambiguous} have no perpendicular lever; returned reference angles",
@@ -517,6 +510,12 @@ class AdamState:
         )
 
 
+# Adam's moment decay rates and denominator guard, at the usual values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     """Optimizer settings; steps counts total optimization steps.
@@ -530,9 +529,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     warmup_steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     start_step: int = 0
 
@@ -546,11 +542,6 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
             )
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
 
 def train_gim(net, dataset, cfg, adam_state=None):
@@ -600,10 +591,10 @@ def train_gim(net, dataset, cfg, adam_state=None):
         params = weights + biases
         grads = [g * inv for g in gw] + [g * inv for g in gb]
         for pi, (param, grad) in enumerate(zip(params, grads)):
-            state.m[pi] = cfg.beta1 * state.m[pi] + (1.0 - cfg.beta1) * grad
-            state.v[pi] = cfg.beta2 * state.v[pi] + (1.0 - cfg.beta2) * grad * grad
-            m_hat = state.m[pi] / (1.0 - cfg.beta1**t)
-            v_hat = state.v[pi] / (1.0 - cfg.beta2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            state.m[pi] = ADAM_BETA1 * state.m[pi] + (1.0 - ADAM_BETA1) * grad
+            state.v[pi] = ADAM_BETA2 * state.v[pi] + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = state.m[pi] / (1.0 - ADAM_BETA1**t)
+            v_hat = state.v[pi] / (1.0 - ADAM_BETA2**t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         state.step = t
     return work, trace, state

@@ -147,17 +147,21 @@ def test_config_file_supplies_defaults_flags_win(tmp_path):
 
 
 def test_gen_is_bitwise_repeatable(tmp_path):
-    a = gen_dataset(str(tmp_path / "a"), count=3, seed=5)
-    b = gen_dataset(str(tmp_path / "b"), count=3, seed=5)
     import pathlib
 
-    for name in ["chain.json", "camera.json", "sampler.json", "scenes.jsonl"]:
-        assert (pathlib.Path(a) / name).read_bytes() == (pathlib.Path(b) / name).read_bytes()
+    a = gen_dataset(str(tmp_path / "a"), count=3, seed=5)
     masks_a = sorted(pathlib.Path(a).glob("silhouettes/*.pgm"))
-    masks_b = sorted(pathlib.Path(b).glob("silhouettes/*.pgm"))
     assert len(masks_a) == 3
-    for ma, mb in zip(masks_a, masks_b):
-        assert ma.read_bytes() == mb.read_bytes()
+    # a second run, in one process and in a pool of two
+    for other, workers in [("b", 1), ("c", 2)]:
+        b = tmp_path / other
+        assert run("gen", "--out", b, "--count", 3, "--seed", 5, "--workers", workers) == 0
+        for name in ["chain.json", "camera.json", "sampler.json", "scenes.jsonl"]:
+            assert (pathlib.Path(a) / name).read_bytes() == (b / name).read_bytes()
+        masks_b = sorted(b.glob("silhouettes/*.pgm"))
+        assert [m.name for m in masks_b] == [m.name for m in masks_a]
+        for ma, mb in zip(masks_a, masks_b):
+            assert ma.read_bytes() == mb.read_bytes()
 
 
 def test_gen_all_scenes_failing_exits_five(tmp_path):
@@ -357,8 +361,51 @@ def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path):
     assert all("error" not in row for row in rows[1:])
 
 
+def test_refine_is_the_same_in_a_process_pool(fronto_dataset, tmp_path):
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    outs = []
+    for workers in (1, 2):
+        out, traces = tmp_path / f"refined{workers}.jsonl", tmp_path / f"traces{workers}"
+        assert run(
+            "refine", "--data", fronto_dataset, "--estimates", est, "--out", out,
+            "--iterations", 1, "--evals-per-iteration", 8, "--samples-per-link", 100,
+            "--trace-dir", traces, "--workers", workers,
+        ) == 0
+        files = sorted(traces.glob("trace_*.csv"))
+        assert len(files) == 5
+        outs.append([out.read_bytes()] + [(f.name, f.read_bytes()) for f in files])
+    assert outs[0] == outs[1]
+
+
+def test_refine_names_a_mask_of_the_wrong_size(fronto_dataset, tmp_path, capsys):
+    import shutil
+
+    import numpy as np
+
+    from armpose import write_pgm
+
+    data = shutil.copytree(fronto_dataset, tmp_path / "data")
+    write_pgm(str(data / "silhouettes" / "scene_00000.pgm"), np.zeros((100, 100), dtype=bool))
+    est = tmp_path / "est.jsonl"
+    refined = tmp_path / "refined.jsonl"
+    assert run("estimate", "--data", data, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    capsys.readouterr()
+    assert run(
+        "refine", "--data", data, "--estimates", est, "--out", refined,
+        "--iterations", 1, "--evals-per-iteration", 5, "--samples-per-link", 100, "--workers", 1,
+    ) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning: scene 0:") and "silhouettes/scene_00000.pgm" in warned[0]
+    rows = [json.loads(line) for line in refined.read_text().splitlines()]
+    assert rows[0]["index"] == 0 and "silhouettes/scene_00000.pgm" in rows[0]["error"]
+    assert all("error" not in row for row in rows[1:])
+
+
 def _assert_bad_second_row_rejected(dataset, tmp_path, capsys, key, value):
-    """eval and refine exit 5 naming path:2 when row 2 of a good file gets key = value."""
+    """eval, refine and render --estimates exit 5 naming path:2 when row 2 of
+    a good file gets key = value."""
     est = tmp_path / "est.jsonl"
     assert run("estimate", "--data", dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
     lines = est.read_text().splitlines()[:2]
@@ -375,7 +422,10 @@ def _assert_bad_second_row_rejected(dataset, tmp_path, capsys, key, value):
     )
     assert code == 5
     assert f"{est}:2" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "refined.jsonl").exists()
+    assert run("render", "--data", dataset, "--scene", 0, "--estimates", est, "--out", tmp_path / "x.pgm") == 5
+    assert f"{est}:2" in capsys.readouterr().err
+    for name in ("r.json", "refined.jsonl", "x.pgm"):
+        assert not (tmp_path / name).exists()
 
 
 def test_nan_rotation_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys):
@@ -389,6 +439,11 @@ def test_nan_rotation_row_is_rejected_with_its_line(fronto_dataset, tmp_path, ca
 )
 def test_bad_theta_row_is_rejected_with_its_line(fronto_dataset, tmp_path, capsys, theta):
     _assert_bad_second_row_rejected(fronto_dataset, tmp_path, capsys, "theta", theta)
+
+
+@pytest.mark.parametrize("index", [0, 999], ids=["repeated", "unknown"])
+def test_row_naming_a_repeated_or_unknown_scene_is_rejected(fronto_dataset, tmp_path, capsys, index):
+    _assert_bad_second_row_rejected(fronto_dataset, tmp_path, capsys, "index", index)
 
 
 def test_eval_rejects_estimate_for_unknown_scene(fronto_dataset, tmp_path):

@@ -81,3 +81,28 @@ def test_internal_import_graph_is_acyclic():
 
     for node in sorted(graph):
         visit(node)
+
+
+def test_every_module_import_is_used():
+    """A module-level import binds a name the module reads, unless its line
+    says ``# noqa: F401``. The package ``__init__`` is skipped: it imports
+    names to re-export them."""
+    unused = []
+    for name in _module_names():
+        if name == "__init__":
+            continue
+        source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                waived = any("# noqa: F401" in lines[at - 1] for at in (node.lineno, alias.lineno))
+                if bound not in read and not waived:
+                    unused.append(f"{name}.py:{alias.lineno} imports {bound}, which it never reads")
+    assert unused == []
