@@ -20,11 +20,11 @@ from armpose import (
     add_metric,
     align_points,
     build_report,
+    build_scene,
     builtin_chain,
     configuration_from_points,
     default_link_meshes,
     edm_from_configuration,
-    generate_dataset,
     gram_from_edm,
     init_regressor,
     initial_estimate,
@@ -42,7 +42,7 @@ meshes = default_link_meshes(chain)
 settings = RenderSettings()
 
 print("generating 30 scenes (seed 5)...")
-scenes, masks = generate_dataset(chain, cfg, count=30, seed=5, meshes=meshes, render_settings=settings)
+scenes, masks = zip(*(build_scene(chain, cfg, 5, index, meshes, settings) for index in range(30)))
 train_scenes, eval_scenes = scenes[:20], scenes[20:]
 eval_masks = masks[20:]
 

@@ -6,13 +6,12 @@ recover the joint configuration, EPnP plus a single-link scale gives the
 camera pose, and a silhouette-overlap search refines everything jointly.
 """
 
+from ._io import DatasetFormatError
 from .datagen import (
-    DatasetFormatError,
     SamplerConfig,
     Scene,
     SceneGenerationError,
     build_scene,
-    generate_dataset,
     load_scene_mask,
     look_at,
     perturb_keypoints,

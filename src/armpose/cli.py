@@ -7,7 +7,8 @@ refine (silhouette refinement), eval (metrics reports), and render
 --config; explicit flags win over the file, which wins over defaults.
 
 Exit codes: 0 success, 2 configuration or missing-input errors, 3 I/O
-failures, 4 training divergence, 5 inconsistent or unusable data.
+failures, 4 training divergence, 5 an input file holding a bad record, or
+no scene processed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import DatasetFormatError, atomic_write_text, read_jsonl
 from .datagen import (
-    DatasetFormatError,
     SamplerConfig,
     SceneGenerationError,
     build_scene,
@@ -184,17 +184,6 @@ def _resolve_chain(spec):
     return load_chain(spec)
 
 
-def _require_file(path, what):
-    if not os.path.exists(path):
-        raise CliError(EXIT_CONFIG, f"{what} not found: {path}")
-    return path
-
-
-def _require_dataset(path):
-    _require_file(path, "dataset directory")
-    return read_dataset(path)
-
-
 def _render_settings(args):
     return RenderSettings(
         samples_per_link=int(args.samples_per_link),
@@ -232,10 +221,10 @@ def _scene_rows(worker, payloads, workers, none_done):
     return rows
 
 
-def _dataset_scene(by_index, index, where=""):
-    """The scene with this index; where prefixes the error for a missing one."""
+def _dataset_scene(by_index, index):
+    """The scene with this index; DatasetFormatError when there is none."""
     if index not in by_index:
-        raise DatasetFormatError(f"{where}scene {index} is not in the dataset")
+        raise DatasetFormatError(f"scene {index} is not in the dataset")
     return by_index[index]
 
 
@@ -247,31 +236,22 @@ def _load_estimates(path, chain, scenes):
     names a scene the dataset lacks or an earlier row already named is
     reported with its file and line.
     """
-    _require_file(path, "estimates file")
     by_index = {scene.index: scene for scene in scenes}
-    rows = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                index = int(obj["index"])
-                if "error" in obj:
-                    est, error = None, str(obj["error"])
-                else:
-                    est, error = Estimate.from_json(obj), None
-                    check_configuration(chain, est.theta)
-            except (ValueError, KeyError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: bad estimate record: {exc}") from exc
-            if index in seen:
-                raise DatasetFormatError(f"{path}:{lineno}: scene {index} already has an estimate")
-            seen.add(index)
-            rows.append((_dataset_scene(by_index, index, f"{path}:{lineno}: "), est, error))
-    if not rows:
-        raise DatasetFormatError(f"{path}: no estimate records")
-    return rows
+
+    def parse(obj):
+        index = int(obj["index"])
+        if "error" in obj:
+            est, error = None, str(obj["error"])
+        else:
+            est, error = Estimate.from_json(obj), None
+            check_configuration(chain, est.theta)
+        if index in seen:
+            raise ValueError(f"scene {index} already has an estimate")
+        seen.add(index)
+        return _dataset_scene(by_index, index), est, error
+
+    return read_jsonl(path, parse, "estimate record")
 
 
 def _scene_mask(data_dir, scene, k):
@@ -338,7 +318,7 @@ def cmd_gen(args):
 
 
 def cmd_train_gim(args):
-    chain, k, _, scenes = _require_dataset(args.data)
+    chain, k, _, scenes = read_dataset(args.data)
     dataset = [
         (
             keypoint_features(scene.keypoints, k.width, k.height),
@@ -351,7 +331,6 @@ def cmd_train_gim(args):
     start_step = 0
     adam_state = None
     if args.resume:
-        _require_file(args.resume, "resume checkpoint")
         net, adam_state = load_regressor(args.resume)
         if adam_state is None:
             raise CliError(EXIT_CONFIG, f"{args.resume} has no trainer state to resume from")
@@ -375,7 +354,9 @@ def cmd_train_gim(args):
         start_step=start_step,
     )
     if cfg.start_step >= cfg.steps:
-        raise CliError(EXIT_CONFIG, f"checkpoint already at step {start_step}, nothing to do")
+        if args.resume:
+            raise CliError(EXIT_CONFIG, f"checkpoint already at step {start_step}, nothing to do")
+        raise CliError(EXIT_CONFIG, f"--steps must be at least 1, got {cfg.steps}")
     net, trace, adam_state = train_gim(net, dataset, cfg, adam_state)
     save_regressor(net, args.out, trainer_state=adam_state)
     if args.trace:
@@ -411,12 +392,12 @@ def _estimate_scene(payload):
 
 
 def cmd_estimate(args):
-    chain, k, _, scenes = _require_dataset(args.data)
+    chain, k, _, scenes = read_dataset(args.data)
     net = None
     if not args.oracle_edm:
         if not args.net:
             raise CliError(EXIT_CONFIG, "estimate needs --net unless --oracle-edm is set")
-        net, _ = load_regressor(_require_file(args.net, "regressor file"))
+        net, _ = load_regressor(args.net)
         if net.layer_dims[0] != 2 * (chain.dof + 1):
             raise CliError(EXIT_CONFIG, "regressor input width does not match this chain")
         if net.matrix_size != 2 * chain.dof:
@@ -452,7 +433,7 @@ def _refine_worker(payload):
 
 
 def cmd_refine(args):
-    chain, k, _, scenes = _require_dataset(args.data)
+    chain, k, _, scenes = read_dataset(args.data)
     estimates = _load_estimates(args.estimates, chain, scenes)
     cfg = RefinerConfig(
         iterations=int(args.iterations),
@@ -497,7 +478,7 @@ def cmd_refine(args):
 
 
 def cmd_eval(args):
-    chain, k, _, scenes = _require_dataset(args.data)
+    chain, k, _, scenes = read_dataset(args.data)
     records = []
     for scene, est, _ in _load_estimates(args.estimates, chain, scenes):
         if est is None:
@@ -527,7 +508,7 @@ def cmd_eval(args):
 
 
 def cmd_render(args):
-    chain, k, _, scenes = _require_dataset(args.data)
+    chain, k, _, scenes = read_dataset(args.data)
     scene = _dataset_scene({scene.index: scene for scene in scenes}, args.scene)
     theta, pose = scene.theta, scene.pose
     if args.estimates:

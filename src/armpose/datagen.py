@@ -11,18 +11,16 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
-from .kinematics import RigidTransform, load_chain, skeleton_keypoints
+from ._io import atomic_write_text, read_json, read_jsonl
+from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
     NEAR_PLANE,
     RenderSettings,
-    default_link_meshes,
     read_pgm,
     render_chain_silhouette,
     write_pgm,
@@ -33,11 +31,7 @@ MIN_VISIBLE = 4
 
 
 class SceneGenerationError(RuntimeError):
-    """Raised when a scene (or a whole dataset) cannot be sampled."""
-
-
-class DatasetFormatError(ValueError):
-    """Raised when a dataset file does not parse."""
+    """Raised when a scene cannot be sampled."""
 
 
 @dataclass(frozen=True)
@@ -82,15 +76,7 @@ class SamplerConfig:
         )
 
     def to_json(self):
-        return {
-            "distance": list(self.distance),
-            "elevation": list(self.elevation),
-            "azimuth": list(self.azimuth),
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "focal": self.focal,
-            "noise_std": self.noise_std,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -234,28 +220,6 @@ def build_scene(chain, cfg, seed, index, meshes, render_settings):
     return scene, mask
 
 
-def generate_dataset(chain, cfg, count, seed, meshes=None, render_settings=None):
-    """Build `count` scenes in memory. Scenes that fail to sample are skipped
-    with a warning; an empty result raises."""
-    if count < 1:
-        raise ValueError("need at least one scene")
-    meshes = meshes if meshes is not None else default_link_meshes(chain)
-    render_settings = render_settings or RenderSettings()
-    scenes = []
-    masks = []
-    for index in range(count):
-        try:
-            scene, mask = build_scene(chain, cfg, seed, index, meshes, render_settings)
-        except SceneGenerationError as exc:
-            warnings.warn(str(exc))
-            continue
-        scenes.append(scene)
-        masks.append(mask)
-    if not scenes:
-        raise SceneGenerationError("every scene failed to sample")
-    return scenes, masks
-
-
 def write_dataset(out_dir, chain, cfg, scenes, masks):
     """Write chain.json, camera.json, sampler.json, scenes.jsonl and masks."""
     sil_dir = os.path.join(out_dir, "silhouettes")
@@ -275,24 +239,27 @@ def write_dataset(out_dir, chain, cfg, scenes, masks):
 
 
 def read_dataset(in_dir):
-    """Load a dataset directory. Returns (chain, intrinsics, sampler, scenes)."""
+    """Load a dataset directory. Returns (chain, intrinsics, sampler, scenes).
+
+    A scene row must fit the chain (its angles, dof + 1 keypoints) and use
+    an index no earlier row used.
+    """
     chain = load_chain(os.path.join(in_dir, "chain.json"))
-    with open(os.path.join(in_dir, "camera.json"), "r", encoding="utf-8") as fh:
-        k = CameraIntrinsics.from_json(json.load(fh))
-    with open(os.path.join(in_dir, "sampler.json"), "r", encoding="utf-8") as fh:
-        cfg = SamplerConfig.from_json(json.load(fh))
-    scenes = []
-    path = os.path.join(in_dir, "scenes.jsonl")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                scenes.append(Scene.from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: bad scene record: {exc}") from exc
-    if not scenes:
-        raise DatasetFormatError(f"{path}: no scenes")
+    k = read_json(os.path.join(in_dir, "camera.json"), CameraIntrinsics.from_json)
+    cfg = read_json(os.path.join(in_dir, "sampler.json"), SamplerConfig.from_json)
+    seen = set()
+
+    def parse(obj):
+        scene = Scene.from_json(obj)
+        check_configuration(chain, scene.theta)
+        if {len(scene.keypoints), len(scene.keypoints_true)} != {chain.dof + 1}:
+            raise ValueError(f"chain {chain.name!r} needs {chain.dof + 1} keypoints per scene")
+        if scene.index in seen:
+            raise ValueError(f"scene {scene.index} is already on an earlier line")
+        seen.add(scene.index)
+        return scene
+
+    scenes = read_jsonl(os.path.join(in_dir, "scenes.jsonl"), parse, "scene record")
     return chain, k, cfg, scenes
 
 

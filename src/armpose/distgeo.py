@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_json
 from .kinematics import dh_transform, joint_points, kabsch, wrap_angle
 
 
@@ -361,10 +361,12 @@ def save_regressor(net, path, trainer_state=None):
 
 def load_regressor(path):
     """Load a regressor; returns (net, trainer_state_or_None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    state = AdamState.from_json(obj["trainer_state"]) if "trainer_state" in obj else None
-    return MlpRegressor.from_json(obj), state
+
+    def parse(obj):
+        state = AdamState.from_json(obj["trainer_state"]) if "trainer_state" in obj else None
+        return MlpRegressor.from_json(obj), state
+
+    return read_json(path, parse)
 
 
 def _sample_masks(net, rng, batch):

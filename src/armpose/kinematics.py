@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_json
 
 _EYE3 = np.eye(3)
 
@@ -171,14 +171,7 @@ class JointSpec:
             raise ValueError(f"joint limits must satisfy lo < hi, got [{self.limit_lo}, {self.limit_hi}]")
 
     def to_json(self):
-        return {
-            "a": self.a,
-            "d": self.d,
-            "alpha": self.alpha,
-            "theta_offset": self.theta_offset,
-            "limit_lo": self.limit_lo,
-            "limit_hi": self.limit_hi,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -241,8 +234,7 @@ class KinematicChain:
 
 def load_chain(path):
     """Load a chain definition from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return KinematicChain.from_json(json.load(fh))
+    return read_json(path, KinematicChain.from_json)
 
 
 def builtin_chain(name):

@@ -11,7 +11,7 @@ the record that refinement then moves and the CLI reads and writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,14 +69,7 @@ class CameraIntrinsics:
         return depth_scale * np.array([(u - self.cx) / self.fx, (v - self.cy) / self.fy, 1.0])
 
     def to_json(self):
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):

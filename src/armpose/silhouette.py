@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import DatasetFormatError, atomic_write_bytes
 from .kinematics import forward_kinematics
 
 NEAR_PLANE = 1e-6
@@ -314,11 +314,12 @@ def write_pgm(path, image):
 
 
 def read_pgm(path):
-    """Read a binary PGM into a uint8 (height, width) array."""
+    """Read a binary PGM into a uint8 (height, width) array; a file that is not
+    one raises DatasetFormatError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise DatasetFormatError(f"{path}: not a binary PGM (P5) file")
     fields = []
     pos = 2
     while len(fields) < 3:
@@ -331,16 +332,16 @@ def read_pgm(path):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
+        if not data[start:pos].isdigit():
+            raise DatasetFormatError(f"{path}: truncated or bad PGM header")
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+        raise DatasetFormatError(f"{path}: unsupported maxval {maxval}")
     raw = data[pos : pos + width * height]
     if len(raw) != width * height:
-        raise ValueError(f"{path}: pixel payload truncated")
+        raise DatasetFormatError(f"{path}: pixel payload truncated")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests that drive the command line in process via main(argv)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -285,6 +286,7 @@ def test_train_divergence_exits_four(noisy_dataset, tmp_path):
         (["--learning-rate", -1], "learning_rate"),
         (["--steps", -1], "steps"),
         (["--warmup-steps", -1], "warmup_steps"),
+        (["--steps", 0], "steps"),
     ],
 )
 def test_train_bad_optimizer_setting_exits_two(noisy_dataset, tmp_path, capsys, flags, field):
@@ -608,3 +610,81 @@ def test_negative_seed_exits_two_naming_the_option(
     err = capsys.readouterr().err
     assert option in err and "-1" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _edit_second_scene(data, edit):
+    path = data / "scenes.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    edit(row)
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:2:"
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-10])
+    return str(path)
+
+
+# (id, corrupt the copied dataset and return what the error must name,
+#  the command that reads the corrupted file)
+_MALFORMED = [
+    ("camera-without-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.pop("fx")), "estimate"),
+    ("camera-negative-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.update(fx=-1)), "estimate"),
+    (
+        "chain-joint-without-limit",
+        lambda d, net: _edit_json(d / "chain.json", lambda o: o["joints"][2].pop("limit_lo")),
+        "estimate",
+    ),
+    ("sampler-not-json", lambda d, net: _write(d / "sampler.json", "{"), "estimate"),
+    ("scene-six-angles", lambda d, net: _edit_second_scene(d, lambda r: r["theta"].pop()), "eval"),
+    ("scene-seven-keypoints", lambda d, net: _edit_second_scene(d, lambda r: r["keypoints"].pop()), "train-gim"),
+    ("scene-repeated-index", lambda d, net: _edit_second_scene(d, lambda r: r.update(index=0)), "estimate"),
+    ("mask-truncated", lambda d, net: _truncate(d / "silhouettes" / "scene_00000.pgm"), "render"),
+    ("regressor-without-weights", lambda d, net: str(net), "estimate-net"),
+    ("checkpoint-without-weights", lambda d, net: str(net), "train-gim-resume"),
+]
+
+
+@pytest.mark.parametrize("corrupt, command", [c[1:] for c in _MALFORMED], ids=[c[0] for c in _MALFORMED])
+def test_malformed_input_file_exits_five_naming_it(fronto_dataset, tmp_path, capsys, corrupt, command):
+    data = shutil.copytree(fronto_dataset, tmp_path / "data")
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", data, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"layer_dims": [16, 8, 8, 91]}))
+    named = corrupt(data, net)
+    out = tmp_path / "out"
+    argv = {
+        "estimate": ["estimate", "--data", data, "--out", out, "--oracle-edm", "--workers", 1],
+        "estimate-net": ["estimate", "--data", data, "--out", out, "--net", net, "--workers", 1],
+        "eval": ["eval", "--data", data, "--estimates", est, "--out", out],
+        "train-gim": ["train-gim", "--data", data, "--out", out, "--steps", 2],
+        "train-gim-resume": ["train-gim", "--data", data, "--out", out, "--steps", 2, "--resume", net],
+        "render": ["render", "--data", data, "--scene", 0, "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 5
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_missing_dataset_directory_exits_two_naming_it(tmp_path, capsys):
+    data = tmp_path / "nowhere"
+    assert run("estimate", "--data", data, "--out", tmp_path / "e.jsonl", "--oracle-edm") == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from armpose import (
     build_scene,
     default_link_meshes,
     forward_kinematics,
-    generate_dataset,
     load_scene_mask,
     look_at,
     perturb_keypoints,
@@ -195,13 +195,16 @@ def test_scene_json_round_trip():
     assert np.array_equal(again.keypoints.uv, scene.keypoints.uv)
 
 
+def _scenes(chain, cfg, count, seed, settings):
+    meshes = default_link_meshes(chain)
+    return zip(*(build_scene(chain, cfg, seed, index, meshes, settings) for index in range(count)))
+
+
 def test_dataset_round_trip_bitwise(tmp_path):
     chain = builtin_chain("panda7")
     cfg = SamplerConfig()
     settings = RenderSettings(samples_per_link=80, splat_radius=1, seed=0)
-    meshes = default_link_meshes(chain)
-    scenes, masks = generate_dataset(chain, cfg, count=4, seed=9, meshes=meshes, render_settings=settings)
-    assert len(scenes) == 4
+    scenes, masks = _scenes(chain, cfg, 4, 9, settings)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     write_dataset(out_a, chain, cfg, scenes, masks)
@@ -218,24 +221,24 @@ def test_dataset_round_trip_bitwise(tmp_path):
 
 
 def test_read_dataset_reports_bad_line(tmp_path):
+    """A second scene row that does not parse, repeats the first row's index,
+    or does not fit the chain is reported with its file and line."""
     chain = builtin_chain("panda7")
     cfg = SamplerConfig()
     settings = RenderSettings(samples_per_link=60, splat_radius=1, seed=0)
-    meshes = default_link_meshes(chain)
-    scenes, masks = generate_dataset(chain, cfg, count=2, seed=1, meshes=meshes, render_settings=settings)
+    scenes, masks = _scenes(chain, cfg, 2, 1, settings)
     out = tmp_path / "d"
     write_dataset(out, chain, cfg, scenes, masks)
     path = out / "scenes.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = lines[1][: len(lines[1]) // 2]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match=r"scenes\.jsonl:2:"):
-        read_dataset(out)
-
-
-def test_generate_dataset_skips_failures_and_raises_when_all_fail():
-    chain = builtin_chain("panda7")
-    bad = SamplerConfig(image_width=8, image_height=8, focal=5000.0)
-    with pytest.raises(SceneGenerationError):
-        with pytest.warns(UserWarning):
-            generate_dataset(chain, bad, count=2, seed=0)
+    good = path.read_text(encoding="utf-8").splitlines()
+    second = json.loads(good[1])
+    bad_rows = [
+        good[1][: len(good[1]) // 2],
+        json.dumps({**second, "index": 0}),
+        json.dumps({**second, "theta": second["theta"][:6]}),
+        json.dumps({**second, "keypoints": second["keypoints"][:7]}),
+    ]
+    for bad in bad_rows:
+        path.write_text("\n".join([good[0], bad]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=r"scenes\.jsonl:2:"):
+            read_dataset(out)

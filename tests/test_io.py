@@ -1,8 +1,11 @@
+import json
 import os
+import re
 
 import pytest
 
-from armpose._io import atomic_write_bytes
+from armpose import DatasetFormatError, builtin_chain, load_chain, load_regressor
+from armpose._io import atomic_write_bytes, read_jsonl
 
 
 def test_failed_atomic_write_keeps_old_file_and_cleans_up(tmp_path):
@@ -12,3 +15,31 @@ def test_failed_atomic_write_keeps_old_file_and_cleans_up(tmp_path):
         atomic_write_bytes(path, "not bytes")
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_loaders_name_a_bad_file(tmp_path):
+    chain = builtin_chain("panda7").to_json()
+    del chain["joints"][2]["limit_lo"]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: missing key 'limit_lo'")):
+        load_chain(path)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"layer_dims": [16, 8, 8, 91]}))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: missing key 'weights'")):
+        load_regressor(path)
+    path.write_text("{")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ")):
+        load_regressor(path)
+
+
+def test_read_jsonl_skips_blank_lines_and_rejects_a_file_without_records(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": 2}\n')
+    assert read_jsonl(path, lambda obj: obj["a"], "row") == [1, 2]
+    path.write_text('{"a": 1}\n\n[3]\n')
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:3: bad row: ")):
+        read_jsonl(path, lambda obj: obj["a"], "row")
+    path.write_text("\n")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: no rows")):
+        read_jsonl(path, lambda obj: obj["a"], "row")
