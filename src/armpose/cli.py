@@ -90,7 +90,7 @@ def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise CliError(EXIT_CONFIG, f"config file {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise CliError(EXIT_CONFIG, f"config file {path} must hold a JSON object of option values")

@@ -297,15 +297,15 @@ class MlpRegressor:
             expect = (self.layer_dims[li + 1], self.layer_dims[li])
             if w.shape != expect or b.shape != (expect[0],):
                 raise ValueError(f"stage {li} has shape {w.shape}, expected {expect}")
+        m, out = self.matrix_size, self.layer_dims[-1]
+        if m * (m - 1) // 2 != out:
+            raise ValueError(f"output width {out} is not a triangular number")
 
     @property
     def matrix_size(self):
-        """Side length m of the emitted squared-distance matrix."""
-        out = self.layer_dims[-1]
-        m = int(round(0.5 * (1.0 + math.sqrt(1.0 + 8.0 * out))))
-        if m * (m - 1) // 2 != out:
-            raise ValueError(f"output width {out} is not a triangular number")
-        return m
+        """Side length m of the emitted squared-distance matrix, whose upper
+        triangle the output width holds (checked on construction)."""
+        return int(round(0.5 * (1.0 + math.sqrt(1.0 + 8.0 * self.layer_dims[-1]))))
 
     def to_json(self):
         return {

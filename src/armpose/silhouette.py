@@ -6,7 +6,8 @@ pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
-Posed link clouds become stacked rows in one place, ``_link_rows``.
+Posed link clouds become stacked rows in one place, ``_link_rows``, and
+are rotated into the camera in one place, ``_camera_rows``.
 Camera-rotated points and the camera translation become pixel centers in
 one place, ``pixel_centers``, and the splat has one implementation,
 ``_splat_window``: it turns the centers in front of the near plane into the
@@ -126,12 +127,20 @@ def render_silhouette(points, pose, k, settings):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
-    pix, front = pixel_centers(pts @ pose.rotation.T, pose.translation, k)
+    pix, front = pixel_centers(_camera_rows(pts, pose.rotation), pose.translation, k)
     splat = _splat_window(pix, front, k, settings.splat_radius)
     if splat is not None:
         window, y0, x0 = splat
         bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
     return bits
+
+
+def _camera_rows(points, rotation):
+    """points (n, 3) rotated into the camera, points @ rotation.T: the one
+    camera-rotation product that render_silhouette and the refiner's cache
+    share. The transpose is copied to C order first, because BLAS multiplies
+    by the Fortran-order view of rotation.T about three times slower."""
+    return points @ np.ascontiguousarray(rotation.T)
 
 
 def pixel_centers(rotated, t, k):

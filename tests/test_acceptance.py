@@ -413,8 +413,8 @@ def _run_sweep(iterations):
     return _SWEEP[key]
 
 
-def test_criterion_09_refinement_improves_initialization():
-    results, elapsed = _run_sweep(3)
+def _add_summary(results):
+    """(wins, initial median ADD, refined median ADD) of a sweep's results."""
     chain = _SWEEP["chain"]
     k = _SWEEP["k"]
     adds_init = []
@@ -423,10 +423,14 @@ def test_criterion_09_refinement_improves_initialization():
         adds_init.append(add_metric(scene.pose, scene.theta, init.pose(k), init.theta, chain))
         adds_ref.append(add_metric(scene.pose, scene.theta, refined.pose(k), refined.theta, chain))
     wins = sum(r < i for r, i in zip(adds_ref, adds_init))
-    med_init = float(np.median(adds_init))
-    med_ref = float(np.median(adds_ref))
+    return wins, float(np.median(adds_init)), float(np.median(adds_ref))
+
+
+def test_criterion_09_refinement_improves_initialization():
+    results, elapsed = _run_sweep(3)
+    wins, med_init, med_ref = _add_summary(results)
     ratio = med_ref / med_init
-    # reference run on this seed: 94/100 improved, 0.2654 -> 0.0962
+    # reference run on this seed: 93/100 improved, 0.2654 -> 0.0888
     assert elapsed < 300.0
     assert wins >= 90
     assert ratio <= 0.6
@@ -438,15 +442,23 @@ def test_criterion_09_refinement_improves_initialization():
 
 def test_criterion_10_more_iterations_do_not_hurt():
     three, _ = _run_sweep(3)
-    one, _ = _run_sweep(1)
+    one, elapsed_one = _run_sweep(1)
     finals_three = [trace[-1]["objective"] for _, trace in three]
     finals_one = [trace[-1]["objective"] for _, trace in one]
     med_three = float(np.median(finals_three))
     med_one = float(np.median(finals_one))
     assert med_three <= med_one
+    # one iteration is the default budget, and it holds criterion 9's win
+    # count and the median ADD the 3-iteration search without the pattern
+    # move reached (reference run: 93/100, 0.2654 -> 0.0945)
+    assert RefinerConfig() == RefinerConfig(iterations=1)
+    wins, med_init, med_ref = _add_summary(one)
+    assert wins >= 90
+    assert med_ref <= 0.0962
     print(
         f"criterion 10 PASS: median final objective {med_three:.4f} with 3 iterations "
-        f"vs {med_one:.4f} with 1"
+        f"vs {med_one:.4f} with 1; the default 1 iteration improves {wins}/100 scenes, "
+        f"median ADD {med_init:.4f} -> {med_ref:.4f}, {elapsed_one:.0f}s"
     )
 
 

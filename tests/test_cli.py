@@ -127,6 +127,16 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [b"{", b"\xff\xfe{"], ids=["not-json", "not-utf8"])
+def test_config_file_that_does_not_parse_exits_two_naming_it(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(body)
+    assert run("gen", "--out", tmp_path / "d", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_config_pair_values_convert_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 1, "distance": [2, 3]}))
@@ -634,6 +644,13 @@ def _write(path, text):
     return str(path)
 
 
+def _write_regressor(path, dims):
+    """A regressor file with zero weights and the given layer widths."""
+    weights = [[0.0] * (dims[i] * dims[i + 1]) for i in range(3)]
+    path.write_text(json.dumps({"layer_dims": dims, "weights": weights, "biases": [[0.0] * n for n in dims[1:]]}))
+    return str(path)
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-10])
     return str(path)
@@ -656,6 +673,7 @@ _MALFORMED = [
     ("mask-truncated", lambda d, net: _truncate(d / "silhouettes" / "scene_00000.pgm"), "render"),
     ("regressor-without-weights", lambda d, net: str(net), "estimate-net"),
     ("checkpoint-without-weights", lambda d, net: str(net), "train-gim-resume"),
+    ("regressor-output-not-triangular", lambda d, net: _write_regressor(net, [16, 8, 8, 90]), "estimate-net"),
 ]
 
 

@@ -365,6 +365,12 @@ def test_init_regressor_shapes_and_round_trip(tmp_path):
     assert load_regressor(path)[0].to_json() == net.to_json()
 
 
+def test_regressor_output_width_must_be_triangular():
+    with pytest.raises(ValueError, match="output width 90 is not a triangular number"):
+        init_regressor(16, 90)
+    assert init_regressor(16, 91).matrix_size == 14
+
+
 @pytest.mark.parametrize("hidden", [(0, 5), (5, 0), (-1, 5)])
 def test_regressor_rejects_layers_narrower_than_one(hidden):
     with pytest.raises(ValueError, match="width"):

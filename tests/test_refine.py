@@ -29,6 +29,7 @@ from armpose.cli import _estimate_scene
 from armpose.datagen import SamplerConfig, Scene, build_scene, perturb_keypoints, sample_scene
 from armpose.distgeo import TrainConfig, edm_from_configuration, init_regressor, keypoint_features, train_gim
 from armpose.refine import _CachedObjective
+from armpose.silhouette import _camera_rows
 
 
 def _random_rotation(rng):
@@ -299,6 +300,96 @@ def test_refine_golden_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_SHA256
 
 
+def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
+    """The search refine makes, with every point rendered in full and no
+    memo: (final theta, rotation, scale, [(evaluations, objective)] per
+    iteration, pattern points accepted)."""
+    clouds = sample_link_clouds(meshes, settings)
+    lo, hi = chain.limits()
+
+    def point(theta, r6, rotation, scale):
+        frames = [chain.base_frame] + forward_kinematics(chain, theta)
+        pose = RigidTransform(rotation, k.backproject(scale, start.base_pixel))
+        value = 1.0 - silhouette_iou(render_link_clouds(clouds, frames, pose, k, settings), observed)
+        return value, (theta, r6, rotation, scale)
+
+    def step(x, kind, index, size):
+        theta, r6, rotation, scale = x
+        if kind == "theta":
+            theta = theta.copy()
+            theta[index] = np.clip(theta[index] + size, lo[index], hi[index])
+        elif kind == "rot":
+            r6 = r6.copy()
+            r6[index] += size
+            try:
+                rotation = rot6d_to_matrix(r6)
+            except ValueError:
+                return None
+        else:
+            scale = scale * (1.0 + size)
+        return point(theta, r6, rotation, scale)
+
+    f, x = point(start.theta, matrix_to_rot6d(start.rotation), start.rotation, start.scale)
+    rows, total, accepted = [], 0, 0
+    for _ in range(cfg.iterations):
+        sizes = {"theta": cfg.step_theta, "rot": cfg.step_rot, "scale": cfg.step_scale}
+        used, budget = 0, cfg.inner_evals_per_iteration
+        while used < budget:
+            moved, base = False, x
+            for kind, index in _PROBES:
+                trials = []
+                for direction in (1.0, -1.0):
+                    probed = step(x, kind, index, direction * sizes[kind]) if used < budget else None
+                    if probed is not None:
+                        trials.append((probed[0], direction, probed[1]))
+                        used += 1
+                if trials and min(trials, key=lambda t: t[0])[0] < f:
+                    f, direction, x = min(trials, key=lambda t: t[0])
+                    moved = True
+                    while used < budget:
+                        probed = step(x, kind, index, direction * sizes[kind])
+                        if probed is None:
+                            break
+                        used += 1
+                        if probed[0] >= f:
+                            break
+                        f, x = probed
+            if not moved:
+                sizes = {kind: size * 0.5 for kind, size in sizes.items()}
+            elif used < budget and 2.0 * x[3] - base[3] > 0.0:
+                r6 = 2.0 * x[1] - base[1]
+                try:
+                    rotation = rot6d_to_matrix(r6)
+                except ValueError:
+                    continue
+                value, p = point(np.clip(2.0 * x[0] - base[0], lo, hi), r6, rotation, 2.0 * x[3] - base[3])
+                used += 1
+                if value < f:
+                    f, x, accepted = value, p, accepted + 1
+        total += used
+        rows.append((total, f))
+    return x[0], x[2], x[3], rows, accepted
+
+
+def test_refine_matches_a_from_scratch_reference_search():
+    # criterion 9's scene 2 and start, at a sampling density where the
+    # search accepts a pattern point
+    chain, sampler = builtin_chain("panda7"), SamplerConfig()
+    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings(samples_per_link=200)
+    scene, mask = build_scene(chain, sampler, 900, 2, meshes=meshes, render_settings=settings)
+    rng = np.random.default_rng(np.random.SeedSequence((900, 2, 3)))
+    theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
+    t = scene.pose.translation
+    start = Estimate(theta, scene.pose.rotation, 1.1 * float(t[2]), k.project(t))
+    cfg = RefinerConfig(iterations=2, inner_evals_per_iteration=120)
+    refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
+    theta, rotation, scale, rows, accepted = _reference_refine(start, mask, chain, meshes, k, cfg, settings)
+    assert accepted > 0
+    assert np.array_equal(refined.theta, theta) and np.array_equal(refined.rotation, rotation)
+    assert refined.scale == scale
+    assert [(row["evaluations"], row["objective"]) for row in trace[1:]] == rows
+
+
 @pytest.mark.parametrize("case", ["golden", 0, 1, 2])
 def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch, case):
     if case == "golden":  # the golden-digest scene and start, with the default budget
@@ -317,32 +408,44 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
     start = Estimate(start_theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
     cfg = RefinerConfig()
 
-    values, renders, probes = {}, [], []
-    real_value, real_moved = _CachedObjective.value, _CachedObjective.moved
-    real_probe = _CachedObjective.probe
+    values, renders, probes, patterns = {}, [], [], []
+    real_value, real_moved, real_build = _CachedObjective.value, _CachedObjective.moved, _CachedObjective.build
 
     def value(self, state):
         # the states are kept alive, so no two of them share an id
         values[id(state)] = (state, real_value(self, state))
         return values[id(state)][1]
 
-    def moved(self, parent, *args):
-        renders.append(args)
-        return real_moved(self, parent, *args)
+    def render(real):
+        def rendered(self, *args):
+            renders.append(args)
+            return real(self, *args)
 
-    def probe(self, parent, *args):
-        rendered = len(renders)
-        probed = real_probe(self, parent, *args)
-        if probed is not None:  # a degenerate rotation step is no probe
-            # the parent is the incumbent when the probe is made
-            probes.append((probed[0], values[id(parent)][1], len(renders) > rendered))
-        return probed
+        return rendered
+
+    def counted(real, made):
+        def probe(self, parent, *args):
+            rendered = len(renders)
+            probed = real(self, parent, *args)
+            if probed is not None:  # a degenerate rotation or pattern point is no probe
+                # the parent is the incumbent when the probe is made
+                made.append((probed[0], values[id(parent)][1], len(renders) > rendered))
+            return probed
+
+        return probe
 
     monkeypatch.setattr(_CachedObjective, "value", value)
-    monkeypatch.setattr(_CachedObjective, "moved", moved)
-    monkeypatch.setattr(_CachedObjective, "probe", probe)
+    monkeypatch.setattr(_CachedObjective, "moved", render(real_moved))
+    monkeypatch.setattr(_CachedObjective, "build", render(real_build))
+    monkeypatch.setattr(_CachedObjective, "probe", counted(_CachedObjective.probe, probes))
+    monkeypatch.setattr(_CachedObjective, "pattern", counted(_CachedObjective.pattern, patterns))
     _, trace = refine(start, mask, chain, meshes, k, cfg, settings)
 
+    # the start point is built before any probe; a pattern point is a probe,
+    # and a render unless it revisits a point, like any other
+    assert renders.pop(0)[0] is start.theta
+    assert patterns
+    probes += patterns
     hits = [(stored, incumbent) for stored, incumbent, rendered in probes if not rendered]
     assert len(renders) < len(probes) and len(renders) + len(hits) == len(probes)
     assert all(stored >= incumbent for stored, incumbent in hits)
@@ -524,3 +627,47 @@ def test_camera_rotation_rows_match_the_full_product():
         for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
             assert np.array_equal(w[s:] @ rot.T, full[s:]), (n, s)
             assert np.array_equal(w[s : s + 2] @ rot.T, full[s : s + 2]), (n, s)
+
+
+def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k, meshes, settings = cfg.intrinsics(), default_link_meshes(chain), RenderSettings()
+    scene, observed = build_scene(chain, cfg, seed=11, index=0, meshes=meshes, render_settings=settings)
+    t = scene.pose.translation
+    scale, base_pixel = float(t[2]), k.project(t)
+    lo, hi = chain.limits()
+    cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
+    _, x = cost.start(np.clip(scene.theta + 0.05, lo, hi), scene.pose.rotation, scale)
+    base_theta = x.theta - 0.02
+    base_theta[0] = lo[0] + 2.0 * (x.theta[0] - lo[0]) + 0.01  # its reflection lies below the limit
+    base_r6 = x.r6 + np.linspace(-0.03, 0.03, 6)
+
+    value, p = cost.pattern(x, base_theta, base_r6, 0.95 * scale)
+    assert np.array_equal(p.theta, np.clip(2.0 * x.theta - base_theta, lo, hi)) and p.theta[0] == lo[0]
+    assert np.array_equal(p.r6, 2.0 * x.r6 - base_r6)
+    assert np.array_equal(p.rotation, rot6d_to_matrix(p.r6))
+    assert p.scale == 2.0 * scale - 0.95 * scale
+    assert value == _full_render_objective(
+        chain, meshes, settings, k, observed, p.theta, p.rotation, p.scale, base_pixel
+    )
+    _, fresh = cost.start(p.theta, p.rotation, p.scale)
+    assert all(np.array_equal(getattr(p, name), getattr(fresh, name)) for name in ("world", "rotated", "pix", "front"))
+    # a point evaluated before gives its stored value and no state
+    assert cost.pattern(x, base_theta, base_r6, 0.95 * scale) == (value, None)
+    # a scale that is not positive, or a degenerate 6D code, is no probe
+    assert cost.pattern(x, base_theta, base_r6, 2.0 * scale) is None
+    assert cost.pattern(x, base_theta, 2.0 * x.r6 - np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), scale) is None
+
+
+def test_camera_rows_of_a_stack_match_the_full_product():
+    """The same BLAS property for the product the renderer and the cached
+    objective both make, ``_camera_rows``, whose rotation is C-ordered."""
+    rng = np.random.default_rng(10)
+    for n in (2, 3, 8, 601, 4800):
+        w = rng.normal(size=(n, 3))
+        rot = _random_rotation(rng)
+        full = _camera_rows(w, rot)
+        for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
+            assert np.array_equal(_camera_rows(w[s:], rot), full[s:]), (n, s)
+            assert np.array_equal(_camera_rows(w[s : s + 2], rot), full[s : s + 2]), (n, s)
