@@ -335,7 +335,7 @@ def cmd_train_gim(args):
         if adam_state is None:
             raise CliError(EXIT_CONFIG, f"{args.resume} has no trainer state to resume from")
         start_step = adam_state.step
-        if net.layer_dims[0] != input_dim:
+        if (net.layer_dims[0], net.layer_dims[-1]) != (input_dim, output_dim):
             raise CliError(EXIT_CONFIG, "resumed regressor does not match this dataset's chain")
     else:
         net = init_regressor(

@@ -10,6 +10,7 @@ resolves what the distances cannot.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -284,8 +285,6 @@ class MlpRegressor:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if len(self.layer_dims) != 4:
-            raise ValueError("regressor is fixed at three weight stages (four layer dims)")
         _check_widths(self.layer_dims)
         if self.activation != "tanh":
             raise ValueError(f"unsupported activation {self.activation!r}")
@@ -308,34 +307,63 @@ class MlpRegressor:
         return int(round(0.5 * (1.0 + math.sqrt(1.0 + 8.0 * self.layer_dims[-1]))))
 
     def to_json(self):
+        """The object a regressor file holds: every array is one base64 block of
+        its little-endian float64 bytes, row-major, with its shape set by layer_dims."""
         return {
             "layer_dims": [int(v) for v in self.layer_dims],
             "activation": self.activation,
             "dropout_rate": self.dropout_rate,
-            "weights": [w.ravel().tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
+            "weights": [_encode_array(w) for w in self.weights],
+            "biases": [_encode_array(b) for b in self.biases],
         }
 
     @classmethod
     def from_json(cls, obj):
         dims = [int(v) for v in obj["layer_dims"]]
-        weights = [
-            np.asarray(obj["weights"][i], dtype=float).reshape(dims[i + 1], dims[i])
-            for i in range(3)
-        ]
-        biases = [np.asarray(obj["biases"][i], dtype=float) for i in range(3)]
+        _check_widths(dims)
         return cls(
             layer_dims=dims,
-            weights=weights,
-            biases=biases,
+            weights=_decode_arrays(obj["weights"], [(dims[i + 1], dims[i]) for i in range(3)], "weights"),
+            biases=_decode_arrays(obj["biases"], [(n,) for n in dims[1:]], "biases"),
             activation=obj.get("activation", "tanh"),
             dropout_rate=float(obj.get("dropout_rate", cls.dropout_rate)),
         )
 
 
 def _check_widths(dims):
+    if len(dims) != 4:
+        raise ValueError("regressor is fixed at three weight stages (four layer dims)")
     if min(dims) < 1:
         raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
+
+
+def _encode_array(a):
+    """Base64 text of an array's little-endian float64 bytes, in row-major order."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(block, shape, name):
+    """The float64 array of this shape held in a base64 block; ValueError naming
+    the array when the block is not base64 or holds a different number of values."""
+    if not isinstance(block, str):
+        raise ValueError(f"{name} is not a base64 block")
+    try:
+        raw = base64.b64decode(block, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{name} is not a base64 block: {exc}") from None
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ValueError(
+            f"{name} holds {len(raw)} bytes, expected {8 * count} ({count} float64 values of shape {shape})"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
+def _decode_arrays(blocks, shapes, name):
+    """One array per shape, from a list holding exactly one base64 block for each."""
+    if not isinstance(blocks, list) or len(blocks) != len(shapes):
+        raise ValueError(f"{name} must be a list of {len(shapes)} base64 blocks")
+    return [_decode_array(b, shape, f"{name}[{i}]") for i, (b, shape) in enumerate(zip(blocks, shapes))]
 
 
 def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=MlpRegressor.dropout_rate, seed=0):
@@ -363,8 +391,9 @@ def load_regressor(path):
     """Load a regressor; returns (net, trainer_state_or_None)."""
 
     def parse(obj):
-        state = AdamState.from_json(obj["trainer_state"]) if "trainer_state" in obj else None
-        return MlpRegressor.from_json(obj), state
+        net = MlpRegressor.from_json(obj)
+        state = AdamState.from_json(obj["trainer_state"], net) if "trainer_state" in obj else None
+        return net, state
 
     return read_json(path, parse)
 
@@ -498,17 +527,22 @@ class AdamState:
 
     def to_json(self):
         return {
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            "m": [_encode_array(a) for a in self.m],
+            "v": [_encode_array(a) for a in self.v],
             "step": int(self.step),
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, net):
+        """The state saved by to_json, with one moment of each parameter's shape per parameter of net."""
+        shapes = [a.shape for a in net.weights + net.biases]
+        step = obj["step"]
+        if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+            raise ValueError(f"trainer_state.step must be a non-negative integer, got {step!r}")
         return cls(
-            m=[np.asarray(a, dtype=float) for a in obj["m"]],
-            v=[np.asarray(a, dtype=float) for a in obj["v"]],
-            step=int(obj.get("step", 0)),
+            m=_decode_arrays(obj["m"], shapes, "trainer_state.m"),
+            v=_decode_arrays(obj["v"], shapes, "trainer_state.v"),
+            step=step,
         )
 
 

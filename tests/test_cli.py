@@ -1,10 +1,13 @@
 """End-to-end tests that drive the command line in process via main(argv)."""
 
+import base64
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from armpose import AdamState, init_regressor, save_regressor
 from armpose.cli import main
 
 
@@ -273,6 +276,17 @@ def test_train_resume_at_final_step_exits_two(noisy_dataset, tmp_path):
     base = ["train-gim", "--data", noisy_dataset, "--seed", 1]
     assert run(*base, "--out", done, "--steps", 20) == 0
     assert run(*base, "--resume", done, "--out", tmp_path / "again.json", "--steps", 20) == 2
+
+
+@pytest.mark.parametrize("dims", [(14, 91), (16, 6)], ids=["input", "output"])
+def test_train_resume_of_a_regressor_for_another_chain_exits_two(noisy_dataset, tmp_path, capsys, dims):
+    checkpoint = tmp_path / "other.json"
+    net = init_regressor(*dims, hidden=(8, 8))
+    save_regressor(net, checkpoint, trainer_state=AdamState.zeros_like(net))
+    capsys.readouterr()
+    args = ["train-gim", "--data", noisy_dataset, "--resume", checkpoint, "--out", tmp_path / "net.json"]
+    assert run(*args, "--steps", 2) == 2
+    assert "does not match this dataset's chain" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_four(noisy_dataset, tmp_path):
@@ -644,11 +658,24 @@ def _write(path, text):
     return str(path)
 
 
-def _write_regressor(path, dims):
-    """A regressor file with zero weights and the given layer widths."""
-    weights = [[0.0] * (dims[i] * dims[i + 1]) for i in range(3)]
-    path.write_text(json.dumps({"layer_dims": dims, "weights": weights, "biases": [[0.0] * n for n in dims[1:]]}))
+def _block(values):
+    """Base64 text of little-endian float64 values, as a regressor file stores an array."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _write_regressor(path, dims, encode=_block):
+    """A regressor file with zero weights and the given layer widths, each array written by encode."""
+    weights = [encode(np.zeros(dims[i] * dims[i + 1])) for i in range(3)]
+    biases = [encode(np.zeros(n)) for n in dims[1:]]
+    path.write_text(json.dumps({"layer_dims": dims, "weights": weights, "biases": biases}))
     return str(path)
+
+
+def _saved_regressor(path, edit):
+    """A saved 16-8-8-91 regressor with zero Adam moments, then edit(its JSON object)."""
+    net = init_regressor(16, 91, hidden=(8, 8))
+    save_regressor(net, path, trainer_state=AdamState.zeros_like(net))
+    return _edit_json(path, edit)
 
 
 def _truncate(path):
@@ -656,8 +683,9 @@ def _truncate(path):
     return str(path)
 
 
-# (id, corrupt the copied dataset and return what the error must name,
-#  the command that reads the corrupted file)
+# (id, corrupt the copied dataset and return what the error must name (the
+#  file, or a tuple of the file and other phrases), the command that reads the
+#  corrupted file)
 _MALFORMED = [
     ("camera-without-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.pop("fx")), "estimate"),
     ("camera-negative-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.update(fx=-1)), "estimate"),
@@ -673,7 +701,59 @@ _MALFORMED = [
     ("mask-truncated", lambda d, net: _truncate(d / "silhouettes" / "scene_00000.pgm"), "render"),
     ("regressor-without-weights", lambda d, net: str(net), "estimate-net"),
     ("checkpoint-without-weights", lambda d, net: str(net), "train-gim-resume"),
-    ("regressor-output-not-triangular", lambda d, net: _write_regressor(net, [16, 8, 8, 90]), "estimate-net"),
+    (
+        "regressor-output-not-triangular",
+        lambda d, net: (_write_regressor(net, [16, 8, 8, 90]), "triangular"),
+        "estimate-net",
+    ),
+    (
+        "regressor-in-list-format",
+        lambda d, net: (
+            _write_regressor(net, [16, 8, 8, 91], encode=np.ndarray.tolist),
+            "weights[0] is not a base64 block",
+        ),
+        "estimate-net",
+    ),
+    (
+        "regressor-weights-one-value-short",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o["weights"].__setitem__(1, _block(np.zeros(63)))),
+            "weights[1] holds 504 bytes",
+        ),
+        "estimate-net",
+    ),
+    (
+        "regressor-block-not-base64",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o["biases"].__setitem__(0, "*" + o["biases"][0])),
+            "biases[0] is not a base64 block",
+        ),
+        "estimate-net",
+    ),
+    (
+        "checkpoint-missing-a-moment",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o["trainer_state"]["m"].pop()),
+            "trainer_state.m must be a list of 6",
+        ),
+        "train-gim-resume",
+    ),
+    (
+        "checkpoint-moment-of-wrong-shape",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o["trainer_state"]["v"].__setitem__(0, _block(np.zeros((8, 15))))),
+            "trainer_state.v[0] holds 960 bytes",
+        ),
+        "train-gim-resume",
+    ),
+    (
+        "checkpoint-negative-step",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o["trainer_state"].update(step=-4)),
+            "trainer_state.step must be a non-negative integer",
+        ),
+        "train-gim-resume",
+    ),
 ]
 
 
@@ -685,6 +765,7 @@ def test_malformed_input_file_exits_five_naming_it(fronto_dataset, tmp_path, cap
     net = tmp_path / "net.json"
     net.write_text(json.dumps({"layer_dims": [16, 8, 8, 91]}))
     named = corrupt(data, net)
+    named = (named,) if isinstance(named, str) else named
     out = tmp_path / "out"
     argv = {
         "estimate": ["estimate", "--data", data, "--out", out, "--oracle-edm", "--workers", 1],
@@ -697,7 +778,7 @@ def test_malformed_input_file_exits_five_naming_it(fronto_dataset, tmp_path, cap
     capsys.readouterr()
     assert run(*argv) == 5
     err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert all(phrase in err for phrase in named) and "Traceback" not in err
     assert not out.exists()
 
 

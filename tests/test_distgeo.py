@@ -351,12 +351,15 @@ def test_init_regressor_shapes_and_round_trip(tmp_path):
     assert [w.shape for w in net.weights] == [(24, 16), (20, 24), (6, 20)]
     assert [b.shape for b in net.biases] == [(24,), (20,), (6,)]
     assert net.matrix_size == 4  # 6 = 4*3/2 upper-triangle entries
+    assert all(not b.any() for b in net.biases)
+    for i, b in enumerate(net.biases):  # so that the round trip below has bias bits to keep
+        b[:] = np.linspace(-1.0, 1.0, b.size) / (i + 3)
     path = tmp_path / "net.json"
     save_regressor(net, path)
     again, state = load_regressor(path)
     assert state is None
-    for a, b in zip(again.weights, net.weights):
-        assert np.array_equal(a, b)
+    for a, b in zip(again.weights + again.biases, net.weights + net.biases):
+        assert a.shape == b.shape and np.array_equal(a, b)
     # files that still carry the retired input_normalization key load the same
     blob = net.to_json()
     assert "input_normalization" not in blob
@@ -655,10 +658,26 @@ def test_adam_state_round_trip(tmp_path):
     again, state2 = load_regressor(path)
     assert state2 is not None
     assert state2.step == state.step
-    for a, b in zip(state2.m, state.m):
-        assert np.max(np.abs(a - b)) < 1e-15
+    assert len(state2.m) == len(state.m) == 6 and len(state2.v) == len(state.v) == 6
+    for a, b in zip(state2.m + state2.v, state.m + state.v):
+        assert a.shape == b.shape and np.array_equal(a, b)
     with open(path, "r", encoding="utf-8") as fh:
         json.load(fh)
+
+
+def test_saved_regressor_takes_at_most_12_bytes_per_value(tmp_path):
+    # Base64 float64 is 10.7 characters a value; decimal text is about 19.
+    net = init_regressor(16, 91, seed=0)
+    rng = np.random.default_rng(0)
+    params = net.weights + net.biases
+    state = AdamState(
+        m=[rng.standard_normal(p.shape) for p in params], v=[rng.random(p.shape) for p in params], step=5
+    )
+    path = tmp_path / "net.json"
+    save_regressor(net, path, trainer_state=state)
+    values = 3 * sum(p.size for p in params)
+    assert values == 3 * 43131
+    assert path.stat().st_size <= 12 * values
 
 
 def test_training_divergence_raises():

@@ -1,10 +1,11 @@
+import base64
 import json
 import os
 import re
 
 import pytest
 
-from armpose import DatasetFormatError, builtin_chain, load_chain, load_regressor
+from armpose import DatasetFormatError, builtin_chain, init_regressor, load_chain, load_regressor, save_regressor
 from armpose._io import atomic_write_bytes, read_jsonl
 
 
@@ -15,6 +16,11 @@ def test_failed_atomic_write_keeps_old_file_and_cleans_up(tmp_path):
         atomic_write_bytes(path, "not bytes")
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def _one_value_short(block):
+    """A base64 float64 block without its last value."""
+    return base64.b64encode(base64.b64decode(block)[:-8]).decode("ascii")
 
 
 def test_loaders_name_a_bad_file(tmp_path):
@@ -31,6 +37,19 @@ def test_loaders_name_a_bad_file(tmp_path):
     path.write_text("{")
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: ")):
         load_regressor(path)
+    save_regressor(init_regressor(16, 91, hidden=(8, 8)), path)
+    good = json.loads(path.read_text())
+    bad_blocks = [
+        ("weights", 0, [0.0] * 128, "weights[0] is not a base64 block"),  # the earlier list format
+        ("weights", 2, _one_value_short(good["weights"][2]), "weights[2] holds 5816 bytes, expected 5824"),
+        ("biases", 1, good["biases"][1] + "*", "biases[1] is not a base64 block"),
+    ]
+    for key, index, block, reason in bad_blocks:
+        obj = json.loads(json.dumps(good))
+        obj[key][index] = block
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {reason}")):
+            load_regressor(path)
 
 
 def test_read_jsonl_skips_blank_lines_and_rejects_a_file_without_records(tmp_path):
