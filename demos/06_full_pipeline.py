@@ -32,6 +32,7 @@ from armpose import (
     mlp_forward,
     points_from_gram,
     refine,
+    regressor_widths,
     train_gim,
 )
 
@@ -47,7 +48,7 @@ train_scenes, eval_scenes = scenes[:20], scenes[20:]
 eval_masks = masks[20:]
 
 print("training the regressor for 800 steps...")
-net = init_regressor(2 * (chain.dof + 1), chain.dof * (2 * chain.dof - 1), hidden=(80, 80), seed=0)
+net = init_regressor(*regressor_widths(chain), hidden=(80, 80), seed=0)
 dataset = [
     (keypoint_features(s.keypoints, k.width, k.height), edm_from_configuration(chain, s.theta))
     for s in train_scenes

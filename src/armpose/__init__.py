@@ -41,6 +41,7 @@ from .distgeo import (
     mlp_forward,
     mlp_gradients,
     points_from_gram,
+    regressor_widths,
     save_regressor,
     train_gim,
 )

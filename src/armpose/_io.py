@@ -26,6 +26,14 @@ def _parse(where, parse, raw):
         raise DatasetFormatError(f"{where}: {reason}") from exc
 
 
+def json_int(obj, key):
+    """obj[key]; ValueError unless it is a JSON integer (int() would take a fraction or a boolean)."""
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def read_json(path, parse):
     """parse(the JSON value held in path)."""
     with open(path, "rb") as fh:

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, read_jsonl
+from ._io import DatasetFormatError, atomic_write_text, json_int, read_json, read_jsonl
 from .datagen import (
     SamplerConfig,
     SceneGenerationError,
@@ -45,6 +45,7 @@ from .distgeo import (
     load_regressor,
     mlp_forward,
     points_from_gram,
+    regressor_widths,
     save_regressor,
     train_gim,
 )
@@ -72,29 +73,23 @@ EXIT_DATA = 5
 BUILTIN_CHAINS = ("panda7", "planar2")
 
 
-class CliError(Exception):
-    """Error with a dedicated process exit code."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------------------
 # option plumbing
 
 
 def _read_config(path):
-    if not os.path.exists(path):
-        raise CliError(EXIT_CONFIG, f"config file not found: {path}")
+    """The option values a --config file holds. A file that does not parse
+    is a configuration error (exit 2), not a bad data file (exit 5)."""
+
+    def parse(obj):
+        if not isinstance(obj, dict):
+            raise ValueError("must hold a JSON object of option values")
+        return obj
+
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-        raise CliError(EXIT_CONFIG, f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise CliError(EXIT_CONFIG, f"config file {path} must hold a JSON object of option values")
-    return obj
+        return read_json(path, parse)
+    except DatasetFormatError as exc:
+        raise ValueError(f"config file {exc}") from None
 
 
 # JSON values accepted for an option of each argparse type. A JSON boolean
@@ -107,7 +102,7 @@ def _config_value(key, action, value):
     exits 2 on a value that flag could not produce."""
 
     def reject(want):
-        raise CliError(EXIT_CONFIG, f"config key {key!r} must be {want}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
 
     if action.nargs == 0:  # store_true
         if not isinstance(value, bool):
@@ -146,7 +141,7 @@ def _parse_args(argv):
         }
         unknown = sorted(set(from_file) - settable)
         if unknown:
-            raise CliError(EXIT_CONFIG, f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         actions = {action.dest: action for action in command._actions}
         command.set_defaults(
             **{key: _config_value(key, actions[key], value) for key, value in from_file.items()}
@@ -166,21 +161,18 @@ def _check_values(args):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             option = "--" + dest.replace("_", "-")
-            raise CliError(EXIT_CONFIG, f"{option} must be a non-negative integer, got {value}")
+            raise ValueError(f"{option} must be a non-negative integer, got {value}")
     hidden = getattr(args, "hidden", None)
     if hidden is not None and min(hidden) < 1:
         widths = " ".join(str(h) for h in hidden)
-        raise CliError(EXIT_CONFIG, f"--hidden widths must each be at least 1, got {widths}")
+        raise ValueError(f"--hidden widths must each be at least 1, got {widths}")
 
 
 def _resolve_chain(spec):
     if spec in BUILTIN_CHAINS:
         return builtin_chain(spec)
     if not os.path.exists(spec):
-        raise CliError(
-            EXIT_CONFIG,
-            f"chain {spec!r} is neither a built-in ({', '.join(BUILTIN_CHAINS)}) nor a file",
-        )
+        raise ValueError(f"chain {spec!r} is neither a built-in ({', '.join(BUILTIN_CHAINS)}) nor a file")
     return load_chain(spec)
 
 
@@ -240,7 +232,7 @@ def _load_estimates(path, chain, scenes):
     seen = set()
 
     def parse(obj):
-        index = int(obj["index"])
+        index = json_int(obj, "index")
         if "error" in obj:
             est, error = None, str(obj["error"])
         else:
@@ -262,6 +254,19 @@ def _scene_mask(data_dir, scene, k):
         path = os.path.join(data_dir, scene.silhouette)
         raise DatasetFormatError(f"{path}: mask is {mask.shape}, camera expects {(k.height, k.width)}")
     return mask
+
+
+def _chain_regressor(path, chain):
+    """(net, trainer state or None) saved in path; ValueError naming the file
+    when the regressor's input or output width does not fit the chain."""
+    net, state = load_regressor(path)
+    have, want = (net.layer_dims[0], net.layer_dims[-1]), regressor_widths(chain)
+    if have != want:
+        raise ValueError(
+            f"{path}: a regressor of widths (in, out) = {have} does not match this dataset's chain "
+            f"{chain.name!r}, which needs {want}"
+        )
+    return net, state
 
 
 def _write_estimates(path, rows):
@@ -290,7 +295,7 @@ def _gen_worker(payload):
 def cmd_gen(args):
     chain = _resolve_chain(args.chain)
     if args.count < 1:
-        raise CliError(EXIT_CONFIG, "--count must be at least 1")
+        raise ValueError("--count must be at least 1")
     cfg = SamplerConfig(
         distance=tuple(args.distance),
         elevation=tuple(args.elevation),
@@ -320,27 +325,17 @@ def cmd_gen(args):
 def cmd_train_gim(args):
     chain, k, _, scenes = read_dataset(args.data)
     dataset = [
-        (
-            keypoint_features(scene.keypoints, k.width, k.height),
-            edm_from_configuration(chain, scene.theta),
-        )
+        (keypoint_features(scene.keypoints, k.width, k.height), edm_from_configuration(chain, scene.theta))
         for scene in scenes
     ]
-    input_dim = 2 * (chain.dof + 1)
-    output_dim = chain.dof * (2 * chain.dof - 1)
-    start_step = 0
     adam_state = None
     if args.resume:
-        net, adam_state = load_regressor(args.resume)
+        net, adam_state = _chain_regressor(args.resume, chain)
         if adam_state is None:
-            raise CliError(EXIT_CONFIG, f"{args.resume} has no trainer state to resume from")
-        start_step = adam_state.step
-        if (net.layer_dims[0], net.layer_dims[-1]) != (input_dim, output_dim):
-            raise CliError(EXIT_CONFIG, "resumed regressor does not match this dataset's chain")
+            raise ValueError(f"{args.resume} has no trainer state to resume from")
     else:
         net = init_regressor(
-            input_dim,
-            output_dim,
+            *regressor_widths(chain),
             hidden=tuple(int(h) for h in args.hidden),
             dropout_rate=float(args.dropout),
             seed=int(args.seed),
@@ -351,12 +346,12 @@ def cmd_train_gim(args):
         learning_rate=float(args.learning_rate),
         warmup_steps=int(args.warmup_steps),
         seed=int(args.seed),
-        start_step=start_step,
+        start_step=adam_state.step if args.resume else 0,
     )
     if cfg.start_step >= cfg.steps:
         if args.resume:
-            raise CliError(EXIT_CONFIG, f"checkpoint already at step {start_step}, nothing to do")
-        raise CliError(EXIT_CONFIG, f"--steps must be at least 1, got {cfg.steps}")
+            raise ValueError(f"checkpoint already at step {cfg.start_step}, nothing to do")
+        raise ValueError(f"--steps must be at least 1, got {cfg.steps}")
     net, trace, adam_state = train_gim(net, dataset, cfg, adam_state)
     save_regressor(net, args.out, trainer_state=adam_state)
     if args.trace:
@@ -393,15 +388,9 @@ def _estimate_scene(payload):
 
 def cmd_estimate(args):
     chain, k, _, scenes = read_dataset(args.data)
-    net = None
-    if not args.oracle_edm:
-        if not args.net:
-            raise CliError(EXIT_CONFIG, "estimate needs --net unless --oracle-edm is set")
-        net, _ = load_regressor(args.net)
-        if net.layer_dims[0] != 2 * (chain.dof + 1):
-            raise CliError(EXIT_CONFIG, "regressor input width does not match this chain")
-        if net.matrix_size != 2 * chain.dof:
-            raise CliError(EXIT_CONFIG, "regressor output width does not match this chain")
+    if not (args.oracle_edm or args.net):
+        raise ValueError("estimate needs --net unless --oracle-edm is set")
+    net = None if args.oracle_edm else _chain_regressor(args.net, chain)[0]
     payloads = [
         (chain, k, scene, net, bool(args.oracle_edm), bool(args.freeze_dropout), args.seed)
         for scene in scenes
@@ -656,9 +645,6 @@ def main(argv=None):
         args = _parse_args(argv)
         args.func(args)
         return EXIT_OK
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, read_json, read_jsonl
+from ._io import atomic_write_text, json_int, read_json, read_jsonl
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
@@ -116,7 +116,7 @@ class Scene:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            index=int(obj["index"]),
+            index=json_int(obj, "index"),
             theta=np.asarray(obj["theta"], dtype=float),
             pose=RigidTransform(
                 np.asarray(obj["rotation"], dtype=float),

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,20 +160,20 @@ def _zero_reference(chain):
 
 
 def align_points(x_raw, chain, targets=None):
-    """Rigidly map a recovered cloud onto anchor targets, fixing reflections.
+    """Rigidly map a recovered cloud onto anchor targets.
 
     x_raw is the (2n, 3) output of points_from_gram (any rigid placement,
     either chirality). The proper-rotation Procrustes solve always uses only
     the anchor rows selected by anchor_indices. targets is a (2n, 3) matrix
     of known point locations; when given, the cloud and its mirror image are
-    both fit and the full-cloud residual decides between them. Three anchor
-    points alone cannot decide chirality (a triangle superposes onto its
-    mirror image under a proper rotation), so with targets=None the
-    non-mirrored branch is kept unless the anchors clearly prefer the other,
-    and the zero-configuration skeleton serves as the anchor reference. That
-    canonical alignment leaves the first two joint angles in a gauge the
-    distances carry no information about, and the configuration's chirality
-    follows the embedding's sign convention rather than the true arm.
+    both fit and the full-cloud residual decides between them. With
+    targets=None the zero-configuration skeleton serves as the anchor
+    reference and only the cloud itself is fit: three anchor points cannot
+    decide chirality (a triangle superposes onto its mirror image under a
+    proper rotation, so both fits leave the same residual). That canonical
+    alignment leaves the first two joint angles in a gauge the distances
+    carry no information about, and the configuration's chirality follows
+    the embedding's sign convention rather than the true arm.
     Returns the mapped (2n, 3) cloud.
     """
     cloud = np.asarray(x_raw, dtype=float)
@@ -182,20 +182,18 @@ def align_points(x_raw, chain, targets=None):
         raise ValueError(f"expected a ({2 * n}, 3) cloud for chain {chain.name!r}")
     reference, idx = _zero_reference(chain)
     if targets is None:
-        target_full = reference
-        score_rows = idx
-    else:
-        target_full = np.asarray(targets, dtype=float)
-        if target_full.shape != (2 * n, 3):
-            raise ValueError(f"targets must be a ({2 * n}, 3) skeleton array")
-        score_rows = slice(None)
+        rot, tra = kabsch(cloud[idx], reference[idx])
+        return cloud @ rot.T + tra
+    target_full = np.asarray(targets, dtype=float)
+    if target_full.shape != (2 * n, 3):
+        raise ValueError(f"targets must be a ({2 * n}, 3) skeleton array")
 
     best = None
     for mirror in (False, True):
         candidate = cloud * np.array([1.0, 1.0, -1.0]) if mirror else cloud
         rot, tra = kabsch(candidate[idx], target_full[idx])
         mapped = candidate @ rot.T + tra
-        residual = float(np.linalg.norm(mapped[score_rows] - target_full[score_rows]))
+        residual = float(np.linalg.norm(mapped - target_full))
         if best is None or residual < best[0]:
             best = (residual, mapped)
     return best[1]
@@ -364,6 +362,13 @@ def _decode_arrays(blocks, shapes, name):
     if not isinstance(blocks, list) or len(blocks) != len(shapes):
         raise ValueError(f"{name} must be a list of {len(shapes)} base64 blocks")
     return [_decode_array(b, shape, f"{name}[{i}]") for i, (b, shape) in enumerate(zip(blocks, shapes))]
+
+
+def regressor_widths(chain):
+    """(input, output) widths of a regressor for this chain: (u, v) per keypoint
+    in, the upper triangle of the (2n, 2n) skeleton distance matrix out."""
+    n = chain.dof
+    return 2 * (n + 1), n * (2 * n - 1)
 
 
 def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=MlpRegressor.dropout_rate, seed=0):
@@ -604,13 +609,7 @@ def train_gim(net, dataset, cfg, adam_state=None):
     state = adam_state if adam_state is not None else AdamState.zeros_like(net)
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
-    work = MlpRegressor(
-        layer_dims=list(net.layer_dims),
-        weights=weights,
-        biases=biases,
-        activation=net.activation,
-        dropout_rate=net.dropout_rate,
-    )
+    work = replace(net, layer_dims=list(net.layer_dims), weights=weights, biases=biases)
     trace = []
     inv = 1.0 / cfg.batch_size
     for step in range(cfg.start_step, cfg.steps):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -239,12 +240,11 @@ def load_chain(path):
 
 def builtin_chain(name):
     """Load one of the chain definitions shipped with the package."""
-    from importlib import resources
-
     ref = resources.files("armpose.data").joinpath(f"{name}.json")
     if not ref.is_file():
         raise ValueError(f"unknown builtin chain {name!r}")
-    return KinematicChain.from_json(json.loads(ref.read_text(encoding="utf-8")))
+    with resources.as_file(ref) as path:
+        return load_chain(path)
 
 
 def dh_transform(joint, theta):

@@ -176,8 +176,11 @@ class Keypoints2D:
     @classmethod
     def from_json(cls, items):
         uv = np.array([[it["u"], it["v"]] for it in items], dtype=float)
-        vis = np.array([it["visible"] for it in items], dtype=bool)
-        return cls(uv, vis)
+        vis = [it["visible"] for it in items]
+        for i, flag in enumerate(vis):
+            if not isinstance(flag, bool):
+                raise ValueError(f"keypoint {i} visible must be true or false, got {flag!r}")
+        return cls(uv, np.array(vis, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,9 @@ class RefinerConfig:
     step_scale: float = 0.02
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.inner_evals_per_iteration < 1:
-            raise ValueError("need a positive evaluation budget")
+        for name in ("iterations", "inner_evals_per_iteration"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("step_theta", "step_rot"):
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0.0):

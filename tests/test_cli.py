@@ -289,6 +289,19 @@ def test_train_resume_of_a_regressor_for_another_chain_exits_two(noisy_dataset, 
     assert "does not match this dataset's chain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [(14, 91), (16, 6)], ids=["input", "output"])
+def test_estimate_with_a_regressor_for_another_chain_exits_two_naming_it(fronto_dataset, tmp_path, capsys, dims):
+    net = tmp_path / "other.json"
+    save_regressor(init_regressor(*dims, hidden=(8, 8)), net)
+    out = tmp_path / "est.jsonl"
+    capsys.readouterr()
+    assert run("estimate", "--data", fronto_dataset, "--out", out, "--net", net, "--workers", 1) == 2
+    err = capsys.readouterr().err
+    assert str(net) in err and "does not match this dataset's chain" in err
+    assert f"{dims} " in err and "(16, 91)" in err
+    assert not out.exists()
+
+
 def test_train_divergence_exits_four(noisy_dataset, tmp_path):
     import warnings
 
@@ -643,14 +656,22 @@ def _edit_json(path, edit):
     return str(path)
 
 
-def _edit_second_scene(data, edit):
-    path = data / "scenes.jsonl"
+def _edit_second_row(path, edit):
     lines = path.read_text().splitlines()
     row = json.loads(lines[1])
     edit(row)
     lines[1] = json.dumps(row)
     path.write_text("\n".join(lines) + "\n")
     return f"{path}:2:"
+
+
+def _edit_second_scene(data, edit):
+    return _edit_second_row(data / "scenes.jsonl", edit)
+
+
+def _edit_second_estimate(data, edit):
+    """Edit the second row of the estimates file written beside the dataset copy."""
+    return _edit_second_row(data.parent / "est.jsonl", edit)
 
 
 def _write(path, text):
@@ -698,6 +719,20 @@ _MALFORMED = [
     ("scene-six-angles", lambda d, net: _edit_second_scene(d, lambda r: r["theta"].pop()), "eval"),
     ("scene-seven-keypoints", lambda d, net: _edit_second_scene(d, lambda r: r["keypoints"].pop()), "train-gim"),
     ("scene-repeated-index", lambda d, net: _edit_second_scene(d, lambda r: r.update(index=0)), "estimate"),
+    ("scene-fractional-index", lambda d, net: _edit_second_scene(d, lambda r: r.update(index=1.7)), "estimate"),
+    (
+        "scene-visible-as-text",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r["keypoints"][1].update(visible="false")),
+            "keypoint 1 visible must be true or false",
+        ),
+        "estimate",
+    ),
+    (
+        "estimate-boolean-index",
+        lambda d, net: (_edit_second_estimate(d, lambda r: r.update(index=True)), "index must be an integer"),
+        "eval",
+    ),
     ("mask-truncated", lambda d, net: _truncate(d / "silhouettes" / "scene_00000.pgm"), "render"),
     ("regressor-without-weights", lambda d, net: str(net), "estimate-net"),
     ("checkpoint-without-weights", lambda d, net: str(net), "train-gim-resume"),

@@ -35,7 +35,7 @@ from armpose import (
 )
 from armpose import ConfigurationAmbiguousWarning, Keypoints2D, SamplerConfig
 from armpose import distgeo, kinematics
-from armpose.kinematics import dh_transform, wrap_angle
+from armpose.kinematics import dh_transform, kabsch, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,27 @@ def test_align_points_resolves_reflection_with_targets():
     mirrored = truth * np.array([1.0, 1.0, -1.0])
     aligned = align_points(mirrored, chain, targets=truth)
     assert np.max(np.abs(aligned - truth)) < 1e-9
+
+
+def test_canonical_alignment_keeps_the_cloud_chirality():
+    """Without targets, a cloud and its mirror image each come back as their
+    own anchor fit onto the zero-configuration skeleton: three anchors cannot
+    tell the two apart, so neither is swapped for the other."""
+    chain = builtin_chain("panda7")
+    reference = joint_points(chain, np.zeros(chain.dof))
+    idx = anchor_indices(chain)
+    rng = np.random.default_rng(23)
+    lo, hi = chain.limits()
+    for _ in range(5):
+        cloud = points_from_gram(gram_from_edm(edm_from_configuration(chain, rng.uniform(lo, hi))))
+        fits = []
+        for candidate in (cloud, cloud * np.array([1.0, 1.0, -1.0])):
+            rot, tra = kabsch(candidate[idx], reference[idx])
+            fits.append(align_points(candidate, chain))
+            assert np.array_equal(fits[-1], candidate @ rot.T + tra)
+        residuals = [np.linalg.norm(fit[idx] - reference[idx]) for fit in fits]
+        assert residuals[0] == pytest.approx(residuals[1], abs=1e-12)
+        assert not np.allclose(fits[0], fits[1])
 
 
 def test_full_round_trip_with_true_targets():

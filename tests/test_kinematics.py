@@ -225,7 +225,7 @@ def test_chain_save_load_round_trip(tmp_path):
 def test_builtin_chain_names():
     assert builtin_chain("panda7").dof == 7
     assert builtin_chain("planar2").dof == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown builtin chain 'nope'"):
         builtin_chain("nope")
 
 

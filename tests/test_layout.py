@@ -109,24 +109,19 @@ def test_every_module_import_is_used():
 
 
 def test_only_io_parses_json_files():
-    """Input files are parsed by _io's readers, which name a bad file. Only a
-    config file (options, not data) and the package's own chain files are
-    parsed elsewhere."""
-    allowed = {("cli", "_read_config"), ("kinematics", "builtin_chain")}
+    """Every JSON file, config files and the package's own chain files
+    included, is parsed by _io's readers, which name a bad file."""
     found = []
     for name in _module_names():
         if name == "_io":
             continue
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in ("load", "loads")
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "json"
-                    and (name, owner) not in allowed
-                ):
-                    found.append(f"{name}.py:{node.lineno} calls json.{node.attr} in {owner}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                found.append(f"{name}.py:{node.lineno} calls json.{node.attr}")
     assert found == []

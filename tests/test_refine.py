@@ -200,8 +200,10 @@ def _scene_and_truth(seed=17, index=0):
 
 
 def test_refiner_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iterations must be at least 1, got 0"):
         RefinerConfig(iterations=0)
+    with pytest.raises(ValueError, match="inner_evals_per_iteration must be at least 1, got 0"):
+        RefinerConfig(inner_evals_per_iteration=0)
 
 
 @pytest.mark.parametrize("field", ["step_theta", "step_rot"])
