@@ -33,13 +33,11 @@ from .distgeo import (
     configuration_from_points,
     edm_from_configuration,
     edm_from_points,
-    frobenius_loss,
     gram_from_edm,
     init_regressor,
     keypoint_features,
     load_regressor,
     mlp_forward,
-    mlp_gradients,
     points_from_gram,
     regressor_widths,
     save_regressor,

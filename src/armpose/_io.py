@@ -5,10 +5,17 @@ JSON input file is read through read_json or read_jsonl, which turn text
 that does not parse, or a record its parser rejects, into a
 DatasetFormatError naming the file (and line). A missing file stays a
 FileNotFoundError.
+
+This module also owns the field types: every field of every record, and
+every --config value, is read through json_field, so what counts as a JSON
+integer, number, flag or string is decided here alone.
 """
 
 import json
+import math
 import os
+
+import numpy as np
 
 
 class DatasetFormatError(ValueError):
@@ -26,12 +33,51 @@ def _parse(where, parse, raw):
         raise DatasetFormatError(f"{where}: {reason}") from exc
 
 
-def json_int(obj, key):
-    """obj[key]; ValueError unless it is a JSON integer (int() would take a fraction or a boolean)."""
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
+# For each field kind: the exact types its JSON values parse to, and its
+# name in an error. A boolean is never a number, although bool subclasses int.
+_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a finite number"), bool: ({bool}, "true or false"),
+          str: ({str}, "a string")}
+
+
+def _leaves(value, shape):
+    """The scalars of value as nested lists (or to_json's tuples) of this shape; None for another shape."""
+    if not shape:
+        return (value,)
+    if type(value) not in (list, tuple) or shape[0] not in (None, len(value)):
+        return None
+    if len(shape) == 1:
+        return value
+    inner = [_leaves(item, shape[1:]) for item in value]
+    return None if None in inner else [leaf for part in inner for leaf in part]
+
+
+def json_field(obj, key, kind, shape=(), name=None, default=None):
+    """obj[key] as a JSON value of kind (int, float, bool or str) nested in
+    lists of the lengths in shape (None: any length), or default, when not
+    None, for an absent key; a ValueError naming name (default: key) otherwise.
+
+    A number is a finite JSON number, an integer included, never a boolean,
+    a string, NaN or Infinity. It comes back as float64: a Python float, or
+    an array of this shape. Other kinds come back as given.
+    """
+    if default is not None and key not in obj:
+        return default
+    raw = obj[key]
+    types, want = _KINDS[kind]
+    leaves = _leaves(raw, shape)
+    ok = leaves is not None and types.issuperset(map(type, leaves))
+    if ok and kind is float:
+        try:
+            ok = all(map(math.isfinite, leaves))
+        except OverflowError:  # an integer beyond float64's range
+            ok = False
+    if not ok:
+        for n in reversed(shape):
+            want = f"a list of {'' if n is None else f'{n} '}values, each {want}"
+        raise ValueError(f"{name or key} must be {want}, got {json.dumps(raw)}")
+    if kind is not float:
+        return raw
+    return np.array(raw, dtype=float) if shape else float(raw)
 
 
 def read_json(path, parse):

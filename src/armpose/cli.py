@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, json_int, read_json, read_jsonl
+from ._io import DatasetFormatError, atomic_write_text, json_field, read_json, read_jsonl
 from .datagen import (
     SamplerConfig,
     SceneGenerationError,
@@ -92,35 +92,13 @@ def _read_config(path):
         raise ValueError(f"config file {exc}") from None
 
 
-# JSON values accepted for an option of each argparse type. A JSON boolean
-# is never a number here, although Python's bool subclasses int.
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
-
-
-def _config_value(key, action, value):
-    """A config value converted as the option's own flag would convert it;
-    exits 2 on a value that flag could not produce."""
-
-    def reject(want):
-        raise ValueError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
-
-    if action.nargs == 0:  # store_true
-        if not isinstance(value, bool):
-            reject("true or false")
-        return value
-    kinds, want = _CONFIG_TYPES[action.type]
-    convert = action.type or str
-
-    def fits(item):
-        return isinstance(item, kinds) and not isinstance(item, bool)
-
-    if action.nargs is None:
-        if not fits(value):
-            reject(want)
-        return convert(value)
-    if not (isinstance(value, list) and len(value) == action.nargs and all(map(fits, value))):
-        reject(f"a list of {action.nargs} values, each {want}")
-    return [convert(item) for item in value]
+def _config_value(from_file, key, action):
+    """from_file[key] of the option's type and nargs, as its own flag would
+    give it; exits 2 on a value that flag could not produce."""
+    kind = bool if action.nargs == 0 else action.type or str  # nargs 0: store_true
+    shape = (action.nargs,) if action.nargs else ()
+    value = json_field(from_file, key, kind, shape, name=f"config key {key!r}")
+    return value.tolist() if shape and kind is float else value
 
 
 def _parse_args(argv):
@@ -143,9 +121,7 @@ def _parse_args(argv):
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         actions = {action.dest: action for action in command._actions}
-        command.set_defaults(
-            **{key: _config_value(key, actions[key], value) for key, value in from_file.items()}
-        )
+        command.set_defaults(**{key: _config_value(from_file, key, actions[key]) for key in from_file})
         args = parser.parse_args(argv)
     _check_values(args)
     return args
@@ -178,14 +154,11 @@ def _resolve_chain(spec):
 
 def _render_settings(args):
     return RenderSettings(
-        samples_per_link=int(args.samples_per_link),
-        splat_radius=int(args.splat_radius),
-        seed=int(args.render_seed),
+        samples_per_link=args.samples_per_link, splat_radius=args.splat_radius, seed=args.render_seed
     )
 
 
-def _workers(value):
-    count = int(value)
+def _workers(count):
     return count if count >= 1 else (os.cpu_count() or 1)
 
 
@@ -232,9 +205,9 @@ def _load_estimates(path, chain, scenes):
     seen = set()
 
     def parse(obj):
-        index = json_int(obj, "index")
+        index = json_field(obj, "index", int)
         if "error" in obj:
-            est, error = None, str(obj["error"])
+            est, error = None, json_field(obj, "error", str)
         else:
             est, error = Estimate.from_json(obj), None
             check_configuration(chain, est.theta)
@@ -300,14 +273,12 @@ def cmd_gen(args):
         distance=tuple(args.distance),
         elevation=tuple(args.elevation),
         azimuth=tuple(args.azimuth),
-        image_width=int(args.image_size[0]),
-        image_height=int(args.image_size[1]),
-        focal=float(args.focal),
-        noise_std=float(args.noise_std),
+        image_width=args.image_size[0],
+        image_height=args.image_size[1],
+        focal=args.focal,
+        noise_std=args.noise_std,
     )
-    settings = RenderSettings(
-        samples_per_link=int(args.samples_per_link), splat_radius=int(args.splat_radius)
-    )
+    settings = RenderSettings(samples_per_link=args.samples_per_link, splat_radius=args.splat_radius)
     meshes = default_link_meshes(chain)
     payloads = [
         (chain, cfg, args.seed, index, meshes, settings) for index in range(args.count)
@@ -336,16 +307,16 @@ def cmd_train_gim(args):
     else:
         net = init_regressor(
             *regressor_widths(chain),
-            hidden=tuple(int(h) for h in args.hidden),
-            dropout_rate=float(args.dropout),
-            seed=int(args.seed),
+            hidden=args.hidden,
+            dropout_rate=args.dropout,
+            seed=args.seed,
         )
     cfg = TrainConfig(
-        steps=int(args.steps),
-        batch_size=int(args.batch_size),
-        learning_rate=float(args.learning_rate),
-        warmup_steps=int(args.warmup_steps),
-        seed=int(args.seed),
+        steps=args.steps,
+        batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
+        warmup_steps=args.warmup_steps,
+        seed=args.seed,
         start_step=adam_state.step if args.resume else 0,
     )
     if cfg.start_step >= cfg.steps:
@@ -392,7 +363,7 @@ def cmd_estimate(args):
         raise ValueError("estimate needs --net unless --oracle-edm is set")
     net = None if args.oracle_edm else _chain_regressor(args.net, chain)[0]
     payloads = [
-        (chain, k, scene, net, bool(args.oracle_edm), bool(args.freeze_dropout), args.seed)
+        (chain, k, scene, net, args.oracle_edm, args.freeze_dropout, args.seed)
         for scene in scenes
     ]
     rows = _scene_rows(_estimate_scene, payloads, _workers(args.workers), "no scene produced an estimate")
@@ -425,11 +396,11 @@ def cmd_refine(args):
     chain, k, _, scenes = read_dataset(args.data)
     estimates = _load_estimates(args.estimates, chain, scenes)
     cfg = RefinerConfig(
-        iterations=int(args.iterations),
-        inner_evals_per_iteration=int(args.evals_per_iteration),
-        step_theta=float(args.step_theta),
-        step_rot=float(args.step_rot),
-        step_scale=float(args.step_scale),
+        iterations=args.iterations,
+        inner_evals_per_iteration=args.evals_per_iteration,
+        step_theta=args.step_theta,
+        step_rot=args.step_rot,
+        step_scale=args.step_scale,
     )
     settings = _render_settings(args)
     meshes = default_link_meshes(chain)
@@ -481,7 +452,7 @@ def cmd_eval(args):
         )
     if not records:
         raise DatasetFormatError("no scene has a usable estimate to evaluate")
-    report = build_report(records, add_threshold=float(args.threshold))
+    report = build_report(records, add_threshold=args.threshold)
     write_report_json(report, args.out)
     if args.csv:
         write_report_csv(report, args.csv)

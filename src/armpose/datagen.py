@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, json_int, read_json, read_jsonl
+from ._io import atomic_write_text, json_field, read_json, read_jsonl
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
@@ -81,13 +81,13 @@ class SamplerConfig:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            distance=tuple(obj["distance"]),
-            elevation=tuple(obj["elevation"]),
-            azimuth=tuple(obj["azimuth"]),
-            image_width=int(obj["image_width"]),
-            image_height=int(obj["image_height"]),
-            focal=float(obj["focal"]),
-            noise_std=float(obj["noise_std"]),
+            distance=tuple(json_field(obj, "distance", float, (2,)).tolist()),
+            elevation=tuple(json_field(obj, "elevation", float, (2,)).tolist()),
+            azimuth=tuple(json_field(obj, "azimuth", float, (2,)).tolist()),
+            image_width=json_field(obj, "image_width", int),
+            image_height=json_field(obj, "image_height", int),
+            focal=json_field(obj, "focal", float),
+            noise_std=json_field(obj, "noise_std", float),
         )
 
 
@@ -116,15 +116,15 @@ class Scene:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            index=json_int(obj, "index"),
-            theta=np.asarray(obj["theta"], dtype=float),
+            index=json_field(obj, "index", int),
+            theta=json_field(obj, "theta", float, (None,)),
             pose=RigidTransform(
-                np.asarray(obj["rotation"], dtype=float),
-                np.asarray(obj["translation"], dtype=float),
+                json_field(obj, "rotation", float, (3, 3)),
+                json_field(obj, "translation", float, (3,)),
             ),
             keypoints=Keypoints2D.from_json(obj["keypoints"]),
             keypoints_true=Keypoints2D.from_json(obj["keypoints_true"]),
-            silhouette=str(obj["silhouette"]),
+            silhouette=json_field(obj, "silhouette", str),
         )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_text, read_json
+from ._io import atomic_write_text, json_field, read_json
 from .kinematics import dh_transform, joint_points, kabsch, wrap_angle
 
 
@@ -317,14 +317,14 @@ class MlpRegressor:
 
     @classmethod
     def from_json(cls, obj):
-        dims = [int(v) for v in obj["layer_dims"]]
+        dims = json_field(obj, "layer_dims", int, (None,))
         _check_widths(dims)
         return cls(
             layer_dims=dims,
             weights=_decode_arrays(obj["weights"], [(dims[i + 1], dims[i]) for i in range(3)], "weights"),
             biases=_decode_arrays(obj["biases"], [(n,) for n in dims[1:]], "biases"),
-            activation=obj.get("activation", "tanh"),
-            dropout_rate=float(obj.get("dropout_rate", cls.dropout_rate)),
+            activation=json_field(obj, "activation", str, default=cls.activation),
+            dropout_rate=json_field(obj, "dropout_rate", float, default=cls.dropout_rate),
         )
 
 
@@ -496,27 +496,6 @@ def mlp_forward(net, keypoints, dropout_active=False, rng=None):
     return _matrix_from_upper(raw[0] * raw[0], net.matrix_size)
 
 
-def frobenius_loss(net, keypoints, target, masks=None):
-    """0.5 * ||predicted - target||_F^2 over the full matrix."""
-    x = np.asarray(keypoints, dtype=float).reshape(1, -1)
-    raw, _ = _forward(net, x, masks)
-    _, losses = _residuals(net, raw, np.asarray(target, dtype=float)[None])
-    return float(losses[0])
-
-
-def mlp_gradients(net, keypoints, target, masks=None):
-    """Analytic gradients of frobenius_loss w.r.t. every weight and bias.
-
-    Returns (grad_weights, grad_biases) lists matching the net's stages. The
-    optional masks (one (h,) array per hidden layer) fix the dropout pattern
-    so the gradient corresponds to the same stochastic forward pass.
-    """
-    x = np.asarray(keypoints, dtype=float).reshape(1, -1)
-    target = np.asarray(target, dtype=float)[None]
-    _, gw, gb = _batch_loss_and_gradients(net, x, target, masks)
-    return gw, gb
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the number of steps taken."""
@@ -541,8 +520,8 @@ class AdamState:
     def from_json(cls, obj, net):
         """The state saved by to_json, with one moment of each parameter's shape per parameter of net."""
         shapes = [a.shape for a in net.weights + net.biases]
-        step = obj["step"]
-        if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+        step = json_field(obj, "step", int, name="trainer_state.step")
+        if step < 0:
             raise ValueError(f"trainer_state.step must be a non-negative integer, got {step!r}")
         return cls(
             m=_decode_arrays(obj["m"], shapes, "trainer_state.m"),

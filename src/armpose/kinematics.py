@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._io import atomic_write_text, read_json
+from ._io import atomic_write_text, json_field, read_json
 
 _EYE3 = np.eye(3)
 
@@ -113,7 +113,8 @@ class RigidTransform:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(np.asarray(obj["rotation"], dtype=float).reshape(3, 3), obj["translation"])
+        rotation = json_field(obj, "rotation", float, (9,)).reshape(3, 3)
+        return cls(rotation, json_field(obj, "translation", float, (3,)))
 
     def __repr__(self):
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"
@@ -177,12 +178,12 @@ class JointSpec:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            a=float(obj["a"]),
-            d=float(obj["d"]),
-            alpha=float(obj["alpha"]),
-            theta_offset=float(obj.get("theta_offset", 0.0)),
-            limit_lo=float(obj["limit_lo"]),
-            limit_hi=float(obj["limit_hi"]),
+            a=json_field(obj, "a", float),
+            d=json_field(obj, "d", float),
+            alpha=json_field(obj, "alpha", float),
+            theta_offset=json_field(obj, "theta_offset", float, default=cls.theta_offset),
+            limit_lo=json_field(obj, "limit_lo", float),
+            limit_hi=json_field(obj, "limit_hi", float),
         )
 
 
@@ -223,10 +224,10 @@ class KinematicChain:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            name=str(obj["name"]),
+            name=json_field(obj, "name", str),
             joints=tuple(JointSpec.from_json(j) for j in obj["joints"]),
             base_frame=RigidTransform.from_json(obj["base_frame"]),
-            convention=obj.get("convention", "dh_standard"),
+            convention=json_field(obj, "convention", str, default=cls.convention),
         )
 
     def save(self, path):

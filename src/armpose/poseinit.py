@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._io import json_field
 from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
 
 
@@ -42,6 +43,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("focal lengths and principal point must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (self.width >= 1 and self.height >= 1):
@@ -74,12 +77,12 @@ class CameraIntrinsics:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            fx=float(obj["fx"]),
-            fy=float(obj["fy"]),
-            cx=float(obj["cx"]),
-            cy=float(obj["cy"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            fx=json_field(obj, "fx", float),
+            fy=json_field(obj, "fy", float),
+            cx=json_field(obj, "cx", float),
+            cy=json_field(obj, "cy", float),
+            width=json_field(obj, "width", int),
+            height=json_field(obj, "height", int),
         )
 
 
@@ -137,11 +140,11 @@ class Estimate:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            theta=np.asarray(obj["theta"], dtype=float),
-            rotation=np.asarray(obj["rotation"], dtype=float).reshape(3, 3),
-            scale=float(obj["lambda"]),
-            base_pixel=np.asarray(obj["p_base_pixel"], dtype=float),
-            provenance=str(obj.get("provenance", "initial")),
+            theta=json_field(obj, "theta", float, (None,)),
+            rotation=json_field(obj, "rotation", float, (9,)).reshape(3, 3),
+            scale=json_field(obj, "lambda", float),
+            base_pixel=json_field(obj, "p_base_pixel", float, (2,)),
+            provenance=json_field(obj, "provenance", str, default=cls.provenance),
         )
 
 
@@ -175,12 +178,13 @@ class Keypoints2D:
 
     @classmethod
     def from_json(cls, items):
-        uv = np.array([[it["u"], it["v"]] for it in items], dtype=float)
-        vis = [it["visible"] for it in items]
-        for i, flag in enumerate(vis):
-            if not isinstance(flag, bool):
-                raise ValueError(f"keypoint {i} visible must be true or false, got {flag!r}")
-        return cls(uv, np.array(vis, dtype=bool))
+        uv, visible = [], []
+        for i, it in enumerate(items):
+            u = json_field(it, "u", float, name=f"keypoint {i} u")
+            v = json_field(it, "v", float, name=f"keypoint {i} v")
+            uv.append((u, v))
+            visible.append(json_field(it, "visible", bool, name=f"keypoint {i} visible"))
+        return cls(uv, visible)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import shutil
 
 import numpy as np
@@ -711,6 +712,29 @@ _MALFORMED = [
     ("camera-without-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.pop("fx")), "estimate"),
     ("camera-negative-fx", lambda d, net: _edit_json(d / "camera.json", lambda o: o.update(fx=-1)), "estimate"),
     (
+        "camera-fractional-width",
+        lambda d, net: (_edit_json(d / "camera.json", lambda o: o.update(width=224.9)), "width must be an integer"),
+        "estimate",
+    ),
+    (
+        "camera-boolean-fx",
+        lambda d, net: (_edit_json(d / "camera.json", lambda o: o.update(fx=True)), "fx must be a finite number"),
+        "estimate",
+    ),
+    (
+        "camera-nan-cx",
+        lambda d, net: (_edit_json(d / "camera.json", lambda o: o.update(cx=math.nan)), "cx must be a finite number"),
+        "estimate",
+    ),
+    (
+        "chain-joint-length-as-text",
+        lambda d, net: (
+            _edit_json(d / "chain.json", lambda o: o["joints"][2].update(a="0")),
+            "a must be a finite number",
+        ),
+        "estimate",
+    ),
+    (
         "chain-joint-without-limit",
         lambda d, net: _edit_json(d / "chain.json", lambda o: o["joints"][2].pop("limit_lo")),
         "estimate",
@@ -727,6 +751,19 @@ _MALFORMED = [
             "keypoint 1 visible must be true or false",
         ),
         "estimate",
+    ),
+    (
+        "scene-keypoint-as-text",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r["keypoints"][1].update(u="100.5")),
+            "keypoint 1 u must be a finite number",
+        ),
+        "estimate",
+    ),
+    (
+        "scene-angle-as-text",
+        lambda d, net: (_edit_second_scene(d, lambda r: r["theta"].__setitem__(0, "0.3")), "theta must be a list"),
+        "eval",
     ),
     (
         "estimate-boolean-index",
@@ -762,6 +799,14 @@ _MALFORMED = [
         lambda d, net: (
             _saved_regressor(net, lambda o: o["biases"].__setitem__(0, "*" + o["biases"][0])),
             "biases[0] is not a base64 block",
+        ),
+        "estimate-net",
+    ),
+    (
+        "regressor-dropout-as-text",
+        lambda d, net: (
+            _saved_regressor(net, lambda o: o.update(dropout_rate="0.1")),
+            "dropout_rate must be a finite number",
         ),
         "estimate-net",
     ),

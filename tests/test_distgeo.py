@@ -16,7 +16,6 @@ from armpose import (
     configuration_from_points,
     edm_from_configuration,
     edm_from_points,
-    frobenius_loss,
     gram_from_edm,
     init_regressor,
     joint_points,
@@ -24,7 +23,6 @@ from armpose import (
     load_regressor,
     look_at,
     mlp_forward,
-    mlp_gradients,
     perturb_keypoints,
     points_from_gram,
     project_keypoints,
@@ -435,22 +433,28 @@ def test_mlp_dropout_modes():
         mlp_forward(net, x, dropout_active=True)
 
 
+def _one_sample(net, x, target):
+    """One sample's loss and gradients from the training kernel, as a batch of one."""
+    losses, gw, gb = distgeo._batch_loss_and_gradients(net, x[None], target[None], None)
+    return losses[0], gw, gb
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     for trial in range(3):
         net = init_regressor(6, 6, hidden=(10, 9), dropout_rate=0.0, seed=trial)
         x = rng.uniform(0, 1, 6)
         target = edm_from_points(rng.normal(size=(4, 3)))
-        gw, gb = mlp_gradients(net, x, target)
+        _, gw, gb = _one_sample(net, x, target)
         h = 1e-5
         for s in range(3):
             w = net.weights[s]
             for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1), (w.shape[0] // 2, w.shape[1] // 2)]:
                 orig = w[idx]
                 w[idx] = orig + h
-                hi_val = frobenius_loss(net, x, target)
+                hi_val = _one_sample(net, x, target)[0]
                 w[idx] = orig - h
-                lo_val = frobenius_loss(net, x, target)
+                lo_val = _one_sample(net, x, target)[0]
                 w[idx] = orig
                 fd = (hi_val - lo_val) / (2 * h)
                 denom = max(abs(fd), 1e-8)
@@ -519,12 +523,12 @@ def test_gradients_zero_at_exact_fit_and_linear_in_residual():
     net = init_regressor(6, 6, hidden=(10, 9), dropout_rate=0.0, seed=4)
     x = np.random.default_rng(0).uniform(0, 1, 6)
     pred = mlp_forward(net, x)
-    gw, gb = mlp_gradients(net, x, pred)
+    _, gw, gb = _one_sample(net, x, pred)
     assert all(np.max(np.abs(g)) < 1e-12 for g in gw + gb)
     target = edm_from_points(np.random.default_rng(1).normal(size=(4, 3)))
-    gw1, gb1 = mlp_gradients(net, x, target)
+    _, gw1, gb1 = _one_sample(net, x, target)
     # doubling the residual (pred - target) doubles every gradient
-    gw2, gb2 = mlp_gradients(net, x, 2.0 * target - pred)
+    _, gw2, gb2 = _one_sample(net, x, 2.0 * target - pred)
     for g1, g2 in zip(gw1 + gb1, gw2 + gb2):
         assert np.max(np.abs(g2 - 2.0 * g1)) < 1e-9
 
@@ -650,8 +654,8 @@ def test_desk_scale_training_run():
     # seeded run; the decreasing trend is asserted with that calibrated slack
     assert float(rises.max()) <= 2e-3 * float(ma[0])
     assert ma[-1] < 0.05 * ma[0]
-    untrained = np.mean([frobenius_loss(net, x, t) for x, t in pairs])
-    final = np.mean([frobenius_loss(trained, x, t) for x, t in pairs])
+    untrained = np.mean([_one_sample(net, x, t)[0] for x, t in pairs])
+    final = np.mean([_one_sample(trained, x, t)[0] for x, t in pairs])
     assert final * 5.0 < untrained
 
 

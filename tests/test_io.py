@@ -3,10 +3,11 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from armpose import DatasetFormatError, builtin_chain, init_regressor, load_chain, load_regressor, save_regressor
-from armpose._io import atomic_write_bytes, read_jsonl
+from armpose._io import atomic_write_bytes, json_field, read_jsonl
 
 
 def test_failed_atomic_write_keeps_old_file_and_cleans_up(tmp_path):
@@ -62,3 +63,40 @@ def test_read_jsonl_skips_blank_lines_and_rejects_a_file_without_records(tmp_pat
     path.write_text("\n")
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: no rows")):
         read_jsonl(path, lambda obj: obj["a"], "row")
+
+
+def test_json_field_reads_numbers_as_float64_like_numpy():
+    obj = json.loads('{"n": 3, "x": 0.1, "m": [[1, 2.5], [3, 4]], "v": [], "flag": false}')
+    assert json_field(obj, "n", int) == 3 and type(json_field(obj, "n", float)) is float
+    assert json_field(obj, "x", float) == np.asarray(obj["x"], dtype=float)
+    m = json_field(obj, "m", float, (2, 2))
+    assert m.dtype == np.float64 and np.array_equal(m, np.asarray(obj["m"], dtype=float))
+    assert json_field(obj, "v", float, (None,)).shape == (0,)
+    assert json_field(obj, "flag", bool) is False
+    assert json_field(obj, "absent", float, default=0.5) == 0.5
+
+
+@pytest.mark.parametrize(
+    "text, kind, shape, reason",
+    [
+        ('{"k": true}', int, (), "k must be an integer, got true"),
+        ('{"k": 2.0}', int, (), "k must be an integer, got 2.0"),
+        ('{"k": true}', float, (), "k must be a finite number, got true"),
+        ('{"k": "1.5"}', float, (), 'k must be a finite number, got "1.5"'),
+        ('{"k": NaN}', float, (), "k must be a finite number, got NaN"),
+        ('{"k": -Infinity}', float, (), "k must be a finite number, got -Infinity"),
+        ('{"k": 1' + "0" * 400 + "}", float, (), "k must be a finite number"),
+        ('{"k": 0}', bool, (), "k must be true or false, got 0"),
+        ('{"k": 7}', str, (), "k must be a string, got 7"),
+        ('{"k": [1, "2"]}', float, (2,), 'k must be a list of 2 values, each a finite number, got [1, "2"]'),
+        ('{"k": [1, 2, 3]}', float, (2,), "k must be a list of 2 values"),
+        ('{"k": [[1, 2], [3]]}', float, (2, 2), "k must be a list of 2 values, each a list of 2 values"),
+        ('{"k": [[1], [2]]}', float, (None,), "k must be a list of values, each a finite number"),
+        ('{"k": 1}', float, (None,), "k must be a list of values"),
+    ],
+)
+def test_json_field_rejects_other_values_naming_the_field(text, kind, shape, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        json_field(json.loads(text), "k", kind, shape)
+    with pytest.raises(ValueError, match=re.escape("config key 'k' must be")):
+        json_field(json.loads(text), "k", kind, shape, name="config key 'k'")

@@ -125,3 +125,47 @@ def test_only_io_parses_json_files():
             ):
                 found.append(f"{name}.py:{node.lineno} calls json.{node.attr}")
     assert found == []
+
+
+def _is_bool_test(node):
+    """isinstance(x, bool) or isinstance(x, (..., bool, ...))."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return False
+    kinds = node.args[1:]
+    if kinds and isinstance(kinds[0], ast.Tuple):
+        kinds = kinds[0].elts
+    return any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds)
+
+
+def _is_conversion(node):
+    """A call of int, float, str, np.asarray or np.array."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in ("int", "float", "str")
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("asarray", "array")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "np"
+    )
+
+
+def test_only_io_decides_json_field_types():
+    """Every from_json reads its fields through _io.json_field rather than
+    converting raw JSON values itself, and only _io tells a boolean from a
+    number, so the JSON type rule is written once."""
+    found = []
+    for name in _module_names():
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if name != "_io" and _is_bool_test(node):
+                found.append(f"{name}.py:{node.lineno} tests isinstance(..., bool)")
+            if isinstance(node, ast.FunctionDef) and node.name == "from_json":
+                found += [
+                    f"{name}.py:{inner.lineno} converts a raw value in from_json"
+                    for inner in ast.walk(node)
+                    if _is_conversion(inner)
+                ]
+    assert found == []

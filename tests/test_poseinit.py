@@ -77,6 +77,14 @@ def test_intrinsics_matrix_and_json_round_trip():
     assert again == k
 
 
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_intrinsics_reject_non_finite_values(field, value):
+    fields = {"fx": 260.0, "fy": 260.0, "cx": 112.0, "cy": 112.0, "width": 224, "height": 224}
+    with pytest.raises(ValueError, match="must be finite"):
+        CameraIntrinsics(**{**fields, field: value})
+
+
 def test_keypoints_round_trip():
     kp = Keypoints2D(np.array([[1.5, 2.5], [3.0, 4.0]]), np.array([True, False]))
     items = kp.to_json()
