@@ -33,10 +33,8 @@ scene, observed = build_scene(chain, cfg, seed=12, index=0, meshes=meshes, rende
 rng = np.random.default_rng(1)
 lo, hi = chain.limits()
 theta0 = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], chain.dof), lo, hi)
-t = scene.pose.translation
-pix = k.project(t)
-start = Estimate(theta0, scene.pose.rotation, 1.1 * float(t[2]), pix)
-truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), pix, provenance="truth")
+truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")
+start = Estimate(theta0, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
 
 refined, trace = refine(
     start, observed, chain, meshes, k, RefinerConfig(), settings, ground_truth=truth

@@ -18,19 +18,15 @@ from armpose import (
     SamplerConfig,
     TrainConfig,
     add_metric,
-    align_points,
     build_report,
     build_scene,
     builtin_chain,
-    configuration_from_points,
     default_link_meshes,
     edm_from_configuration,
-    gram_from_edm,
+    estimate_from_distances,
     init_regressor,
-    initial_estimate,
     keypoint_features,
     mlp_forward,
-    points_from_gram,
     refine,
     regressor_widths,
     train_gim,
@@ -66,10 +62,8 @@ for scene, observed in zip(eval_scenes, eval_masks):
     # realizes exactly; the eigendecomposition then keeps the best rank-3 part
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cloud = points_from_gram(gram_from_edm(d))
+        est = estimate_from_distances(scene.keypoints, d, chain, k)
     rough += sum(issubclass(w.category, NonEmbeddableWarning) for w in caught)
-    theta0 = configuration_from_points(chain, align_points(cloud, chain))
-    est = initial_estimate(scene.keypoints, theta0, chain, k)
     records_init.append(
         EvalRecord(scene.index, add_metric(scene.pose, scene.theta, est.pose(k), est.theta, chain), 0.0)
     )

@@ -29,7 +29,6 @@ from .distgeo import (
     TrainConfig,
     TrainingDivergedError,
     align_points,
-    anchor_indices,
     configuration_from_points,
     edm_from_configuration,
     edm_from_points,
@@ -74,6 +73,7 @@ from .poseinit import (
     PnpDegenerateError,
     ScaleUndefinedError,
     epnp,
+    estimate_from_distances,
     initial_estimate,
     scale_factor,
 )

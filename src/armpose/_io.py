@@ -22,15 +22,21 @@ class DatasetFormatError(ValueError):
     """Raised when an input file does not parse or holds a bad record."""
 
 
-def _parse(where, parse, raw):
-    """parse(the JSON value in raw); where starts the error for raw that is
-    not JSON or that parse rejects with a bad value, a missing key or a
-    value of the wrong type."""
+def json_record(where, parse, value, error=ValueError):
+    """parse(value); a bad value, a missing key or a value of the wrong type
+    raises error, its message started by where. A from_json reads each record
+    nested in its own this way, so the error names the record."""
     try:
-        return parse(json.loads(raw))
+        return parse(value)
     except (ValueError, KeyError, TypeError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise DatasetFormatError(f"{where}: {reason}") from exc
+        raise error(f"{where}: {reason}") from exc
+
+
+def _parse(where, parse, raw):
+    """parse(the JSON value in raw); a DatasetFormatError started by where
+    for raw that is not JSON or that parse rejects."""
+    return json_record(where, lambda text: parse(json.loads(text)), raw, DatasetFormatError)
 
 
 # For each field kind: the exact types its JSON values parse to, and its

@@ -36,15 +36,11 @@ from .distgeo import (
     MlpRegressor,
     TrainConfig,
     TrainingDivergedError,
-    align_points,
-    configuration_from_points,
     edm_from_configuration,
-    gram_from_edm,
     init_regressor,
     keypoint_features,
     load_regressor,
     mlp_forward,
-    points_from_gram,
     regressor_widths,
     save_regressor,
     train_gim,
@@ -53,7 +49,7 @@ from .kinematics import builtin_chain, check_configuration, joint_points, load_c
 from .kinematics import forward_kinematics  # noqa: F401  (perfbench's tracer wraps it here)
 from .metrics import ADD_THRESHOLD, EvalRecord, add_metric, build_report, mae_config
 from .metrics import write_report_csv, write_report_json
-from .poseinit import Estimate, PnpDegenerateError, initial_estimate
+from .poseinit import Estimate, PnpDegenerateError, estimate_from_distances
 from .refine import RefinerConfig, refine
 from .silhouette import (
     RenderSettings,
@@ -219,16 +215,6 @@ def _load_estimates(path, chain, scenes):
     return read_jsonl(path, parse, "estimate record")
 
 
-def _scene_mask(data_dir, scene, k):
-    """A scene's observed silhouette; a mask that does not fit the camera is
-    reported with its file."""
-    mask = load_scene_mask(data_dir, scene)
-    if mask.shape != (k.height, k.width):
-        path = os.path.join(data_dir, scene.silhouette)
-        raise DatasetFormatError(f"{path}: mask is {mask.shape}, camera expects {(k.height, k.width)}")
-    return mask
-
-
 def _chain_regressor(path, chain):
     """(net, trainer state or None) saved in path; ValueError naming the file
     when the regressor's input or output width does not fit the chain."""
@@ -348,10 +334,7 @@ def _estimate_scene(payload):
             targets = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cloud = points_from_gram(gram_from_edm(d))
-            aligned = align_points(cloud, chain, targets)
-            theta0 = configuration_from_points(chain, aligned)
-        est = initial_estimate(scene.keypoints, theta0, chain, k)
+            est = estimate_from_distances(scene.keypoints, d, chain, k, targets)
         return scene.index, est, None
     except (ValueError, PnpDegenerateError) as exc:
         return scene.index, None, f"{type(exc).__name__}: {exc}"
@@ -376,17 +359,12 @@ def cmd_estimate(args):
 # refine
 
 
-def _scene_truth(scene, k):
-    """Ground-truth Estimate for a generated scene; lets traces carry ADD."""
-    t = scene.pose.translation
-    return Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t), provenance="truth")
-
-
 def _refine_worker(payload):
     chain, k, data_dir, scene, est, meshes, cfg, settings = payload
     try:
-        observed = _scene_mask(data_dir, scene, k)
-        result = refine(est, observed, chain, meshes, k, cfg, settings, ground_truth=_scene_truth(scene, k))
+        observed = load_scene_mask(data_dir, scene, k)
+        truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")  # lets traces carry ADD
+        result = refine(est, observed, chain, meshes, k, cfg, settings, ground_truth=truth)
         return scene.index, result, None
     except (ValueError, OSError) as exc:
         return scene.index, None, f"{type(exc).__name__}: {exc}"
@@ -478,7 +456,7 @@ def cmd_render(args):
             raise DatasetFormatError(f"{args.estimates}: no usable entry for scene {args.scene}")
         theta, pose = est.theta, est.pose(k)
     meshes = default_link_meshes(chain)
-    observed = _scene_mask(args.data, scene, k)
+    observed = load_scene_mask(args.data, scene, k)
     model = render_chain_silhouette(chain, theta, meshes, pose, k, _render_settings(args))
     overlay = np.zeros((k.height, k.width), dtype=np.uint8)
     overlay[observed] = 128

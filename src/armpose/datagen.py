@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, json_field, read_json, read_jsonl
+from ._io import DatasetFormatError, atomic_write_text, json_field, json_record, read_json, read_jsonl
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import (
@@ -122,8 +122,8 @@ class Scene:
                 json_field(obj, "rotation", float, (3, 3)),
                 json_field(obj, "translation", float, (3,)),
             ),
-            keypoints=Keypoints2D.from_json(obj["keypoints"]),
-            keypoints_true=Keypoints2D.from_json(obj["keypoints_true"]),
+            keypoints=json_record("keypoints", Keypoints2D.from_json, obj["keypoints"]),
+            keypoints_true=json_record("keypoints_true", Keypoints2D.from_json, obj["keypoints_true"]),
             silhouette=json_field(obj, "silhouette", str),
         )
 
@@ -263,6 +263,11 @@ def read_dataset(in_dir):
     return chain, k, cfg, scenes
 
 
-def load_scene_mask(in_dir, scene):
-    """Read a scene's silhouette as a boolean mask."""
-    return read_pgm(os.path.join(in_dir, scene.silhouette)) >= 128
+def load_scene_mask(in_dir, scene, k):
+    """Read a scene's silhouette as a boolean mask; a DatasetFormatError
+    naming the file when it does not fit camera k."""
+    path = os.path.join(in_dir, scene.silhouette)
+    mask = read_pgm(path) >= 128
+    if mask.shape != (k.height, k.width):
+        raise DatasetFormatError(f"{path}: mask is {mask.shape}, camera expects {(k.height, k.width)}")
+    return mask

@@ -121,20 +121,15 @@ def points_from_gram(g):
 # anchoring
 
 
-def anchor_indices(chain):
-    """Indices into the skeleton array used as alignment anchors.
-
-    Scans base-side candidates (p_1, q_1, p_2, q_2, p_3, ...) at the zero
-    configuration and keeps the first three that are pairwise distinct and not
-    collinear. Depends only on the chain constants, never on a configuration.
-    """
-    return list(_zero_reference(chain)[1])
-
-
 @functools.lru_cache(maxsize=16)
 def _zero_reference(chain):
-    """The chain's zero-configuration skeleton (read-only) and its anchor
-    rows, built once per chain: both depend only on its constants."""
+    """The chain's zero-configuration skeleton (read-only) and its alignment
+    anchors, built once per chain: both depend only on its constants.
+
+    The anchors are the first three base-side rows (p_1, q_1, p_2, q_2, p_3,
+    ...) that are pairwise distinct and not collinear at the zero
+    configuration.
+    """
     reference = joint_points(chain, np.zeros(chain.dof))
     reference.flags.writeable = False
     n = chain.dof
@@ -164,7 +159,7 @@ def align_points(x_raw, chain, targets=None):
 
     x_raw is the (2n, 3) output of points_from_gram (any rigid placement,
     either chirality). The proper-rotation Procrustes solve always uses only
-    the anchor rows selected by anchor_indices. targets is a (2n, 3) matrix
+    the anchor rows _zero_reference selects. targets is a (2n, 3) matrix
     of known point locations; when given, the cloud and its mirror image are
     both fit and the full-cloud residual decides between them. With
     targets=None the zero-configuration skeleton serves as the anchor

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._io import atomic_write_text, json_field, read_json
+from ._io import atomic_write_text, json_field, json_record, read_json
 
 _EYE3 = np.eye(3)
 
@@ -49,8 +49,8 @@ def check_rotation(rotation):
 class RigidTransform:
     """An SE(3) element: orthonormal rotation (det +1) plus translation in meters.
 
-    The constructor checks its inputs; compose and inverse trust transforms
-    that were checked when they were built.
+    The constructor checks its inputs (no argument: the identity); a
+    product trusts transforms that were checked when they were built.
     """
 
     __slots__ = ("rotation", "translation")
@@ -76,34 +76,17 @@ class RigidTransform:
         obj.translation = translation
         return obj
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    def compose(self, other):
-        """Return self applied after other has been applied, i.e. self @ other."""
+    def __matmul__(self, other):
+        """self applied after other."""
         return RigidTransform._unchecked(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def apply(self, points):
         """Transform one point (3,) or a stack of points (..., 3)."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self):
-        rot_inv = self.rotation.T
-        return RigidTransform._unchecked(rot_inv, -(rot_inv @ self.translation))
-
-    def as_matrix(self):
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
 
     def to_json(self):
         return {
@@ -225,8 +208,8 @@ class KinematicChain:
     def from_json(cls, obj):
         return cls(
             name=json_field(obj, "name", str),
-            joints=tuple(JointSpec.from_json(j) for j in obj["joints"]),
-            base_frame=RigidTransform.from_json(obj["base_frame"]),
+            joints=tuple(json_record(f"joint {i}", JointSpec.from_json, j) for i, j in enumerate(obj["joints"])),
+            base_frame=json_record("base_frame", RigidTransform.from_json, obj["base_frame"]),
             convention=json_field(obj, "convention", str, default=cls.convention),
         )
 

@@ -1,11 +1,14 @@
-"""Initial camera-to-robot pose from 2D keypoints.
+"""Initial camera-to-robot pose and configuration from 2D keypoints.
 
-Rotation comes from an EPnP solve over the visible keypoints against forward
-kinematics at the initial configuration. The EPnP translation is discarded:
-depth is recovered from the apparent length of the base-adjacent link in
-normalized image coordinates, and the full translation back-projects the base
-keypoint along its camera ray at that depth. The result is an ``Estimate``,
-the record that refinement then moves and the CLI reads and writes.
+estimate_from_distances is the geometric initialization: classical MDS of a
+skeleton distance matrix, anchor alignment and the analytic IK give the
+configuration. Rotation then comes from an EPnP solve over the visible
+keypoints against forward kinematics at that configuration. The EPnP
+translation is discarded: depth is recovered from the apparent length of the
+base-adjacent link in normalized image coordinates, and the full translation
+back-projects the base keypoint along its camera ray at that depth. The
+result is an ``Estimate``, the record that refinement then moves and the CLI
+reads and writes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._io import json_field
+from .distgeo import align_points, configuration_from_points, gram_from_edm, points_from_gram
 from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
 
 
@@ -49,9 +53,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (self.width >= 1 and self.height >= 1):
             raise ValueError("image dimensions must be at least 1x1")
-
-    def matrix(self):
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
 
     def normalized(self, uv):
         """Pixel coordinates to normalized image-plane coordinates."""
@@ -126,6 +127,13 @@ class Estimate:
     def pose(self, k):
         """Camera-from-base transform implied by this estimate."""
         return _camera_pose(self.rotation, self.scale, self.base_pixel, k)
+
+    @classmethod
+    def from_pose(cls, theta, pose, k, provenance="initial"):
+        """The estimate whose pose(k) is pose up to rounding: the base origin's
+        depth is the scale and its projection the base pixel."""
+        t = pose.translation
+        return cls(theta, pose.rotation, float(t[2]), k.project(t), provenance)
 
     def to_json(self):
         # rotation is stored row-major as a flat list of 9 floats
@@ -427,3 +435,17 @@ def initial_estimate(keypoints, theta_init, chain, k):
         base_pixel=keypoints.uv[0],
         provenance="initial",
     )
+
+
+def estimate_from_distances(keypoints, distances, chain, k, targets=None):
+    """The geometric initialization of one scene from its skeleton distances.
+
+    Embeds the squared-distance matrix by classical MDS, aligns the cloud onto
+    targets (a (2n, 3) skeleton; None for the canonical alignment), reads the
+    configuration off it with the analytic IK, and completes it with
+    initial_estimate. MDS and the IK warn on a matrix no point set realizes
+    and on a joint they cannot read.
+    """
+    cloud = points_from_gram(gram_from_edm(distances))
+    theta = configuration_from_points(chain, align_points(cloud, chain, targets))
+    return initial_estimate(keypoints, theta, chain, k)

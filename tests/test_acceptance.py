@@ -7,6 +7,7 @@ minutes; everything else is seconds.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from armpose import (
     CameraIntrinsics,
     Estimate,
     Mesh,
+    PnpDegenerateError,
     RefinerConfig,
     RenderSettings,
     RigidTransform,
     SamplerConfig,
+    TrainConfig,
     add_metric,
     align_points,
     auc,
@@ -30,24 +33,31 @@ from armpose import (
     edm_from_configuration,
     edm_from_points,
     epnp,
+    estimate_from_distances,
     forward_kinematics,
     gram_from_edm,
     init_regressor,
     silhouette_iou,
     joint_points,
+    keypoint_features,
     look_at,
     matrix_to_rot6d,
+    mlp_forward,
+    perturb_keypoints,
     points_from_gram,
     pose_loss,
     project_keypoints,
     refine,
+    regressor_widths,
     render_chain_silhouette,
     render_silhouette,
     rot6d_to_matrix,
     rotation_geodesic,
+    sample_scene,
     sample_surface,
     scale_factor,
     skeleton_keypoints,
+    train_gim,
 )
 from armpose.distgeo import _batch_loss_and_gradients
 
@@ -305,7 +315,7 @@ def test_criterion_07_renderer_and_iou():
     cube_k = CameraIntrinsics(fx=500.0, fy=500.0, cx=112.0, cy=112.0, width=224, height=224)
     r = 1
     pts = sample_surface(_cube_mesh([0.0, 0.0, 4.0], 0.5), 10000, seed=0)
-    img = render_silhouette(pts, RigidTransform.identity(), cube_k, RenderSettings(10000, r, 0))
+    img = render_silhouette(pts, RigidTransform(), cube_k, RenderSettings(10000, r, 0))
     on = np.argwhere(img)
     lo_expect = 112.0 - 500.0 * 0.5 / 3.5
     hi_expect = 112.0 + 500.0 * 0.5 / 3.5
@@ -388,10 +398,8 @@ def _suite():
             rng = np.random.default_rng(np.random.SeedSequence((900, i, 3)))
             signs = rng.choice([-1.0, 1.0], size=chain.dof)
             theta0 = np.clip(scene.theta + 0.1 * signs, lo, hi)
-            t = scene.pose.translation
-            pix = np.array([k.fx * t[0] / t[2] + k.cx, k.fy * t[1] / t[2] + k.cy])
-            init = Estimate(theta0, scene.pose.rotation.copy(), 1.1 * float(t[2]), pix)
-            truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), pix, provenance="truth")
+            truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")
+            init = Estimate(theta0, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
             scenes.append((scene, mask, init, truth))
         _SWEEP["chain"] = chain
         _SWEEP["k"] = k
@@ -504,3 +512,54 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     for name in trees["a"]:
         assert trees["a"][name] == trees["b"][name], f"{name} differs between runs"
     print(f"criterion 11 PASS: {len(trees['a'])} files byte-identical across two pipeline runs")
+
+
+# ---------------------------------------------------------------------------
+# criterion 12: honest end-to-end quality
+
+
+def test_criterion_12_honest_end_to_end():
+    """Train-gim, estimate --freeze-dropout and refine at their defaults, run
+    in-process: nothing from ground truth reaches a scene's estimate. The
+    regressor learns from 500 scenes of dataset seed 1, without their masks;
+    30 scenes of dataset seed 2 are estimated from their noisy keypoints and
+    refined against their masks."""
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    k = cfg.intrinsics()
+    start = time.perf_counter()
+    train = []
+    for index in range(500):
+        theta, _, keypoints = sample_scene(chain, cfg, 1, index)
+        noisy = perturb_keypoints(keypoints, cfg.noise_std, (1, index, 1))  # as build_scene draws them
+        train.append((keypoint_features(noisy, k.width, k.height), edm_from_configuration(chain, theta)))
+    net, _, _ = train_gim(init_regressor(*regressor_widths(chain), seed=0), train, TrainConfig(seed=0))
+    meshes, settings = default_link_meshes(chain), RenderSettings()
+    failed, adds_init, adds_ref = [], [], []
+    for index in range(30):
+        scene, mask = build_scene(chain, cfg, 2, index, meshes, settings)
+        d = mlp_forward(net, keypoint_features(scene.keypoints, k.width, k.height))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # as estimate runs it
+                est = estimate_from_distances(scene.keypoints, d, chain, k)
+        except (ValueError, PnpDegenerateError) as exc:
+            failed.append(f"scene {index}: {exc}")
+            continue
+        refined, _ = refine(est, mask, chain, meshes, k, RefinerConfig(), settings)
+        adds_init.append(add_metric(scene.pose, scene.theta, est.pose(k), est.theta, chain))
+        adds_ref.append(add_metric(scene.pose, scene.theta, refined.pose(k), refined.theta, chain))
+    elapsed = time.perf_counter() - start
+    med_init, med_ref = float(np.median(adds_init)), float(np.median(adds_ref))
+    mean_init, mean_ref = float(np.mean(adds_init)), float(np.mean(adds_ref))
+    # reference run: 30/30 estimated, init median 0.6102 (mean 0.7132), refined
+    # median 0.3540 (mean 0.4424). A z-mirrored MDS cloud gave a better init
+    # (0.498) and a refined median of 0.464, which only the refined bound sees.
+    assert failed == []
+    assert med_init <= 0.62
+    assert med_ref <= 0.36
+    assert mean_ref <= 0.45
+    print(
+        f"criterion 12 PASS: {len(adds_init)}/30 scenes estimated, median ADD {med_init:.4f} "
+        f"(mean {mean_init:.4f}) -> {med_ref:.4f} (mean {mean_ref:.4f}) after refine, {elapsed:.1f}s"
+    )

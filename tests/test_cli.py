@@ -730,13 +730,16 @@ _MALFORMED = [
         "chain-joint-length-as-text",
         lambda d, net: (
             _edit_json(d / "chain.json", lambda o: o["joints"][2].update(a="0")),
-            "a must be a finite number",
+            "joint 2: a must be a finite number",
         ),
         "estimate",
     ),
     (
         "chain-joint-without-limit",
-        lambda d, net: _edit_json(d / "chain.json", lambda o: o["joints"][2].pop("limit_lo")),
+        lambda d, net: (
+            _edit_json(d / "chain.json", lambda o: o["joints"][2].pop("limit_lo")),
+            "joint 2: missing key 'limit_lo'",
+        ),
         "estimate",
     ),
     ("sampler-not-json", lambda d, net: _write(d / "sampler.json", "{"), "estimate"),
@@ -756,7 +759,15 @@ _MALFORMED = [
         "scene-keypoint-as-text",
         lambda d, net: (
             _edit_second_scene(d, lambda r: r["keypoints"][1].update(u="100.5")),
-            "keypoint 1 u must be a finite number",
+            "keypoints: keypoint 1 u must be a finite number",
+        ),
+        "estimate",
+    ),
+    (
+        "scene-true-keypoint-as-text",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r["keypoints_true"][1].update(u="100.5")),
+            "keypoints_true: keypoint 1 u must be a finite number",
         ),
         "estimate",
     ),

@@ -128,7 +128,8 @@ def test_sample_scene_deterministic_and_in_limits():
     theta_a, pose_a, kp_a = sample_scene(chain, cfg, seed=3, index=5)
     theta_b, pose_b, kp_b = sample_scene(chain, cfg, seed=3, index=5)
     assert np.array_equal(theta_a, theta_b)
-    assert np.array_equal(pose_a.as_matrix(), pose_b.as_matrix())
+    assert np.array_equal(pose_a.rotation, pose_b.rotation)
+    assert np.array_equal(pose_a.translation, pose_b.translation)
     assert np.array_equal(kp_a.uv, kp_b.uv)
     assert np.all(theta_a >= lo) and np.all(theta_a <= hi)
     assert kp_a.visible[0] and kp_a.visible[1] and kp_a.visible.sum() >= 4
@@ -191,7 +192,8 @@ def test_scene_json_round_trip():
     again = Scene.from_json(blob)
     assert again.index == scene.index
     assert np.array_equal(again.theta, scene.theta)
-    assert np.array_equal(again.pose.as_matrix(), scene.pose.as_matrix())
+    assert np.array_equal(again.pose.rotation, scene.pose.rotation)
+    assert np.array_equal(again.pose.translation, scene.pose.translation)
     assert np.array_equal(again.keypoints.uv, scene.keypoints.uv)
 
 
@@ -211,7 +213,7 @@ def test_dataset_round_trip_bitwise(tmp_path):
     chain2, k2, cfg2, scenes2 = read_dataset(out_a)
     assert cfg2 == cfg
     assert chain2.name == chain.name
-    masks2 = [load_scene_mask(out_a, s) for s in scenes2]
+    masks2 = [load_scene_mask(out_a, s, k2) for s in scenes2]
     write_dataset(out_b, chain2, cfg2, scenes2, masks2)
     for name in ["chain.json", "camera.json", "sampler.json", "scenes.jsonl"]:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

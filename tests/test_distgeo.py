@@ -11,7 +11,6 @@ from armpose import (
     TrainConfig,
     TrainingDivergedError,
     align_points,
-    anchor_indices,
     builtin_chain,
     configuration_from_points,
     edm_from_configuration,
@@ -33,6 +32,7 @@ from armpose import (
 )
 from armpose import ConfigurationAmbiguousWarning, Keypoints2D, SamplerConfig
 from armpose import distgeo, kinematics
+from armpose.distgeo import _zero_reference
 from armpose.kinematics import dh_transform, kabsch, wrap_angle
 
 
@@ -128,7 +128,7 @@ def test_edm_rigid_invariance_under_base_change():
 def test_anchor_indices_are_noncollinear():
     for name in ("panda7", "planar2"):
         chain = builtin_chain(name)
-        idx = anchor_indices(chain)
+        idx = _zero_reference(chain)[1]
         assert len(idx) == 3
         pts = joint_points(chain, np.zeros(chain.dof))[list(idx)]
         area = np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
@@ -171,7 +171,7 @@ def test_canonical_alignment_keeps_the_cloud_chirality():
     tell the two apart, so neither is swapped for the other."""
     chain = builtin_chain("panda7")
     reference = joint_points(chain, np.zeros(chain.dof))
-    idx = anchor_indices(chain)
+    idx = _zero_reference(chain)[1]
     rng = np.random.default_rng(23)
     lo, hi = chain.limits()
     for _ in range(5):
@@ -342,7 +342,7 @@ def test_align_points_runs_forward_kinematics_once(monkeypatch):
     assert np.array_equal(got, want)
     # the zero-configuration reference and anchors are built once per chain
     assert np.array_equal(align_points(cloud, chain), want)
-    assert anchor_indices(chain) == [0, chain.dof, chain.dof + 1]
+    assert _zero_reference(chain)[1] == [0, chain.dof, chain.dof + 1]
     assert len(calls) == 1
 
 

@@ -29,7 +29,7 @@ def test_loaders_name_a_bad_file(tmp_path):
     del chain["joints"][2]["limit_lo"]
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain))
-    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: missing key 'limit_lo'")):
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: joint 2: missing key 'limit_lo'")):
         load_chain(path)
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"layer_dims": [16, 8, 8, 91]}))

@@ -169,3 +169,24 @@ def test_only_io_decides_json_field_types():
                     if _is_conversion(inner)
                 ]
     assert found == []
+
+
+def test_only_poseinit_composes_the_geometric_stages():
+    """MDS, alignment and the IK are composed in one place,
+    poseinit.estimate_from_distances, which every caller goes through; only
+    distgeo (which defines them) and the package ``__init__`` (which
+    re-exports them) name them besides."""
+    stages = {"gram_from_edm", "points_from_gram", "align_points", "configuration_from_points"}
+    found = []
+    for name in _module_names():
+        if name in ("distgeo", "poseinit", "__init__"):
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            named = {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
+            if isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            found += [f"{name}.py:{node.lineno} names {stage}" for stage in sorted(named & stages)]
+    assert found == []

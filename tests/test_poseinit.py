@@ -70,9 +70,9 @@ def test_backproject_inverts_projection():
 
 def test_intrinsics_matrix_and_json_round_trip():
     k = _camera()
-    m = k.matrix()
-    assert m[0, 0] == 260.0 and m[1, 1] == 260.0
-    assert m[0, 2] == 112.0 and m[1, 2] == 112.0 and m[2, 2] == 1.0
+    m = np.array([[k.fx, 0.0, k.cx], [0.0, k.fy, k.cy], [0.0, 0.0, 1.0]])
+    pt = np.array([0.4, -0.3, 2.2])
+    assert np.max(np.abs((m @ pt)[:2] / pt[2] - k.project(pt))) < 1e-12
     again = CameraIntrinsics.from_json(k.to_json())
     assert again == k
 

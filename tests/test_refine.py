@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from armpose import (
     builtin_chain,
     config_loss,
     default_link_meshes,
+    estimate_from_distances,
     forward_kinematics,
+    joint_points,
     matrix_to_rot6d,
     pose_loss,
     refine,
@@ -25,9 +28,15 @@ from armpose import (
     sample_link_clouds,
     silhouette_iou,
 )
-from armpose.cli import _estimate_scene
 from armpose.datagen import SamplerConfig, Scene, build_scene, perturb_keypoints, sample_scene
-from armpose.distgeo import TrainConfig, edm_from_configuration, init_regressor, keypoint_features, train_gim
+from armpose.distgeo import (
+    TrainConfig,
+    edm_from_configuration,
+    init_regressor,
+    keypoint_features,
+    mlp_forward,
+    train_gim,
+)
 from armpose.refine import _CachedObjective
 from armpose.silhouette import _camera_rows
 
@@ -188,14 +197,7 @@ def _scene_and_truth(seed=17, index=0):
     meshes = default_link_meshes(chain)
     settings = RenderSettings(samples_per_link=200, splat_radius=1, seed=0)
     scene, mask = build_scene(chain, cfg, seed=seed, index=index, meshes=meshes, render_settings=settings)
-    depth = float(scene.pose.translation[2])
-    pix = np.array(
-        [
-            k.fx * scene.pose.translation[0] / depth + k.cx,
-            k.fy * scene.pose.translation[1] / depth + k.cy,
-        ]
-    )
-    truth = Estimate(scene.theta, scene.pose.rotation, depth, pix, provenance="truth")
+    truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")
     return chain, k, meshes, settings, scene, mask, truth
 
 
@@ -286,8 +288,7 @@ def _golden_scene():
     meshes = default_link_meshes(chain)
     settings = RenderSettings(samples_per_link=300)
     scene, mask = build_scene(chain, cfg, seed=5, index=3, meshes=meshes, render_settings=settings)
-    t = scene.pose.translation
-    truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t), provenance="truth")
+    truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")
     return chain, k, meshes, settings, mask, truth
 
 
@@ -381,8 +382,8 @@ def test_refine_matches_a_from_scratch_reference_search():
     scene, mask = build_scene(chain, sampler, 900, 2, meshes=meshes, render_settings=settings)
     rng = np.random.default_rng(np.random.SeedSequence((900, 2, 3)))
     theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
-    t = scene.pose.translation
-    start = Estimate(theta, scene.pose.rotation, 1.1 * float(t[2]), k.project(t))
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
+    start = Estimate(theta, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
     cfg = RefinerConfig(iterations=2, inner_evals_per_iteration=120)
     refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
     theta, rotation, scale, rows, accepted = _reference_refine(start, mask, chain, meshes, k, cfg, settings)
@@ -402,8 +403,7 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
         sampler = SamplerConfig()
         k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings()
         scene, mask = build_scene(chain, sampler, 900, case, meshes=meshes, render_settings=settings)
-        t = scene.pose.translation
-        truth = Estimate(scene.theta, scene.pose.rotation, float(t[2]), k.project(t))
+        truth = Estimate.from_pose(scene.theta, scene.pose, k)
         rng = np.random.default_rng(np.random.SeedSequence((900, case, 3)))
         signs = rng.choice([-1.0, 1.0], size=chain.dof)
         start_theta = np.clip(truth.theta + 0.1 * signs, *chain.limits())
@@ -458,10 +458,11 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
 
 
 # sha256 of the estimate rows `armpose estimate` writes for ten fixed scenes,
-# on the oracle path (true distances and anchors) and on the honest path (a
-# regressor trained 30 steps on 40 scenes, dropout off at inference). It
-# covers MDS, alignment, the IK, EPnP and the scale; a change that moves a
-# bit of an initial estimate changes it and has to say why.
+# made here by the call it makes, estimate_from_distances, on the oracle path
+# (true distances and anchors) and on the honest path (a regressor trained 30
+# steps on 40 scenes, dropout off at inference). It covers MDS, alignment,
+# the IK, EPnP and the scale; a change that moves a bit of an initial
+# estimate changes it and has to say why.
 GOLDEN_INIT_SHA256 = "e0eb38d5e8dc2ddd71763e5eb501137767dafb4a23fc576c7aff49ccac91fa92"
 
 
@@ -488,8 +489,14 @@ def test_init_golden_digest():
     rows = []
     for oracle in (True, False):
         for scene in _unrendered_scenes(chain, cfg, seed=12, count=10):
-            index, est, error = _estimate_scene((chain, k, scene, net, oracle, True, 0))
-            rows.append({"index": index, "error": error} if est is None else {"index": index, **est.to_json()})
+            if oracle:
+                d, targets = edm_from_configuration(chain, scene.theta), joint_points(chain, scene.theta)
+            else:
+                d, targets = mlp_forward(net, keypoint_features(scene.keypoints, k.width, k.height)), None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = estimate_from_distances(scene.keypoints, d, chain, k, targets)
+            rows.append({"index": scene.index, **est.to_json()})
     blob = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_INIT_SHA256
 
@@ -516,10 +523,10 @@ def test_refine_skips_degenerate_rotation_probes_without_counting_them(monkeypat
     sampler = SamplerConfig()
     k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings(samples_per_link=50)
     scene, mask = build_scene(chain, sampler, seed=5, index=0, meshes=meshes, render_settings=settings)
-    t = scene.pose.translation
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
     # from the identity's code (1, 0, 0, 0, 1, 0), a unit step down of r6[0]
     # or r6[4] zeroes a column, which rot6d_to_matrix rejects
-    start = Estimate(scene.theta, np.eye(3), float(t[2]), k.project(t))
+    start = Estimate(scene.theta, np.eye(3), truth.scale, truth.base_pixel)
     real_probe, probed = _CachedObjective.probe, []
 
     def probe(self, *args):
@@ -561,8 +568,8 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     )
     meshes = default_link_meshes(chain)
     settings = RenderSettings()
-    t = scene.pose.translation
-    scale, base_pixel = float(t[2]), k.project(t)
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
+    scale, base_pixel = truth.scale, truth.base_pixel
     if case == "splat_radius_0":
         settings = RenderSettings(splat_radius=0)
     elif case == "one_sample":
@@ -636,8 +643,8 @@ def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
     cfg = SamplerConfig()
     k, meshes, settings = cfg.intrinsics(), default_link_meshes(chain), RenderSettings()
     scene, observed = build_scene(chain, cfg, seed=11, index=0, meshes=meshes, render_settings=settings)
-    t = scene.pose.translation
-    scale, base_pixel = float(t[2]), k.project(t)
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
+    scale, base_pixel = truth.scale, truth.base_pixel
     lo, hi = chain.limits()
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
     _, x = cost.start(np.clip(scene.theta + 0.05, lo, hi), scene.pose.rotation, scale)

@@ -131,7 +131,7 @@ def test_render_half_up_rounding_single_point():
     settings = RenderSettings(samples_per_link=1, splat_radius=0, seed=0)
     # u = 100*0.105 = 10.5 rounds up to 11; v = 100*0.203 = 20.3 rounds to 20
     pts = np.array([[0.105, 0.203, 1.0]])
-    img = render_silhouette(pts, RigidTransform.identity(), k, settings)
+    img = render_silhouette(pts, RigidTransform(), k, settings)
     on = np.argwhere(img)
     assert on.shape == (1, 2)
     assert (on[0] == [20, 11]).all()  # row = v, column = u
@@ -231,7 +231,7 @@ def test_render_splat_disc_shape():
     k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=16.0, width=32, height=32)
     settings = RenderSettings(samples_per_link=1, splat_radius=2, seed=0)
     pts = np.array([[0.0, 0.0, 1.0]])
-    img = render_silhouette(pts, RigidTransform.identity(), k, settings)
+    img = render_silhouette(pts, RigidTransform(), k, settings)
     want = set()
     for dy in range(-2, 3):
         for dx in range(-2, 3):
@@ -248,7 +248,7 @@ def test_cube_scene_bounding_box_analytic():
     settings = RenderSettings(samples_per_link=10000, splat_radius=r, seed=0)
     mesh = _cube_mesh([0.0, 0.0, 4.0], 0.5)
     pts = sample_surface(mesh, 10000, seed=0)
-    img = render_silhouette(pts, RigidTransform.identity(), k, settings)
+    img = render_silhouette(pts, RigidTransform(), k, settings)
     on = np.argwhere(img)
     lo_a = 112.0 - 500.0 * 0.5 / 3.5
     hi_a = 112.0 + 500.0 * 0.5 / 3.5
@@ -266,7 +266,7 @@ def test_render_resolution_consistency():
     k2 = CameraIntrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0, width=128, height=128)
     mesh = _cube_mesh([0.05, -0.02, 2.5], 0.4)
     pts = sample_surface(mesh, 800, seed=4)
-    pose = RigidTransform.identity()
+    pose = RigidTransform()
     r = 1
     coarse = render_silhouette(pts, pose, k, RenderSettings(800, splat_radius=r, seed=0))
     fine = render_silhouette(pts, pose, k2, RenderSettings(800, splat_radius=2 * r + 2, seed=0))
@@ -373,7 +373,7 @@ def test_render_matches_full_image_scatter_oracle():
     empty = np.zeros((0, 3))
     for radius in range(4):
         settings = RenderSettings(samples_per_link=1, splat_radius=radius, seed=0)
-        got = render_silhouette(empty, RigidTransform.identity(), k, settings)
+        got = render_silhouette(empty, RigidTransform(), k, settings)
         assert got.shape == (k.height, k.width) and not got.any()
 
 
