@@ -12,6 +12,7 @@ from .datagen import (
     Scene,
     SceneGenerationError,
     build_scene,
+    draw_scene,
     load_scene_mask,
     look_at,
     perturb_keypoints,

@@ -80,7 +80,7 @@ def json_field(obj, key, kind, shape=(), name=None, default=None):
     if not ok:
         for n in reversed(shape):
             want = f"a list of {'' if n is None else f'{n} '}values, each {want}"
-        raise ValueError(f"{name or key} must be {want}, got {json.dumps(raw)}")
+        raise ValueError(f"{name or key} must be {want}, got {json.dumps(raw, default=repr)}")
     if kind is not float:
         return raw
     return np.array(raw, dtype=float) if shape else float(raw)

@@ -463,7 +463,7 @@ def cmd_render(args):
     overlay[model] = 255
     write_pgm(args.out, overlay)
     if args.skeleton:
-        rotated = skeleton_keypoints(chain, theta) @ pose.rotation.T
+        rotated = pose.rotation @ skeleton_keypoints(chain, theta).T
         pix, front = pixel_centers(rotated, pose.translation, k)
         image = np.zeros((k.height, k.width), dtype=np.uint8)
         for a in range(front.size - 1):

@@ -198,25 +198,31 @@ def sample_scene(chain, cfg, seed, index):
     )
 
 
+def draw_scene(chain, cfg, seed, index):
+    """The Scene build_scene makes for (seed, index), without rendering its
+    mask: sample_scene's view, with the keypoint noise drawn from the key
+    (seed, index, 1)."""
+    theta, pose, keypoints_true = sample_scene(chain, cfg, seed, index)
+    return Scene(
+        index=index,
+        theta=theta,
+        pose=pose,
+        keypoints=perturb_keypoints(keypoints_true, cfg.noise_std, (seed, index, 1)),
+        keypoints_true=keypoints_true,
+        silhouette=f"silhouettes/scene_{index:05d}.pgm",
+    )
+
+
 def build_scene(chain, cfg, seed, index, meshes, render_settings):
     """Sample a scene and render its silhouette. Returns (Scene, mask)."""
-    theta, pose, keypoints_true = sample_scene(chain, cfg, seed, index)
-    noisy = perturb_keypoints(keypoints_true, cfg.noise_std, (seed, index, 1))
+    scene = draw_scene(chain, cfg, seed, index)
     render_seed = int(np.random.SeedSequence((seed, index, 2)).generate_state(1)[0])
     settings = RenderSettings(
         samples_per_link=render_settings.samples_per_link,
         splat_radius=render_settings.splat_radius,
         seed=render_seed,
     )
-    mask = render_chain_silhouette(chain, theta, meshes, pose, cfg.intrinsics(), settings)
-    scene = Scene(
-        index=index,
-        theta=theta,
-        pose=pose,
-        keypoints=noisy,
-        keypoints_true=keypoints_true,
-        silhouette=f"silhouettes/scene_{index:05d}.pgm",
-    )
+    mask = render_chain_silhouette(chain, scene.theta, meshes, scene.pose, cfg.intrinsics(), settings)
     return scene, mask
 
 

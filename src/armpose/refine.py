@@ -20,32 +20,38 @@ direction off it. On the acceptance suite's 100 scenes, one 250-probe
 iteration with the move refines as well as three without it did.
 
 A search point is one ``_State``: its coordinates and its render rows (FK
-frames and, per link sample in ``silhouette._link_rows``' order, its world
-point, the point rotated into the camera, its int64 pixel center and its
-near-plane flag). The start and each pattern point are built from scratch
+frames as plain (rotation, translation) pairs and, per link sample in
+``silhouette._link_rows``' column order, its world point, the point rotated
+into the camera, its int64 pixel center and its near-plane flag). Rows are
+coordinate-major, (3, n) for points and (2, n) for centers, as in
+``silhouette``. The start and each pattern point are built from scratch
 (``_CachedObjective.build``). Every other probe moves one coordinate, so the
 objective is evaluated from the incumbent's rows and recomputes only what
 the probe moves:
 
-- a theta_j probe keeps frames 0..j and the rows of links 0..j, re-runs FK
-  from frame j, and recomputes world, rotated and pixel rows for the
-  contiguous suffix of rows from link j+1 on;
-- a rotation probe keeps the frames and world rows, and recomputes the
+- a theta_j probe keeps frames 0..j and the columns of links 0..j, composes
+  frames j+1.. from a per-call memo of DH locals keyed by joint and angle
+  bits, poses the clouds of links j+1.. with one stacked ``np.matmul`` and
+  one translation add, and recomputes the rotated and pixel columns of that
+  contiguous suffix;
+- a rotation probe keeps the frames and world columns, and recomputes the
   camera rotation (``silhouette._camera_rows``) and the projection
-  (``pixel_centers``, which adds the translation column by column);
-- a scale probe keeps the rotated rows too, and recomputes only the
+  (``pixel_centers``, which adds the translation to u and v together);
+- a scale probe keeps the rotated columns too, and recomputes only the
   projection.
 
 A rejected probe leaves the incumbent's state untouched; an accepted one
 becomes the incumbent. Across a sweep the search keeps only b's coordinates,
 not its rows. The value is bitwise equal to ``1 -
 silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
-row goes through the same float operations in the same order: FK composes
-frame by frame, each link cloud is transformed on its own there too, the
-camera product ``_camera_rows`` over any stack of two or more rows gives
-each row the bits the full product gives it (an invariant of the BLAS that
-the tests check; a one-row product takes another path, so a theta suffix is
-multiplied together with the row before it), and the add, projection and
+column goes through the same float operations in the same order: the
+frames compose as ``forward_kinematics`` composes them, the stacked pose
+gives each link the bits of its own ``R @ cloud.T + t[:, None]`` in
+``_link_rows`` (the tests check both), the camera product ``_camera_rows``
+over any run of two or more columns gives each column the bits the full
+product gives it (an invariant of the BLAS that the tests check; a
+one-column product takes another path, so a theta suffix is multiplied
+together with the lead column before it), and the add, projection and
 rounding are elementwise. The splat window depends only on the set of pixel
 centers, and the IoU is integer counts, taken on that window against the
 observed mask.
@@ -74,10 +80,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import dh_transform, forward_kinematics
+from .kinematics import check_configuration, dh_transform
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
-from .silhouette import RenderSettings, _camera_rows, _link_rows, _splat_window, pixel_centers, sample_link_clouds
+from .silhouette import RenderSettings, _camera_rows, _splat_window, pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
@@ -90,12 +96,14 @@ def rot6d_to_matrix(r6):
     """
     r6 = np.asarray(r6, dtype=float).reshape(6)
     a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
+    # the Euclidean norm as np.linalg.norm takes it, sqrt(x.dot(x)),
+    # without its per-call dispatch
+    n1 = math.sqrt(a1.dot(a1))
     if n1 < 1e-12:
         raise ValueError("first rotation column is numerically zero")
     b1 = a1 / n1
     w = a2 - np.dot(b1, a2) * b1
-    n2 = np.linalg.norm(w)
+    n2 = math.sqrt(w.dot(w))
     if n2 < 1e-12:
         raise ValueError("rotation columns are numerically parallel")
     b2 = w / n2
@@ -167,7 +175,8 @@ class RefinerConfig:
 class _State:
     """One search point: raw coordinates (theta, the rotation matrix and its
     6D code, the scale) and their render rows; only the returned result is
-    validated. frames start with the base frame; pix is (2, n), as
+    validated. frames are (rotation, translation) pairs, world <- link i,
+    the base frame first; world and rotated are (3, n); pix is (2, n), as
     ``pixel_centers`` returns it, with zeros where front is False. The arrays
     are never written after construction, so states share them freely."""
 
@@ -188,14 +197,20 @@ class _CachedObjective:
     (see the module docstring)."""
 
     def __init__(self, observed, chain, meshes, k, settings, base_pixel):
-        self.clouds = sample_link_clouds(meshes, settings)
-        if len(self.clouds) != chain.dof + 1:
+        clouds = sample_link_clouds(meshes, settings)
+        if len(clouds) != chain.dof + 1:
             raise ValueError("need one frame per link cloud")
-        if all(cloud is None for cloud in self.clouds):
+        if all(cloud is None for cloud in clouds):
             raise ValueError("no link has geometry")
-        sizes = [0 if cloud is None else cloud.shape[0] for cloud in self.clouds]
-        # starts[i] is the first row of link i
-        self.starts = np.cumsum([0] + sizes).tolist()
+        # the links with geometry, in order, and their clouds as one
+        # (L, 3, m) stack; every cloud has samples_per_link points
+        self.links = [i for i, cloud in enumerate(clouds) if cloud is not None]
+        self.stack = np.stack([clouds[i].T for i in self.links])
+        # slots[i] is the stack position of the first link >= i with
+        # geometry, and starts[i] the first column of link i
+        self.slots = np.cumsum([0] + [cloud is not None for cloud in clouds]).tolist()
+        self.starts = [slot * self.stack.shape[2] for slot in self.slots]
+        self.base = chain.base_frame.rotation, chain.base_frame.translation
         self.chain, self.k, self.radius = chain, k, settings.splat_radius
         self.lo, self.hi = chain.limits()
         self.observed = observed
@@ -203,10 +218,13 @@ class _CachedObjective:
         self.base_pixel = base_pixel
         # value of every point evaluated so far, by its exact coordinates
         self.seen = {}
+        # (rotation, translation) of dh_transform, by joint and angle bits
+        self.dh = {}
 
     def start(self, theta, rotation, scale):
         """(value, state) of the search's start point, built from scratch and
         stored in the memo; theta is checked here."""
+        check_configuration(self.chain, theta)
         state = self.build(theta, rotation, matrix_to_rot6d(rotation), scale)
         value = self.seen[_state_key(theta, rotation, scale)] = self.value(state)
         return value, state
@@ -223,7 +241,7 @@ class _CachedObjective:
         theta, rotation, r6, scale = state.theta, state.rotation, state.r6, state.scale
         if kind == "theta":
             theta = theta.copy()
-            theta[index] = np.clip(theta[index] + step, self.lo[index], self.hi[index])
+            theta[index] = _clip(theta[index] + step, self.lo[index], self.hi[index])
         elif kind == "rot":
             r6 = r6.copy()
             r6[index] += step
@@ -273,8 +291,9 @@ class _CachedObjective:
 
     def build(self, theta, rotation, r6, scale):
         """The state at (theta, rotation, r6, scale), built from scratch."""
-        frames = [self.chain.base_frame] + forward_kinematics(self.chain, theta)
-        world = _link_rows(self.clouds, frames)
+        frames = self._frames([self.base], theta, 0)
+        world = np.empty((3, self.starts[-1]))
+        self._pose(frames, 0, world)
         rotated = _camera_rows(world, rotation)
         return _State(theta, rotation, r6, scale, frames, world, rotated, *self._project(rotated, scale))
 
@@ -284,26 +303,55 @@ class _CachedObjective:
         rows; parent is left untouched."""
         coords = (theta, rotation, r6, scale)
         if kind == "theta":
-            frames = parent.frames[: index + 1]
-            for i in range(index, self.chain.dof):
-                frames.append(frames[i] @ dh_transform(self.chain.joints[i], theta[i]))
+            frames = self._frames(parent.frames, theta, index)
             start = self.starts[index + 1]
-            world = np.concatenate([parent.world[:start], _link_rows(self.clouds, frames, index + 1)])
-            # a one-row product takes another BLAS path than a stack does, so
-            # the suffix is multiplied together with the row before it
+            if start == parent.world.shape[1]:  # no link after joint index has geometry
+                return _State(*coords, frames, parent.world, parent.rotated, parent.pix, parent.front)
+            world = np.empty_like(parent.world)
+            world[:, :start] = parent.world[:, :start]
+            self._pose(frames, index + 1, world)
+            # a one-column product takes another BLAS path than a stack does,
+            # so the suffix is multiplied together with the column before it
             lead = max(start - 1, 0)
-            rotated = _camera_rows(world[lead:], rotation)[start - lead :]
+            rotated = _camera_rows(world[:, lead:], rotation)[:, start - lead :]
             pix, front = self._project(rotated, scale)
             return _State(
                 *coords,
                 frames,
                 world,
-                np.concatenate([parent.rotated[:start], rotated]),
+                np.concatenate([parent.rotated[:, :start], rotated], axis=1),
                 np.concatenate([parent.pix[:, :start], pix], axis=1),
                 np.concatenate([parent.front[:start], front]),
             )
         rotated = _camera_rows(parent.world, rotation) if kind == "rot" else parent.rotated
         return _State(*coords, parent.frames, parent.world, rotated, *self._project(rotated, scale))
+
+    def _frames(self, frames, theta, index):
+        """frames[:index + 1] followed by the frames of joints index.. at
+        theta, each composed as ``forward_kinematics`` composes it; the DH
+        locals come from the memo."""
+        frames = frames[: index + 1]
+        for i in range(index, self.chain.dof):
+            key = (i, theta[i].tobytes())
+            local = self.dh.get(key)
+            if local is None:
+                joint = dh_transform(self.chain.joints[i], theta[i])
+                local = self.dh[key] = joint.rotation, joint.translation
+            rot, tra = frames[i]
+            frames.append((rot @ local[0], rot @ local[1] + tra))
+        return frames
+
+    def _pose(self, frames, first, world):
+        """Write into world (3, n) the columns of links first.., each cloud
+        under its frame, as one stacked product and one translation add."""
+        slot = self.slots[first]
+        links = self.links[slot:]
+        rot = np.array([frames[i][0] for i in links])
+        tra = np.array([frames[i][1] for i in links])
+        # world's columns of stack slots slot.., as (3, links, m)
+        cols = world.reshape(3, -1, self.stack.shape[2])[:, slot:]
+        np.matmul(rot, self.stack[slot:], out=cols.transpose(1, 0, 2))
+        cols += tra.T[:, :, None]
 
     def value(self, state):
         """1 - IoU of the state's splat window against the observed mask."""
@@ -320,6 +368,12 @@ class _CachedObjective:
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
         return pixel_centers(rotated, self.k.backproject(scale, self.base_pixel), self.k)
+
+
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) for one float, with its comparisons (a value equal
+    to a bound stays, signed zero included) and without its per-call cost."""
+    return lo if x < lo else hi if x > hi else x
 
 
 def _state_key(theta, rotation, scale):

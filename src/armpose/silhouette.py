@@ -6,17 +6,21 @@ pose, projects with a pinhole model, and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
-Posed link clouds become stacked rows in one place, ``_link_rows``, and
-are rotated into the camera in one place, ``_camera_rows``.
-Camera-rotated points and the camera translation become pixel centers in
-one place, ``pixel_centers``, and the splat has one implementation,
-``_splat_window``: it turns the centers in front of the near plane into the
-clipped image window their discs cover. Centers are one contiguous int64
-array of shape (2, n), u on row 0 and v on row 1, so each coordinate is read
-as one contiguous run. render_silhouette pastes the window into a full
-image; the refiner scores it directly against the observed mask. The window
-depends only on the set of centers, not on their order or multiplicity, so
-any caller that produces the same centers gets the same window.
+Render rows are coordinate-major: n points are one (3, n) array, x, y and z
+on rows 0, 1 and 2, so each transform is one ``R @ cols + t[:, None]`` and
+each coordinate is one contiguous run. Posed link clouds become stacked
+columns in ``_link_rows`` (the refiner's cache poses the same columns with
+one stacked product, held to the same bits by the tests), and are rotated
+into the camera in one place, ``_camera_rows``. Camera-rotated columns and
+the camera translation become pixel centers in one place,
+``pixel_centers``, and the splat has one implementation, ``_splat_window``:
+it turns the centers in front of the near plane into the clipped image
+window their discs cover.
+Centers are one contiguous int64 array of shape (2, n), u on row 0 and v on
+row 1. render_silhouette pastes the window into a full image; the refiner
+scores it directly against the observed mask. The window depends only on
+the set of centers, not on their order or multiplicity, so any caller that
+produces the same centers gets the same window.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_bytes
+from ._io import DatasetFormatError, atomic_write_bytes, json_field
 from .kinematics import forward_kinematics
 
 NEAR_PLANE = 1e-6
@@ -65,10 +69,12 @@ class RenderSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_link < 1:
-            raise ValueError("samples_per_link must be at least 1")
-        if self.splat_radius < 0:
-            raise ValueError("splat_radius must be nonnegative")
+        # each field is a Python integer by json_field's rule (never a
+        # boolean): the dilation, the sample count and SeedSequence need one
+        for name, least in (("samples_per_link", 1), ("splat_radius", 0), ("seed", 0)):
+            value = json_field(vars(self), name, int)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def sample_surface(mesh, count, seed):
@@ -109,16 +115,19 @@ def sample_surface(mesh, count, seed):
 
 
 @functools.cache
-def _splat_offsets(radius):
-    """(dx, dy) pixel offsets of the disc of the given radius, as int pairs."""
-    span = np.arange(-radius, radius + 1)
-    dx, dy = np.meshgrid(span, span)
-    keep = dx * dx + dy * dy <= radius * radius
-    return tuple(zip(dx[keep].tolist(), dy[keep].tolist()))
+def _disc_rows(radius):
+    """The disc of the given radius as horizontal runs: for each half-width
+    h = 0..radius, the row offsets dy > 0 whose run is h wide on each side,
+    h = floor(sqrt(radius^2 - dy^2)). The centre row's run has half-width
+    radius."""
+    rows = [[] for _ in range(radius + 1)]
+    for dy in range(1, radius + 1):
+        rows[math.isqrt(radius * radius - dy * dy)].append(dy)
+    return tuple(tuple(dys) for dys in rows)
 
 
 def render_silhouette(points, pose, k, settings):
-    """Project base-frame points through pose and splat into a boolean mask.
+    """Project base-frame points (n, 3) through pose and splat into a boolean mask.
 
     Points behind the near plane (camera z <= NEAR_PLANE) are dropped. Pixel
     centers come from ``pixel_centers``; each surviving sample sets a disc of
@@ -127,7 +136,7 @@ def render_silhouette(points, pose, k, settings):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     bits = np.zeros((k.height, k.width), dtype=bool)
-    pix, front = pixel_centers(_camera_rows(pts, pose.rotation), pose.translation, k)
+    pix, front = pixel_centers(_camera_rows(pts.T, pose.rotation), pose.translation, k)
     splat = _splat_window(pix, front, k, settings.splat_radius)
     if splat is not None:
         window, y0, x0 = splat
@@ -135,42 +144,40 @@ def render_silhouette(points, pose, k, settings):
     return bits
 
 
-def _camera_rows(points, rotation):
-    """points (n, 3) rotated into the camera, points @ rotation.T: the one
+def _camera_rows(cols, rotation):
+    """Columns (3, n) rotated into the camera, rotation @ cols: the one
     camera-rotation product that render_silhouette and the refiner's cache
-    share. The transpose is copied to C order first, because BLAS multiplies
-    by the Fortran-order view of rotation.T about three times slower."""
-    return points @ np.ascontiguousarray(rotation.T)
+    share. Over two or more columns, any run of columns of the product has
+    the bits the product of that run alone gives (a property of the BLAS
+    that the tests check); a one-column product takes another path."""
+    return rotation @ cols
 
 
 def pixel_centers(rotated, t, k):
-    """Pixel centers of camera-rotated points (n, 3) translated by t, rounded half-up.
+    """Pixel centers of camera-rotated columns (3, n) translated by t, rounded half-up.
 
     Returns the int64 centers as one contiguous (2, n) array, u on row 0 and
     v on row 1, and the front mask (camera z > NEAR_PLANE); columns behind
-    the near plane are not projected and hold zeros. The translation is added
-    column by column, so each center is ``floor((f * (x + tx)) / (z + tz) + c
-    + 0.5)``, the same float operations in the same order as
-    ``floor(k.project(rotated + t) + 0.5)``.
+    the near plane are not projected and hold zeros. u and v are projected
+    together, each center ``floor((f * (x + tx)) / (z + tz) + c + 0.5)``,
+    the same float operations in the same order as
+    ``floor(k.project(rotated.T + t) + 0.5)``.
     """
-    z = rotated[:, 2] + t[2]
+    z = rotated[2] + t[2]
     front = z > NEAR_PLANE
     every = front.all()
     if not every:
-        rotated, z = rotated[front], z[front]
+        rotated, z = rotated[:, front], z[front]
+    uv = rotated[:2] + t[:2, None]
+    np.multiply(np.array([[k.fx], [k.fy]]), uv, out=uv)
+    uv /= z
+    uv += np.array([[k.cx], [k.cy]])
+    uv += 0.5
+    np.floor(uv, out=uv)
+    if every:
+        return uv.astype(np.int64), front
     pix = np.zeros((2, front.size), dtype=np.int64)
-    buf = np.empty(z.size)
-    for row, f, c in ((0, k.fx, k.cx), (1, k.fy, k.cy)):
-        np.add(rotated[:, row], t[row], out=buf)
-        np.multiply(f, buf, out=buf)
-        np.divide(buf, z, out=buf)
-        np.add(buf, c, out=buf)
-        np.add(buf, 0.5, out=buf)
-        np.floor(buf, out=buf)
-        if every:
-            pix[row] = buf
-        else:
-            pix[row, front] = buf
+    pix[:, front] = uv
     return pix, front
 
 
@@ -188,39 +195,52 @@ def _splat_window(pix, front, k, r):
         pix = pix[:, front]
     if pix.shape[1] == 0:
         return None
-    ui, vi = pix[0], pix[1]
-    u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
+    (u0, v0), (u1, v1) = pix.min(axis=1).tolist(), pix.max(axis=1).tolist()
     if u0 < -r or u1 >= k.width + r or v0 < -r or v1 >= k.height + r:
         # centers this far out cannot reach the image
+        ui, vi = pix
         near = (ui >= -r) & (ui < k.width + r) & (vi >= -r) & (vi < k.height + r)
-        ui, vi = ui[near], vi[near]
-        if ui.size == 0:
+        pix = pix[:, near]
+        if pix.shape[1] == 0:
             return None
-        u0, u1, v0, v1 = int(ui.min()), int(ui.max()), int(vi.min()), int(vi.max())
+        (u0, v0), (u1, v1) = pix.min(axis=1).tolist(), pix.max(axis=1).tolist()
     # the crop is the centers' bounding box padded by r on every side, kept
     # flat: the padding stops a disc from wrapping into the next row, so each
-    # disc offset is one shift of the whole flat array, and one flat index
+    # shift below is one shift of the whole flat array, and one flat index
     # per center is far cheaper to scatter than a (row, col) pair
     height, width = v1 - v0 + 1 + 2 * r, u1 - u0 + 1 + 2 * r
     size = height * width
     centers = np.zeros(size, dtype=bool)
-    flat = vi * width
-    flat += ui
+    flat = pix[1] * width
+    flat += pix[0]
     flat += (r - v0) * width + r - u0
     centers[flat] = True
-    # crop pixel (y, x) is image pixel (v0 - r + y, u0 - r + x)
+    # crop pixel (y, x) is image pixel (v0 - r + y, u0 - r + x); the disc is
+    # dilated separably: run grows to each half-width h in turn, and the
+    # rows dy whose disc chord is h wide take it shifted by whole rows
+    run = centers.copy()
     crop = np.zeros(size, dtype=bool)
-    for dx, dy in _splat_offsets(r):
-        shift = dy * width + dx
-        if shift >= 0:
-            crop[shift:] |= centers[: size - shift]
-        else:
-            crop[:shift] |= centers[-shift:]
+    for h, dys in enumerate(_disc_rows(r)):
+        if h:
+            _or_shifted(run, centers, h)
+            _or_shifted(run, centers, -h)
+        for dy in dys:
+            _or_shifted(crop, run, dy * width)
+            _or_shifted(crop, run, -dy * width)
+    crop |= run
     crop = crop.reshape(height, width)
     top, left = v0 - r, u0 - r
     y0, x0 = max(top, 0), max(left, 0)
-    y1, x1 = min(top + crop.shape[0], k.height), min(left + crop.shape[1], k.width)
+    y1, x1 = min(top + height, k.height), min(left + width, k.width)
     return crop[y0 - top : y1 - top, x0 - left : x1 - left], y0, x0
+
+
+def _or_shifted(dst, src, shift):
+    """dst[i] |= src[i - shift] wherever both indices lie in the flat arrays."""
+    if shift >= 0:
+        dst[shift:] |= src[: src.size - shift]
+    else:
+        dst[:shift] |= src[-shift:]
 
 
 def render_chain_silhouette(chain, theta, meshes, pose, k, settings):
@@ -248,15 +268,18 @@ def render_link_clouds(clouds, frames, pose, k, settings):
         raise ValueError("need one frame per link cloud")
     if all(cloud is None for cloud in clouds):
         raise ValueError("no link has geometry")
-    return render_silhouette(_link_rows(clouds, frames), pose, k, settings)
+    return render_silhouette(_link_rows(clouds, frames).T, pose, k, settings)
 
 
-def _link_rows(clouds, frames, first=0):
-    """World points of link clouds first.. under their frames, stacked link
-    by link, one row per sample, links without geometry (None) skipped: the
-    one row order that render_link_clouds and the refiner's cache share."""
-    parts = [frames[i].apply(clouds[i]) for i in range(first, len(clouds)) if clouds[i] is not None]
-    return np.concatenate(parts) if parts else np.empty((0, 3))
+def _link_rows(clouds, frames):
+    """World points of the link clouds (m, 3) under their frames as columns
+    (3, n), stacked link by link, one column per sample, links without
+    geometry (None) skipped: the column order that render_link_clouds and
+    the refiner's cache share. Each link is
+    ``frame.rotation @ cloud.T + frame.translation[:, None]``, which has the
+    bits of ``frame.apply(cloud).T``."""
+    parts = [f.rotation @ c.T + f.translation[:, None] for c, f in zip(clouds, frames) if c is not None]
+    return np.concatenate(parts, axis=1)
 
 
 def bresenham_line(p0, p1):

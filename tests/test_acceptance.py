@@ -30,6 +30,7 @@ from armpose import (
     config_loss,
     configuration_from_points,
     default_link_meshes,
+    draw_scene,
     edm_from_configuration,
     edm_from_points,
     epnp,
@@ -43,7 +44,6 @@ from armpose import (
     look_at,
     matrix_to_rot6d,
     mlp_forward,
-    perturb_keypoints,
     points_from_gram,
     pose_loss,
     project_keypoints,
@@ -53,7 +53,6 @@ from armpose import (
     render_silhouette,
     rot6d_to_matrix,
     rotation_geodesic,
-    sample_scene,
     sample_surface,
     scale_factor,
     skeleton_keypoints,
@@ -530,9 +529,9 @@ def test_criterion_12_honest_end_to_end():
     start = time.perf_counter()
     train = []
     for index in range(500):
-        theta, _, keypoints = sample_scene(chain, cfg, 1, index)
-        noisy = perturb_keypoints(keypoints, cfg.noise_std, (1, index, 1))  # as build_scene draws them
-        train.append((keypoint_features(noisy, k.width, k.height), edm_from_configuration(chain, theta)))
+        scene = draw_scene(chain, cfg, 1, index)
+        features = keypoint_features(scene.keypoints, k.width, k.height)
+        train.append((features, edm_from_configuration(chain, scene.theta)))
     net, _, _ = train_gim(init_regressor(*regressor_widths(chain), seed=0), train, TrainConfig(seed=0))
     meshes, settings = default_link_meshes(chain), RenderSettings()
     failed, adds_init, adds_ref = [], [], []

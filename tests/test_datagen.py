@@ -14,6 +14,7 @@ from armpose import (
     builtin_chain,
     build_scene,
     default_link_meshes,
+    draw_scene,
     forward_kinematics,
     load_scene_mask,
     look_at,
@@ -171,6 +172,17 @@ def test_build_scene_reprojection_residual():
     assert not np.array_equal(scene.keypoints.uv, scene.keypoints_true.uv)
     assert mask.shape == (cfg.image_height, cfg.image_width)
     assert mask.any()
+
+
+def test_draw_scene_is_the_scene_build_scene_renders():
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    settings = RenderSettings(samples_per_link=20, splat_radius=1, seed=0)
+    for index in range(3):
+        scene, _ = build_scene(chain, cfg, 6, index, default_link_meshes(chain), settings)
+        drawn = draw_scene(chain, cfg, 6, index)
+        assert drawn.to_json() == scene.to_json()
+        assert not np.array_equal(drawn.keypoints.uv, drawn.keypoints_true.uv)
 
 
 def test_scene_json_round_trip():

@@ -13,6 +13,7 @@ from armpose import (
     align_points,
     builtin_chain,
     configuration_from_points,
+    draw_scene,
     edm_from_configuration,
     edm_from_points,
     gram_from_edm,
@@ -22,10 +23,8 @@ from armpose import (
     load_regressor,
     look_at,
     mlp_forward,
-    perturb_keypoints,
     points_from_gram,
     project_keypoints,
-    sample_scene,
     save_regressor,
     skeleton_keypoints,
     train_gim,
@@ -267,8 +266,8 @@ def honest_clouds():
     def keypoint_sets(seed, count):
         out = []
         for i in range(count):
-            theta, _, kp = sample_scene(chain, cfg, seed, i)
-            out.append((theta, perturb_keypoints(kp, cfg.noise_std, (seed, i, 1))))
+            scene = draw_scene(chain, cfg, seed, i)
+            out.append((scene.theta, scene.keypoints))
         return out
 
     dataset = [

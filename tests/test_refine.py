@@ -28,7 +28,7 @@ from armpose import (
     sample_link_clouds,
     silhouette_iou,
 )
-from armpose.datagen import SamplerConfig, Scene, build_scene, perturb_keypoints, sample_scene
+from armpose.datagen import SamplerConfig, build_scene, draw_scene
 from armpose.distgeo import (
     TrainConfig,
     edm_from_configuration,
@@ -37,8 +37,8 @@ from armpose.distgeo import (
     mlp_forward,
     train_gim,
 )
-from armpose.refine import _CachedObjective
-from armpose.silhouette import _camera_rows
+from armpose.refine import _CachedObjective, _clip
+from armpose.silhouette import _camera_rows, _link_rows
 
 
 def _random_rotation(rng):
@@ -81,6 +81,24 @@ def test_rot6d_third_column_is_the_numpy_cross_product_bit_for_bit():
     r6 = rng.normal(size=(12000, 6)) * rng.uniform(1e-3, 1e3, size=(12000, 1))
     rots = np.array([rot6d_to_matrix(v) for v in r6])
     assert np.array_equal(rots[:, :, 2], np.cross(rots[:, :, 0], rots[:, :, 1]))
+
+
+def test_rot6d_columns_are_the_numpy_gram_schmidt_bit_for_bit():
+    rng = np.random.default_rng(2025)
+    for v in rng.normal(size=(3000, 6)) * rng.uniform(1e-3, 1e3, size=(3000, 1)):
+        b1 = v[:3] / np.linalg.norm(v[:3])
+        w = v[3:] - np.dot(b1, v[3:]) * b1
+        rot = rot6d_to_matrix(v)
+        assert np.array_equal(rot[:, 0], b1) and np.array_equal(rot[:, 1], w / np.linalg.norm(w))
+
+
+def test_clip_is_np_clip_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for lo, hi in [(-2.9, 2.9), (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]:
+        lo, hi = np.float64(lo), np.float64(hi)
+        edges = [lo, hi, -0.0, 0.0, np.nextafter(lo, -9.0), np.nextafter(hi, 9.0)]
+        for x in np.concatenate([rng.uniform(-3.0, 3.0, 500), edges]):
+            assert _clip(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes(), (x, lo, hi)
 
 
 def test_rot6d_degenerate_raises():
@@ -303,6 +321,23 @@ def test_refine_golden_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_SHA256
 
 
+# sha256 of _golden_scene refined from the same start at the default
+# RefinerConfig (one 250-probe iteration with pattern moves), recorded
+# before the render rows became (3, n) columns. The digest above stops after
+# 60 probes, before any pattern move; this one covers the default search.
+GOLDEN_REFINE_DEFAULT_SHA256 = "6d2df0e6403e5072d86ee77154783db60265ea09bd47ea7d133b841afb12c587"
+
+
+def test_refine_golden_digest_at_the_default_search():
+    chain, k, meshes, settings, mask, truth = _golden_scene()
+    start = Estimate(
+        np.clip(truth.theta + 0.1, *chain.limits()), truth.rotation, truth.scale * 1.1, truth.base_pixel
+    )
+    refined, trace = refine(start, mask, chain, meshes, k, RefinerConfig(), settings, ground_truth=truth)
+    blob = json.dumps({"estimate": refined.to_json(), "trace": trace}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_DEFAULT_SHA256
+
+
 def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
     """The search refine makes, with every point rendered in full and no
     memo: (final theta, rotation, scale, [(evaluations, objective)] per
@@ -468,12 +503,7 @@ GOLDEN_INIT_SHA256 = "e0eb38d5e8dc2ddd71763e5eb501137767dafb4a23fc576c7aff49ccac
 
 def _unrendered_scenes(chain, cfg, seed, count):
     """The scenes build_scene draws for (seed, 0..count-1), without their masks."""
-    scenes = []
-    for index in range(count):
-        theta, pose, keypoints = sample_scene(chain, cfg, seed, index)
-        noisy = perturb_keypoints(keypoints, cfg.noise_std, (seed, index, 1))
-        scenes.append(Scene(index, theta, pose, noisy, keypoints, ""))
-    return scenes
+    return [draw_scene(chain, cfg, seed, index) for index in range(count)]
 
 
 def test_init_golden_digest():
@@ -625,9 +655,40 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
             theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved
 
 
+@pytest.mark.parametrize("samples", [1, 2, 600])
+def test_stacked_suffix_pose_matches_each_link_alone(samples):
+    """The cached objective poses links first.. with one stacked product and
+    one translation add; each link's columns have the bits of its own
+    ``_link_rows`` product, links without geometry skipped, and the columns
+    before the suffix are left as they were."""
+    chain = builtin_chain("panda7")
+    k = SamplerConfig().intrinsics()
+    meshes = default_link_meshes(chain)
+    meshes[3] = meshes[-1] = None
+    settings = RenderSettings(samples_per_link=samples)
+    observed = np.zeros((k.height, k.width), dtype=bool)
+    cost = _CachedObjective(observed, chain, meshes, k, settings, np.array([112.0, 112.0]))
+    clouds = sample_link_clouds(meshes, settings)
+    rng = np.random.default_rng(samples)
+    for _ in range(5):
+        theta = rng.uniform(*chain.limits())
+        fk = [chain.base_frame] + forward_kinematics(chain, theta)
+        want = _link_rows(clouds, fk)
+        frames = cost._frames([cost.base], theta, 0)
+        assert all(np.array_equal(r, f.rotation) and np.array_equal(t, f.translation) for (r, t), f in zip(frames, fk))
+        # link 7 has no geometry, so the suffix from link 7 on is empty
+        for first in range(chain.dof):
+            world = np.full((3, cost.starts[-1]), np.nan)
+            cost._pose(frames, first, world)
+            start = cost.starts[first]
+            assert np.isnan(world[:, :start]).all()
+            assert np.array_equal(world[:, start:], want[:, start:]), first
+
+
 def test_camera_rotation_rows_match_the_full_product():
-    """The cached objective relies on this BLAS property: over a stack of two
-    or more rows, W[s:e] @ R.T equals rows s:e of W @ R.T bit for bit."""
+    """The BLAS property on (n, 3) rows: over a stack of two or more rows,
+    W[s:e] @ R.T equals rows s:e of W @ R.T bit for bit. The cached
+    objective relies on its column form, checked below."""
     rng = np.random.default_rng(9)
     for n in (2, 3, 8, 601, 4800):
         w = rng.normal(size=(n, 3))
@@ -671,12 +732,13 @@ def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
 
 def test_camera_rows_of_a_stack_match_the_full_product():
     """The same BLAS property for the product the renderer and the cached
-    objective both make, ``_camera_rows``, whose rotation is C-ordered."""
+    objective both make, ``_camera_rows``, on (3, n) columns: any run of two
+    or more columns has the bits of the full product's columns."""
     rng = np.random.default_rng(10)
     for n in (2, 3, 8, 601, 4800):
-        w = rng.normal(size=(n, 3))
+        w = rng.normal(size=(3, n))
         rot = _random_rotation(rng)
         full = _camera_rows(w, rot)
         for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
-            assert np.array_equal(_camera_rows(w[s:], rot), full[s:]), (n, s)
-            assert np.array_equal(_camera_rows(w[s : s + 2], rot), full[s : s + 2]), (n, s)
+            assert np.array_equal(_camera_rows(w[:, s:], rot), full[:, s:]), (n, s)
+            assert np.array_equal(_camera_rows(w[:, s : s + 2], rot), full[:, s : s + 2]), (n, s)

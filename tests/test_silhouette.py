@@ -12,6 +12,7 @@ from armpose import (
     builtin_chain,
     default_link_meshes,
     draw_segment,
+    forward_kinematics,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
@@ -21,7 +22,7 @@ from armpose import (
     silhouette_iou,
     write_pgm,
 )
-from armpose.silhouette import NEAR_PLANE, _splat_window, pixel_centers
+from armpose.silhouette import NEAR_PLANE, _camera_rows, _disc_rows, _link_rows, _splat_window, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -56,6 +57,33 @@ def test_mesh_validation():
         Mesh(np.array([[0.0, 0.0, np.inf]]), None)
     with pytest.raises(ValueError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("samples_per_link", 10.5),
+        ("samples_per_link", 0),
+        ("samples_per_link", True),
+        ("splat_radius", 2.5),
+        ("splat_radius", -1),
+        ("splat_radius", False),
+        ("seed", -1),
+        ("seed", 1.0),
+        ("seed", True),
+        ("seed", "0"),
+    ],
+)
+def test_render_settings_check_their_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        RenderSettings(**{field: value})
+
+
+def test_render_settings_take_python_integers_only():
+    settings = RenderSettings(samples_per_link=1, splat_radius=0, seed=0)
+    assert (settings.samples_per_link, settings.splat_radius, settings.seed) == (1, 0, 0)
+    with pytest.raises(ValueError, match="seed must be an integer, got \"np.uint32"):
+        RenderSettings(seed=np.uint32(7))
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +167,17 @@ def test_render_half_up_rounding_single_point():
 
 def test_pixel_centers_round_half_up_and_zero_rows_behind():
     k = CameraIntrinsics(fx=2.0, fy=2.0, cx=10.0, cy=10.0, width=20, height=20)
+    # four camera-frame points as columns: x, y and z on rows 0, 1 and 2
     cam = np.array(
-        [[0.0, 0.0, 1.0], [0.25, -0.25, 1.0], [0.3, 0.2, -1.0], [0.1, 0.1, NEAR_PLANE]]
+        [[0.0, 0.25, 0.3, 0.1], [0.0, -0.25, 0.2, 0.1], [1.0, 1.0, -1.0, NEAR_PLANE]]
     )
     pix, front = pixel_centers(cam, np.zeros(3), k)
     assert pix.dtype == np.int64 and pix.shape == (2, 4) and pix.flags.c_contiguous
     # 10.5 and 9.5 both round up
     assert pix.T.tolist() == [[10, 10], [11, 10], [0, 0], [0, 0]]
     assert front.tolist() == [True, True, False, False]
-    # projecting only the front rows gives those rows' centers unchanged
-    front_pix, front_only = pixel_centers(cam[:2], np.zeros(3), k)
+    # projecting only the front columns gives those columns' centers unchanged
+    front_pix, front_only = pixel_centers(cam[:, :2], np.zeros(3), k)
     assert front_only.all() and np.array_equal(front_pix, pix[:, :2])
 
 
@@ -157,22 +186,22 @@ def test_pixel_centers_equal_the_projection_of_the_translated_rows():
     rng = np.random.default_rng(31)
     for trial in range(60):
         n = int(rng.integers(1, 400))
-        rotated = rng.normal(0.0, 0.4, size=(n, 3))
+        rotated = rng.normal(0.0, 0.4, size=(3, n))
         t = np.array([rng.normal(0.0, 0.3), rng.normal(0.0, 0.3), rng.uniform(-0.5, 2.5)])
         if trial % 3 == 0:
-            # a few rows just in front of the camera land far outside the image
+            # a few columns just in front of the camera land far outside the image
             near = rng.random(n) < 0.1
-            rotated[near, 2] = rng.uniform(1e-5, 1e-3, near.sum()) - t[2]
+            rotated[2, near] = rng.uniform(1e-5, 1e-3, near.sum()) - t[2]
         if trial % 5 == 0:
-            rotated[rng.random(n) < 0.1, 2] = NEAR_PLANE - t[2]
-        # rows aimed at half-pixel boundaries, where a reordered float
+            rotated[2, rng.random(n) < 0.1] = NEAR_PLANE - t[2]
+        # columns aimed at half-pixel boundaries, where a reordered float
         # operation flips the rounded center
-        edge = (rng.random(n) < 0.3) & (rotated[:, 2] + t[2] > 0.1)
-        z = rotated[edge, 2] + t[2]
+        edge = (rng.random(n) < 0.3) & (rotated[2] + t[2] > 0.1)
+        z = rotated[2, edge] + t[2]
         for axis, f, c in ((0, k.fx, k.cx), (1, k.fy, k.cy)):
-            rotated[edge, axis] = (rng.integers(0, 224, edge.sum()) - 0.5 - c) * z / f - t[axis]
+            rotated[axis, edge] = (rng.integers(0, 224, edge.sum()) - 0.5 - c) * z / f - t[axis]
         pix, front = pixel_centers(rotated, t, k)
-        cam = rotated + t
+        cam = rotated.T + t
         assert np.array_equal(front, cam[:, 2] > NEAR_PLANE)
         want = np.zeros((n, 2), dtype=np.int64)
         want[front] = np.floor(k.project(cam[front]) + 0.5).astype(np.int64)
@@ -225,6 +254,28 @@ def test_splat_window_matches_the_two_dimensional_reference():
                 assert got is None, trial
                 continue
             assert got[1:] == want[1:] and np.array_equal(got[0], want[0]), trial
+
+
+def test_splat_discs_match_the_two_dimensional_reference_up_to_radius_4():
+    # the separable dilation builds each row's run from _disc_rows; every
+    # radius up to 4 gives the disc the per-offset reference draws
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
+    rng = np.random.default_rng(14)
+    for r in range(5):
+        rows = _disc_rows(r)
+        assert sorted(dy for dys in rows for dy in dys) == list(range(1, r + 1))
+        for h, dys in enumerate(rows):
+            assert all(h * h + dy * dy <= r * r < (h + 1) ** 2 + dy * dy for dy in dys)
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            spread = (1, 8, 30)[trial % 3]
+            pix = np.stack([rng.integers(20 - spread, 20 + spread, n), rng.integers(15 - spread, 15 + spread, n)])
+            front = np.ones(n, dtype=bool)
+            got, want = _splat_window(pix, front, k, r), _reference_splat_window(pix, k, r)
+            if want is None:
+                assert got is None, (r, trial)
+                continue
+            assert got[1:] == want[1:] and np.array_equal(got[0], want[0]), (r, trial)
 
 
 def test_render_splat_disc_shape():
@@ -283,11 +334,45 @@ def test_render_chain_and_clouds_agree():
     pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 2.5]))
     direct = render_chain_silhouette(chain, theta, meshes, pose, k, settings)
     clouds = sample_link_clouds(meshes, settings)
-    from armpose import forward_kinematics
-
     frames = [chain.base_frame] + forward_kinematics(chain, theta)
     via_clouds = render_link_clouds(clouds, frames, pose, k, settings)
     assert np.array_equal(direct, via_clouds)
+
+
+def test_link_rows_are_each_frame_apply_as_columns():
+    # column link rows have the bits of the row-major transform of each
+    # link, links without geometry skipped; the camera product of the
+    # columns has the bits of the row-major product too
+    chain = builtin_chain("panda7")
+    rng = np.random.default_rng(8)
+    meshes = default_link_meshes(chain)
+    meshes[2] = meshes[-1] = None
+    for samples in (1, 2, 37, 600):
+        clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=samples))
+        theta = rng.uniform(*chain.limits())
+        frames = [chain.base_frame] + forward_kinematics(chain, theta)
+        cols = _link_rows(clouds, frames)
+        want = np.concatenate([f.apply(c) for c, f in zip(clouds, frames) if c is not None])
+        assert cols.shape == (3, 6 * samples) and np.array_equal(cols, want.T), samples
+        rotation = _random_rotation(rng)
+        rowwise = want @ np.ascontiguousarray(rotation.T)  # the camera product on (n, 3) rows
+        assert np.array_equal(_camera_rows(cols, rotation), rowwise.T), samples
+
+
+def test_render_link_clouds_is_render_silhouette_of_the_stacked_rows():
+    chain = builtin_chain("panda7")
+    k = _camera()
+    meshes = default_link_meshes(chain)
+    meshes[0] = None
+    settings = RenderSettings(samples_per_link=120, splat_radius=2, seed=4)
+    clouds = sample_link_clouds(meshes, settings)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        frames = [chain.base_frame] + forward_kinematics(chain, rng.uniform(*chain.limits()))
+        pose = RigidTransform(_random_rotation(rng), np.array([0.0, 0.0, 2.5]) + rng.normal(0.0, 0.2, 3))
+        rows = np.concatenate([f.apply(c) for c, f in zip(clouds, frames) if c is not None])
+        got = render_link_clouds(clouds, frames, pose, k, settings)
+        assert got.any() and np.array_equal(got, render_silhouette(rows, pose, k, settings))
 
 
 def _reference_render(points, pose, k, radius):
