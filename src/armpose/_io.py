@@ -86,6 +86,16 @@ def json_field(obj, key, kind, shape=(), name=None, default=None):
     return np.array(raw, dtype=float) if shape else float(raw)
 
 
+def check_int_fields(record, **least):
+    """Each named field of a dataclass record is an integer by json_field's
+    rule (never a boolean or a float) and at least its bound in least; a
+    ValueError naming the field otherwise."""
+    for name, bound in least.items():
+        value = json_field(vars(record), name, int)
+        if value < bound:
+            raise ValueError(f"{name} must be at least {bound}, got {value}")
+
+
 def read_json(path, parse):
     """parse(the JSON value held in path)."""
     with open(path, "rb") as fh:

@@ -11,20 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ._io import DatasetFormatError, atomic_write_text, json_field, json_record, read_json, read_jsonl
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
-from .silhouette import (
-    NEAR_PLANE,
-    RenderSettings,
-    read_pgm,
-    render_chain_silhouette,
-    write_pgm,
-)
+from .silhouette import read_pgm, render_chain_silhouette, write_pgm
 
 MAX_SCENE_ATTEMPTS = 50
 MIN_VISIBLE = 4
@@ -150,16 +144,13 @@ def look_at(camera_pos, target, up=(0.0, 0.0, 1.0)):
 def project_keypoints(points, pose, k):
     """Project base-frame points to pixels with a visibility flag per point.
 
-    A point is visible when it lands in front of the camera and inside the
-    image rectangle.
+    A point is visible when it lands in front of the camera (``k.project``'s
+    flag) and inside the image rectangle.
     """
-    cam = pose.apply(points)
-    front = cam[:, 2] > NEAR_PLANE
-    cam[~front, 2] = 1.0  # keeps the division finite; these points stay invisible
-    uv = k.project(cam)
-    u, v = uv[:, 0], uv[:, 1]
+    uv, front = k.project(pose.apply(points).T)
+    u, v = uv
     visible = front & (u >= 0.0) & (u <= k.width - 1.0) & (v >= 0.0) & (v <= k.height - 1.0)
-    return Keypoints2D(uv, visible)
+    return Keypoints2D(uv.T, visible)
 
 
 def perturb_keypoints(keypoints, noise_std, seed):
@@ -217,11 +208,7 @@ def build_scene(chain, cfg, seed, index, meshes, render_settings):
     """Sample a scene and render its silhouette. Returns (Scene, mask)."""
     scene = draw_scene(chain, cfg, seed, index)
     render_seed = int(np.random.SeedSequence((seed, index, 2)).generate_state(1)[0])
-    settings = RenderSettings(
-        samples_per_link=render_settings.samples_per_link,
-        splat_radius=render_settings.splat_radius,
-        seed=render_seed,
-    )
+    settings = replace(render_settings, seed=render_seed)
     mask = render_chain_silhouette(chain, scene.theta, meshes, scene.pose, cfg.intrinsics(), settings)
     return scene, mask
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_text, json_field, read_json
+from ._io import atomic_write_text, check_int_fields, json_field, read_json
 from .kinematics import dh_transform, joint_points, kabsch, wrap_angle
 
 
@@ -548,11 +548,7 @@ class TrainConfig:
     start_step: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "warmup_steps", "start_step"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        check_int_fields(self, steps=0, batch_size=1, warmup_steps=0, seed=0, start_step=0)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"

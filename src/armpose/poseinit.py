@@ -18,9 +18,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import json_field
+from ._io import check_int_fields, json_field
 from .distgeo import align_points, configuration_from_points, gram_from_edm, points_from_gram
 from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
+
+# A camera-frame point is in front of the camera when its depth exceeds this;
+# rendering, keypoint visibility and EPnP scoring all read it from project.
+NEAR_PLANE = 1e-6
 
 
 class InsufficientCorrespondencesError(ValueError):
@@ -51,21 +55,30 @@ class CameraIntrinsics:
             raise ValueError("focal lengths and principal point must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-        if not (self.width >= 1 and self.height >= 1):
-            raise ValueError("image dimensions must be at least 1x1")
+        check_int_fields(self, width=1, height=1)
 
     def normalized(self, uv):
         """Pixel coordinates to normalized image-plane coordinates."""
         pts = np.asarray(uv, dtype=float)
         return (pts - np.array([self.cx, self.cy])) / np.array([self.fx, self.fy])
 
-    def project(self, points_cam):
-        """Camera-frame points (..., 3) to pixel coordinates (..., 2)."""
-        pts = np.asarray(points_cam, dtype=float)
-        z = pts[..., 2]
-        return np.stack(
-            [self.fx * pts[..., 0] / z + self.cx, self.fy * pts[..., 1] / z + self.cy], axis=-1
-        )
+    def project(self, points):
+        """Camera-frame points, coordinates on the first axis (3, ...), to
+        (pixels (2, ...), front): each pixel is ``(f * x) / z + c`` and front
+        is ``z > NEAR_PLANE``. A point not in front is projected from depth
+        1, so its pixel is finite; its flag says to ignore it."""
+        pts = np.asarray(points, dtype=float)
+        z = pts[2]
+        front = z > NEAR_PLANE
+        # count_nonzero is the cheaper test that every flag is set (this
+        # runs on every refine probe)
+        if np.count_nonzero(front) < front.size:
+            z = np.where(front, z, 1.0)
+        # (fx, fy) and (cx, cy) as columns (2, 1, ...) over the points
+        uv = np.multiply(np.array([self.fx, self.fy], ndmin=pts.ndim).T, pts[:2])
+        uv /= z
+        uv += np.array([self.cx, self.cy], ndmin=pts.ndim).T
+        return uv, front
 
     def backproject(self, depth_scale, uv):
         """Point at camera depth depth_scale along the ray through pixel uv."""
@@ -133,7 +146,7 @@ class Estimate:
         """The estimate whose pose(k) is pose up to rounding: the base origin's
         depth is the scale and its projection the base pixel."""
         t = pose.translation
-        return cls(theta, pose.rotation, float(t[2]), k.project(t), provenance)
+        return cls(theta, pose.rotation, float(t[2]), k.project(t)[0], provenance)
 
     def to_json(self):
         # rotation is stored row-major as a flat list of 9 floats
@@ -326,10 +339,9 @@ def _reprojection_errors(rots, tras, pts3d, uv, k):
     """Mean pixel error of each candidate pose and its count of points behind the
     camera; points behind the camera contribute a fixed penalty."""
     cam = pts3d @ np.swapaxes(rots, 1, 2) + tras[:, None, :]
-    behind = cam[..., 2] <= 1e-9
-    cam[behind, 2] = 1.0
-    per_point = np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=-1))
-    return per_point.mean(axis=1), behind.sum(axis=1)
+    pix, front = k.project(cam.transpose(2, 0, 1))
+    per_point = np.where(front, np.linalg.norm(pix.transpose(1, 2, 0) - uv, axis=-1), 1e6)
+    return per_point.mean(axis=1), np.count_nonzero(~front, axis=1)
 
 
 def epnp(points3d, points2d, k):

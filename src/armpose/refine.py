@@ -36,9 +36,12 @@ the probe moves:
   contiguous suffix;
 - a rotation probe keeps the frames and world columns, and recomputes the
   camera rotation (``silhouette._camera_rows``) and the projection
-  (``pixel_centers``, which adds the translation to u and v together);
+  (``pixel_centers``, which adds the translation and projects through
+  ``CameraIntrinsics.project``);
 - a scale probe keeps the rotated columns too, and recomputes only the
-  projection.
+  projection. Its translation is the scale times the ray through the base
+  pixel at depth 1, which each refine call reads once: the bits of
+  ``CameraIntrinsics.backproject`` at that scale.
 
 A rejected probe leaves the incumbent's state untouched; an accepted one
 becomes the incumbent. Across a sweep the search keeps only b's coordinates,
@@ -80,6 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import check_int_fields
 from .kinematics import check_configuration, dh_transform
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
@@ -160,9 +164,7 @@ class RefinerConfig:
     step_scale: float = 0.02
 
     def __post_init__(self):
-        for name in ("iterations", "inner_evals_per_iteration"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check_int_fields(self, iterations=1, inner_evals_per_iteration=1)
         for name in ("step_theta", "step_rot"):
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0.0):
@@ -215,7 +217,9 @@ class _CachedObjective:
         self.lo, self.hi = chain.limits()
         self.observed = observed
         self.n_observed = int(np.count_nonzero(observed))
-        self.base_pixel = base_pixel
+        # the camera ray through the base pixel at depth 1: the base of a
+        # point at scale s sits at s * ray, as Estimate.pose puts it
+        self.ray = k.backproject(1.0, base_pixel)
         # value of every point evaluated so far, by its exact coordinates
         self.seen = {}
         # (rotation, translation) of dh_transform, by joint and angle bits
@@ -225,9 +229,7 @@ class _CachedObjective:
         """(value, state) of the search's start point, built from scratch and
         stored in the memo; theta is checked here."""
         check_configuration(self.chain, theta)
-        state = self.build(theta, rotation, matrix_to_rot6d(rotation), scale)
-        value = self.seen[_state_key(theta, rotation, scale)] = self.value(state)
-        return value, state
+        return self._evaluate(theta, rotation, matrix_to_rot6d(rotation), scale)
 
     def probe(self, state, kind, index, step):
         """(value, state) one step from state along the coordinate (kind,
@@ -367,7 +369,7 @@ class _CachedObjective:
 
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
-        return pixel_centers(rotated, self.k.backproject(scale, self.base_pixel), self.k)
+        return pixel_centers(rotated, scale * self.ray, self.k)
 
 
 def _clip(x, lo, hi):

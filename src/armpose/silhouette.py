@@ -2,7 +2,8 @@
 
 A silhouette is a boolean (height, width) array. Rendering samples points on
 the link surfaces, transforms them through forward kinematics and the camera
-pose, projects with a pinhole model, and splats a small disc per sample.
+pose, projects them with ``CameraIntrinsics.project`` (the package's one
+pinhole model and near-plane rule), and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
 
@@ -13,7 +14,8 @@ columns in ``_link_rows`` (the refiner's cache poses the same columns with
 one stacked product, held to the same bits by the tests), and are rotated
 into the camera in one place, ``_camera_rows``. Camera-rotated columns and
 the camera translation become pixel centers in one place,
-``pixel_centers``, and the splat has one implementation, ``_splat_window``:
+``pixel_centers``, which translates, projects and rounds half up, and the
+splat has one implementation, ``_splat_window``:
 it turns the centers in front of the near plane into the clipped image
 window their discs cover.
 Centers are one contiguous int64 array of shape (2, n), u on row 0 and v on
@@ -31,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_bytes, json_field
+from ._io import DatasetFormatError, atomic_write_bytes, check_int_fields
 from .kinematics import forward_kinematics
-
-NEAR_PLANE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,8 @@ class RenderSettings:
     seed: int = 0
 
     def __post_init__(self):
-        # each field is a Python integer by json_field's rule (never a
-        # boolean): the dilation, the sample count and SeedSequence need one
-        for name, least in (("samples_per_link", 1), ("splat_radius", 0), ("seed", 0)):
-            value = json_field(vars(self), name, int)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        # the dilation, the sample count and SeedSequence each need an integer
+        check_int_fields(self, samples_per_link=1, splat_radius=0, seed=0)
 
 
 def sample_surface(mesh, count, seed):
@@ -129,7 +125,7 @@ def _disc_rows(radius):
 def render_silhouette(points, pose, k, settings):
     """Project base-frame points (n, 3) through pose and splat into a boolean mask.
 
-    Points behind the near plane (camera z <= NEAR_PLANE) are dropped. Pixel
+    Points behind the camera's near plane (see ``k.project``) are dropped. Pixel
     centers come from ``pixel_centers``; each surviving sample sets a disc of
     settings.splat_radius pixels, clipped to the image. The discs are drawn
     by ``_splat_window``, whose window is then pasted into the image.
@@ -157,28 +153,15 @@ def pixel_centers(rotated, t, k):
     """Pixel centers of camera-rotated columns (3, n) translated by t, rounded half-up.
 
     Returns the int64 centers as one contiguous (2, n) array, u on row 0 and
-    v on row 1, and the front mask (camera z > NEAR_PLANE); columns behind
-    the near plane are not projected and hold zeros. u and v are projected
-    together, each center ``floor((f * (x + tx)) / (z + tz) + c + 0.5)``,
-    the same float operations in the same order as
-    ``floor(k.project(rotated.T + t) + 0.5)``.
+    v on row 1, and the front mask of ``k.project``, which projects the
+    translated columns; columns behind the near plane hold zeros.
     """
-    z = rotated[2] + t[2]
-    front = z > NEAR_PLANE
-    every = front.all()
-    if not every:
-        rotated, z = rotated[:, front], z[front]
-    uv = rotated[:2] + t[:2, None]
-    np.multiply(np.array([[k.fx], [k.fy]]), uv, out=uv)
-    uv /= z
-    uv += np.array([[k.cx], [k.cy]])
+    uv, front = k.project(rotated + t[:, None])
     uv += 0.5
     np.floor(uv, out=uv)
-    if every:
-        return uv.astype(np.int64), front
-    pix = np.zeros((2, front.size), dtype=np.int64)
-    pix[:, front] = uv
-    return pix, front
+    if np.count_nonzero(front) < front.size:
+        uv[:, ~front] = 0.0
+    return uv.astype(np.int64), front
 
 
 def _splat_window(pix, front, k, r):
@@ -191,7 +174,7 @@ def _splat_window(pix, front, k, r):
     in the window, or None when no disc reaches the image. The window depends
     only on the set of centers, not on their order or multiplicity.
     """
-    if not front.all():
+    if np.count_nonzero(front) < front.size:
         pix = pix[:, front]
     if pix.shape[1] == 0:
         return None

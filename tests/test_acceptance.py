@@ -165,7 +165,7 @@ def test_criterion_03_epnp_exactness():
         pts = rng.uniform(-0.5, 0.5, size=(8, 3))
         rot = _random_rotation(rng)
         tra = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(2.0, 3.5)])
-        uv = k.project(pts @ rot.T + tra)
+        uv = k.project((pts @ rot.T + tra).T)[0].T
         pose, _ = epnp(pts, uv, k)
         worst_rot = max(worst_rot, rotation_geodesic(pose.rotation, rot))
         worst_tra = max(worst_tra, float(np.max(np.abs(pose.translation - tra))))
@@ -192,7 +192,7 @@ def test_criterion_04_scale_and_backprojection():
         a = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), depth])
         b = a + np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0])
         lam = scale_factor(
-            k.project(a[None, :])[0], k.project(b[None, :])[0], float(np.linalg.norm(a - b)), k
+            k.project(a)[0], k.project(b)[0], float(np.linalg.norm(a - b)), k
         )
         worst_scale = max(worst_scale, abs(lam - depth))
     worst_pix = 0.0

@@ -165,7 +165,7 @@ def test_build_scene_reprojection_residual():
     settings = RenderSettings(samples_per_link=100, splat_radius=1, seed=0)
     scene, mask = build_scene(chain, cfg, seed=2, index=0, meshes=meshes, render_settings=settings)
     pts = skeleton_keypoints(chain, scene.theta)
-    uv = k.project(scene.pose.apply(pts))
+    uv = k.project(scene.pose.apply(pts).T)[0].T
     vis = scene.keypoints_true.visible
     assert np.max(np.abs(uv[vis] - scene.keypoints_true.uv[vis])) < 1e-9
     # noisy channel differs unless noise_std is zero

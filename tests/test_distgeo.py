@@ -632,6 +632,16 @@ def test_train_gim_draws_masks_in_per_sample_stream_order(monkeypatch):
         ("steps", -1),
         ("warmup_steps", -1),
         ("start_step", -1),
+        ("steps", 3.5),
+        ("steps", 4.0),
+        ("steps", True),
+        ("warmup_steps", 1.5),
+        ("start_step", 0.5),
+        ("batch_size", True),
+        ("batch_size", 8.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", False),
     ],
 )
 def test_train_config_rejects_bad_values(field, value):

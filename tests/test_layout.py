@@ -190,3 +190,19 @@ def test_only_poseinit_composes_the_geometric_stages():
                 named = {node.attr}
             found += [f"{name}.py:{node.lineno} names {stage}" for stage in sorted(named & stages)]
     assert found == []
+
+
+def test_only_poseinit_reads_the_pinhole_constants():
+    """CameraIntrinsics.project is the one pinhole projection: no module
+    besides poseinit reads a focal length or the principal point."""
+    found = []
+    for name in _module_names():
+        if name == "poseinit":
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        found += [
+            f"{name}.py:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("fx", "fy", "cx", "cy")
+        ]
+    assert found == []

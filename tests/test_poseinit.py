@@ -11,6 +11,7 @@ from armpose import (
     InsufficientCorrespondencesError,
     Keypoints2D,
     PnpDegenerateError,
+    RigidTransform,
     ScaleUndefinedError,
     add_metric,
     builtin_chain,
@@ -24,6 +25,7 @@ from armpose import (
     scale_factor,
     skeleton_keypoints,
 )
+from armpose.silhouette import pixel_centers
 
 
 def _camera():
@@ -46,7 +48,7 @@ def _random_rotation(rng):
 def test_projection_oracle():
     k = _camera()
     pt = np.array([[0.2, -0.1, 2.0]])
-    uv = k.project(pt)
+    uv = k.project(pt.T)[0].T
     assert uv[0, 0] == pytest.approx(260.0 * 0.2 / 2.0 + 112.0, abs=1e-12)
     assert uv[0, 1] == pytest.approx(260.0 * (-0.1) / 2.0 + 112.0, abs=1e-12)
 
@@ -54,7 +56,7 @@ def test_projection_oracle():
 def test_normalized_undoes_pixels():
     k = _camera()
     pt = np.array([0.3, 0.25, 1.7])
-    uv = k.project(pt[None, :])[0]
+    uv = k.project(pt)[0]
     n = k.normalized(uv)
     assert n[0] == pytest.approx(0.3 / 1.7, abs=1e-12)
     assert n[1] == pytest.approx(0.25 / 1.7, abs=1e-12)
@@ -63,7 +65,7 @@ def test_normalized_undoes_pixels():
 def test_backproject_inverts_projection():
     k = _camera()
     pt = np.array([0.4, -0.3, 2.2])
-    uv = k.project(pt[None, :])[0]
+    uv = k.project(pt)[0]
     back = k.backproject(2.2, uv)
     assert np.max(np.abs(back - pt)) < 1e-12
 
@@ -72,7 +74,7 @@ def test_intrinsics_matrix_and_json_round_trip():
     k = _camera()
     m = np.array([[k.fx, 0.0, k.cx], [0.0, k.fy, k.cy], [0.0, 0.0, 1.0]])
     pt = np.array([0.4, -0.3, 2.2])
-    assert np.max(np.abs((m @ pt)[:2] / pt[2] - k.project(pt))) < 1e-12
+    assert np.max(np.abs((m @ pt)[:2] / pt[2] - k.project(pt)[0])) < 1e-12
     again = CameraIntrinsics.from_json(k.to_json())
     assert again == k
 
@@ -83,6 +85,49 @@ def test_intrinsics_reject_non_finite_values(field, value):
     fields = {"fx": 260.0, "fy": 260.0, "cx": 112.0, "cy": 112.0, "width": 224, "height": 224}
     with pytest.raises(ValueError, match="must be finite"):
         CameraIntrinsics(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", [224.5, 224.0, True, 0, -3, "224"])
+def test_intrinsics_take_integer_image_sizes(field, value):
+    fields = {"fx": 260.0, "fy": 260.0, "cx": 112.0, "cy": 112.0, "width": 224, "height": 224}
+    with pytest.raises(ValueError, match=field):
+        CameraIntrinsics(**{**fields, field: value})
+
+
+def test_project_takes_coordinates_on_the_first_axis():
+    k = _camera()
+    rng = np.random.default_rng(7)
+    cam = rng.uniform(-0.5, 0.5, size=(3, 4, 5))
+    cam[2] += 2.0
+    pix, front = k.project(cam)
+    assert pix.shape == (2, 4, 5) and front.shape == (4, 5) and front.all()
+    for i, j in np.ndindex(4, 5):
+        x, y, z = cam[:, i, j]
+        assert pix[0, i, j] == (260.0 * x) / z + 112.0 and pix[1, i, j] == (260.0 * y) / z + 112.0
+        one, ahead = k.project(cam[:, i, j])
+        assert one.shape == (2,) and ahead and np.array_equal(one, pix[:, i, j])
+    # a point not in front is projected from depth 1 and flagged
+    pix, front = k.project(np.array([[0.5, 0.2], [0.1, -0.3], [-2.0, 2.0]]))
+    assert front.tolist() == [False, True]
+    assert pix[:, 0].tolist() == [260.0 * 0.5 + 112.0, 260.0 * 0.1 + 112.0]
+
+
+def test_one_near_plane_rule_for_render_keypoints_and_epnp():
+    """A point at half the near-plane depth is behind the camera for the
+    renderer's pixel centers, keypoint visibility and EPnP scoring alike; one
+    at twice that depth is in front for all three."""
+    k = _camera()
+    near = poseinit.NEAR_PLANE
+    # on the optical axis, so a point in front lands on the principal point
+    cam = np.array([[0.1, -0.2, 0.0, 0.0, 0.3], [0.2, 0.1, 0.0, 0.0, -0.1], [2.0, 2.5, near / 2, 2 * near, 3.0]])
+    want = [True, True, False, True, True]
+    pix, front = pixel_centers(cam, np.zeros(3), k)
+    assert front.tolist() == want and pix[:, 2].tolist() == [0, 0]
+    assert project_keypoints(cam.T, RigidTransform(), k).visible.tolist() == want
+    uv = k.project(cam)[0].T
+    errs, behind = poseinit._reprojection_errors(np.eye(3)[None], np.zeros((1, 3)), cam.T, uv, k)
+    assert behind.tolist() == [1] and errs[0] == 1e6 / 5
 
 
 def test_keypoints_round_trip():
@@ -116,7 +161,7 @@ def test_epnp_exact_on_noise_free_scenes():
         rot = _random_rotation(rng)
         tra = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(2.0, 3.5)])
         cam = pts3d @ rot.T + tra
-        uv = k.project(cam)
+        uv = k.project(cam.T)[0].T
         pose, err = epnp(pts3d, uv, k)
         assert rotation_geodesic(pose.rotation, rot) < 1e-6
         assert np.max(np.abs(pose.translation - tra)) < 1e-6
@@ -131,7 +176,7 @@ def test_epnp_exact_on_coplanar_points():
         flat[:, 2] = 0.0  # rank-2 cloud exercises the planar kernel
         rot = _random_rotation(rng)
         tra = np.array([0.1, -0.05, 2.5])
-        uv = k.project(flat @ rot.T + tra)
+        uv = k.project((flat @ rot.T + tra).T)[0].T
         pose, err = epnp(flat, uv, k)
         assert rotation_geodesic(pose.rotation, rot) < 1e-5
         assert np.max(np.abs(pose.translation - tra)) < 1e-5
@@ -172,7 +217,7 @@ def test_epnp_moderate_noise_stays_sane():
         pts3d = rng.uniform(-0.5, 0.5, size=(8, 3))
         rot = _random_rotation(rng)
         tra = np.array([0.0, 0.0, 2.5])
-        uv = k.project(pts3d @ rot.T + tra) + rng.normal(0.0, 2.0, size=(8, 2))
+        uv = k.project((pts3d @ rot.T + tra).T)[0].T + rng.normal(0.0, 2.0, size=(8, 2))
         pose, _ = epnp(pts3d, uv, k)
         errors.append(rotation_geodesic(pose.rotation, rot))
     assert np.median(errors) < 0.2
@@ -187,8 +232,8 @@ def test_scale_factor_is_depth_for_fronto_parallel_link():
     depth = 2.3
     a = np.array([0.1, 0.2, depth])
     b = np.array([-0.15, 0.05, depth])
-    ua = k.project(a[None, :])[0]
-    ub = k.project(b[None, :])[0]
+    ua = k.project(a)[0]
+    ub = k.project(b)[0]
     lam = scale_factor(ua, ub, float(np.linalg.norm(a - b)), k)
     assert lam == pytest.approx(depth, abs=1e-9)
 
@@ -197,8 +242,8 @@ def test_scale_factor_overestimates_foreshortened_link():
     k = _camera()
     a = np.array([0.1, 0.0, 2.0])
     b = np.array([0.3, 0.0, 2.6])  # receding link
-    ua = k.project(a[None, :])[0]
-    ub = k.project(b[None, :])[0]
+    ua = k.project(a)[0]
+    ub = k.project(b)[0]
     lam = scale_factor(ua, ub, float(np.linalg.norm(a - b)), k)
     assert lam > 2.0
 
@@ -219,7 +264,7 @@ def test_translation_reproduces_base_pixel():
         lam = rng.uniform(0.5, 5.0)
         t = k.backproject(lam, pix)
         assert t[2] == pytest.approx(lam, abs=1e-12)
-        uv = k.project(t[None, :])[0]
+        uv = k.project(t)[0]
         assert np.max(np.abs(uv - pix)) < 1e-9
         assert np.array_equal(Estimate(np.zeros(7), np.eye(3), lam, pix).pose(k).translation, t)
     # a non-positive scale never reaches the back-projection
@@ -292,7 +337,7 @@ def test_joint_points_drives_estimate_consistency():
     est = initial_estimate(kp, theta, chain, k)
     frames = forward_kinematics(chain, est.theta)
     pts = np.vstack([chain.base_frame.translation[None, :], [f.translation for f in frames]])
-    uv = k.project(est.pose(k).apply(pts)[kp.visible])
+    uv = k.project(est.pose(k).apply(pts)[kp.visible].T)[0].T
     assert np.median(np.abs(uv - kp.uv[kp.visible])) < 5.0
 
 
@@ -414,9 +459,9 @@ def _ref_epnp(pts3d, uv, k):
         rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
         tra = pts_cam.mean(axis=0) - rot @ pts3d.mean(axis=0)
         cam = pts3d @ rot.T + tra
-        behind = cam[:, 2] <= 1e-9
+        behind = cam[:, 2] <= poseinit.NEAR_PLANE
         cam[behind, 2] = 1.0
-        err = float(np.mean(np.where(behind, 1e6, np.linalg.norm(k.project(cam) - uv, axis=1))))
+        err = float(np.mean(np.where(behind, 1e6, np.linalg.norm(k.project(cam.T)[0].T - uv, axis=1))))
         if best is None or err < best[0]:
             best = (err, rot, tra)
     return best
@@ -435,7 +480,7 @@ def _epnp_inputs(count=200, seed=900):
             pts3d[:, 2] = 0.0
         rot = _random_rotation(rng)
         tra = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(2.0, 3.5)])
-        uv = k.project(pts3d @ rot.T + tra) + rng.normal(0.0, 0.5, size=(pts3d.shape[0], 2))
+        uv = k.project((pts3d @ rot.T + tra).T)[0].T + rng.normal(0.0, 0.5, size=(pts3d.shape[0], 2))
         out.append((pts3d, uv))
     return k, out
 

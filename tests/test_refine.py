@@ -226,6 +226,13 @@ def test_refiner_config_validation():
         RefinerConfig(inner_evals_per_iteration=0)
 
 
+@pytest.mark.parametrize("field", ["iterations", "inner_evals_per_iteration"])
+@pytest.mark.parametrize("value", [1.5, 2.5, 3.0, True, "2"])
+def test_refiner_config_takes_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        RefinerConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["step_theta", "step_rot"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05])
 def test_refiner_config_rejects_bad_step_sizes(field, value):
@@ -649,7 +656,7 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
         assert cost.value(moved) == want, (kind, index)
         # the parent's rows are untouched, and the probe's equal a fresh build
         assert all(np.array_equal(old, getattr(rows, name)) for old, name in zip(before, names))
-        _, fresh = cost.start(new_theta, new_rotation, new_scale)
+        fresh = cost.build(new_theta, new_rotation, new_r6, new_scale)
         assert all(np.array_equal(getattr(moved, name), getattr(fresh, name)) for name in names)
         if step % 2 == 0:  # adopt the probe's rows, as an accepted move does
             theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved
@@ -721,7 +728,7 @@ def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
     assert value == _full_render_objective(
         chain, meshes, settings, k, observed, p.theta, p.rotation, p.scale, base_pixel
     )
-    _, fresh = cost.start(p.theta, p.rotation, p.scale)
+    fresh = cost.build(p.theta, p.rotation, p.r6, p.scale)
     assert all(np.array_equal(getattr(p, name), getattr(fresh, name)) for name in ("world", "rotated", "pix", "front"))
     # a point evaluated before gives its stored value and no state
     assert cost.pattern(x, base_theta, base_r6, 0.95 * scale) == (value, None)

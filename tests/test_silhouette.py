@@ -22,7 +22,8 @@ from armpose import (
     silhouette_iou,
     write_pgm,
 )
-from armpose.silhouette import NEAR_PLANE, _camera_rows, _disc_rows, _link_rows, _splat_window, pixel_centers
+from armpose.poseinit import NEAR_PLANE
+from armpose.silhouette import _camera_rows, _disc_rows, _link_rows, _splat_window, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -204,7 +205,7 @@ def test_pixel_centers_equal_the_projection_of_the_translated_rows():
         cam = rotated.T + t
         assert np.array_equal(front, cam[:, 2] > NEAR_PLANE)
         want = np.zeros((n, 2), dtype=np.int64)
-        want[front] = np.floor(k.project(cam[front]) + 0.5).astype(np.int64)
+        want[front] = np.floor(k.project(cam[front].T)[0].T + 0.5).astype(np.int64)
         assert pix.dtype == np.int64 and pix.flags.c_contiguous
         assert np.array_equal(pix, want.T), trial
 
@@ -382,7 +383,7 @@ def _reference_render(points, pose, k, radius):
     bits = np.zeros((k.height, k.width), dtype=bool)
     if cam.shape[0] == 0:
         return bits
-    pix = np.floor(k.project(cam) + 0.5).astype(np.int64)
+    pix = np.floor(k.project(cam.T)[0].T + 0.5).astype(np.int64)
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             if dx * dx + dy * dy > radius * radius:
