@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._io import atomic_write_text, check_int_fields, json_field, read_json
-from .kinematics import dh_transform, joint_points, kabsch, wrap_angle
+from .kinematics import compose, dh_transform, joint_points, kabsch, wrap_angle
 
 
 class AlignmentDegenerateError(ValueError):
@@ -214,13 +214,13 @@ def configuration_from_points(chain, points):
         raise ValueError(f"expected a ({2 * chain.dof}, 3) skeleton for chain {chain.name!r}")
     p_obs, q_obs = pts[: chain.dof], pts[chain.dof :]
 
-    frame = chain.base_frame
+    frame = chain.base_frame.pair
     angles = np.zeros(chain.dof)
     ambiguous = []
     for i, joint in enumerate(chain.joints):
-        axis, origin = frame.rotation[:, 2], frame.translation
-        zero = frame @ dh_transform(joint, -joint.theta_offset)
-        ref_vecs = (zero.translation - origin, zero.translation + zero.rotation[:, 2] - origin)
+        axis, origin = frame[0][:, 2], frame[1]
+        zero_rot, zero_tra = compose(frame, dh_transform(joint, -joint.theta_offset).pair)
+        ref_vecs = (zero_tra - origin, zero_tra + zero_rot[:, 2] - origin)
         obs_vecs = (p_obs[i] - origin, q_obs[i] - origin)
         sin_acc = 0.0
         cos_acc = 0.0
@@ -246,7 +246,7 @@ def configuration_from_points(chain, points):
         elif theta > joint.limit_hi and theta - 2.0 * math.pi >= joint.limit_lo:
             theta -= 2.0 * math.pi
         angles[i] = theta
-        frame = frame @ dh_transform(joint, phi - joint.theta_offset)
+        frame = compose(frame, dh_transform(joint, phi - joint.theta_offset).pair)
     if ambiguous:
         warnings.warn(
             f"joints {ambiguous} have no perpendicular lever; returned reference angles",

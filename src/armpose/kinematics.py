@@ -76,12 +76,13 @@ class RigidTransform:
         obj.translation = translation
         return obj
 
+    @property
+    def pair(self):
+        return self.rotation, self.translation
+
     def __matmul__(self, other):
         """self applied after other."""
-        return RigidTransform._unchecked(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
+        return RigidTransform._unchecked(*compose(self.pair, other.pair))
 
     def apply(self, points):
         """Transform one point (3,) or a stack of points (..., 3)."""
@@ -264,25 +265,40 @@ def check_configuration(chain, theta):
     return arr
 
 
+def compose(frame, local):
+    """The (rotation, translation) pair of frame applied after local, both pairs."""
+    return frame[0] @ local[0], frame[0] @ local[1] + frame[1]
+
+
+def chain_frames(chain, theta, frames=None, first=0, memo=None):
+    """World <- frame i as (rotation, translation) pairs, i = 0..dof: frames[:first + 1]
+    (default: the base frame alone), then joints first.. composed at theta, an unchecked
+    array, with the DH locals kept in memo (by joint and angle bits) when given."""
+    frames = [chain.base_frame.pair] if frames is None else frames[: first + 1]
+    memo = {} if memo is None else memo
+    for i in range(first, chain.dof):
+        key = (i, theta[i].tobytes())
+        local = memo.get(key)
+        if local is None:
+            local = memo[key] = dh_transform(chain.joints[i], theta[i]).pair
+        frames.append(compose(frames[i], local))
+    return frames
+
+
 def forward_kinematics(chain, theta):
     """Return one RigidTransform per joint, world <- frame i, i = 1..dof."""
-    frames = []
-    frame = chain.base_frame
-    for joint, angle in zip(chain.joints, check_configuration(chain, theta)):
-        frame = frame @ dh_transform(joint, angle)
-        frames.append(frame)
-    return frames
+    frames = chain_frames(chain, check_configuration(chain, theta))
+    return [RigidTransform._unchecked(*frame) for frame in frames[1:]]
 
 
 def skeleton_keypoints(chain, theta):
     """Base origin followed by each joint-frame origin, (dof + 1, 3)."""
-    frames = forward_kinematics(chain, theta)
-    return np.vstack([chain.base_frame.translation] + [f.translation for f in frames])
+    return np.vstack([t for _, t in chain_frames(chain, check_configuration(chain, theta))])
 
 
 def joint_points(chain, theta):
     """The skeleton of a configuration as one (2n, 3) array: the frame origins
     p_1..p_n, then the axis points q_i = p_i + z_i."""
-    frames = forward_kinematics(chain, theta)
-    p = np.array([f.translation for f in frames])
-    return np.vstack([p, p + np.array([f.rotation[:, 2] for f in frames])])
+    frames = chain_frames(chain, check_configuration(chain, theta))[1:]
+    p = np.array([t for _, t in frames])
+    return np.vstack([p, p + np.array([r[:, 2] for r, _ in frames])])

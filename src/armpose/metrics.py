@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_text
-from .kinematics import forward_kinematics, wrap_angle
+from .kinematics import chain_frames, check_configuration, wrap_angle
 
 # ADD threshold (m) of the area-under-curve score
 ADD_THRESHOLD = 0.1
@@ -29,8 +29,8 @@ def add_metric(pose_gt, theta_gt, pose_est, theta_est, chain):
 
 
 def _camera_origins(pose, theta, chain):
-    frames = forward_kinematics(chain, theta)
-    return np.array([(pose @ f).translation for f in frames])
+    frames = chain_frames(chain, check_configuration(chain, theta))[1:]
+    return np.array([pose.rotation @ t + pose.translation for _, t in frames])
 
 
 def auc(errors, threshold=ADD_THRESHOLD):

@@ -29,11 +29,11 @@ coordinate-major, (3, n) for points and (2, n) for centers, as in
 objective is evaluated from the incumbent's rows and recomputes only what
 the probe moves:
 
-- a theta_j probe keeps frames 0..j and the columns of links 0..j, composes
-  frames j+1.. from a per-call memo of DH locals keyed by joint and angle
-  bits, poses the clouds of links j+1.. with one stacked ``np.matmul`` and
-  one translation add, and recomputes the rotated and pixel columns of that
-  contiguous suffix;
+- a theta_j probe keeps frames 0..j and the columns of links 0..j, has
+  ``kinematics.chain_frames`` compose frames j+1.. with a per-call memo of
+  DH locals, poses the clouds of links j+1.. with one stacked ``np.matmul``
+  and one translation add, and recomputes the rotated and pixel columns of
+  that contiguous suffix;
 - a rotation probe keeps the frames and world columns, and recomputes the
   camera rotation (``silhouette._camera_rows``) and the projection
   (``pixel_centers``, which adds the translation and projects through
@@ -48,7 +48,7 @@ becomes the incumbent. Across a sweep the search keeps only b's coordinates,
 not its rows. The value is bitwise equal to ``1 -
 silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
 column goes through the same float operations in the same order: the
-frames compose as ``forward_kinematics`` composes them, the stacked pose
+frames come from the walk ``forward_kinematics`` wraps, the stacked pose
 gives each link the bits of its own ``R @ cloud.T + t[:, None]`` in
 ``_link_rows`` (the tests check both), the camera product ``_camera_rows``
 over any run of two or more columns gives each column the bits the full
@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import check_int_fields
-from .kinematics import check_configuration, dh_transform
+from .kinematics import chain_frames, check_configuration
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
 from .silhouette import RenderSettings, _camera_rows, _splat_window, pixel_centers, sample_link_clouds
@@ -177,10 +177,10 @@ class RefinerConfig:
 class _State:
     """One search point: raw coordinates (theta, the rotation matrix and its
     6D code, the scale) and their render rows; only the returned result is
-    validated. frames are (rotation, translation) pairs, world <- link i,
-    the base frame first; world and rotated are (3, n); pix is (2, n), as
-    ``pixel_centers`` returns it, with zeros where front is False. The arrays
-    are never written after construction, so states share them freely."""
+    validated. frames are ``kinematics.chain_frames``' pairs, base first;
+    world and rotated are (3, n); pix is (2, n), as ``pixel_centers`` returns
+    it, with zeros where front is False. The arrays are never written after
+    construction, so states share them freely."""
 
     theta: np.ndarray
     rotation: np.ndarray
@@ -212,7 +212,6 @@ class _CachedObjective:
         # geometry, and starts[i] the first column of link i
         self.slots = np.cumsum([0] + [cloud is not None for cloud in clouds]).tolist()
         self.starts = [slot * self.stack.shape[2] for slot in self.slots]
-        self.base = chain.base_frame.rotation, chain.base_frame.translation
         self.chain, self.k, self.radius = chain, k, settings.splat_radius
         self.lo, self.hi = chain.limits()
         self.observed = observed
@@ -222,7 +221,7 @@ class _CachedObjective:
         self.ray = k.backproject(1.0, base_pixel)
         # value of every point evaluated so far, by its exact coordinates
         self.seen = {}
-        # (rotation, translation) of dh_transform, by joint and angle bits
+        # chain_frames' DH locals, by joint and angle bits
         self.dh = {}
 
     def start(self, theta, rotation, scale):
@@ -293,7 +292,7 @@ class _CachedObjective:
 
     def build(self, theta, rotation, r6, scale):
         """The state at (theta, rotation, r6, scale), built from scratch."""
-        frames = self._frames([self.base], theta, 0)
+        frames = chain_frames(self.chain, theta, memo=self.dh)
         world = np.empty((3, self.starts[-1]))
         self._pose(frames, 0, world)
         rotated = _camera_rows(world, rotation)
@@ -305,7 +304,7 @@ class _CachedObjective:
         rows; parent is left untouched."""
         coords = (theta, rotation, r6, scale)
         if kind == "theta":
-            frames = self._frames(parent.frames, theta, index)
+            frames = chain_frames(self.chain, theta, parent.frames, index, self.dh)
             start = self.starts[index + 1]
             if start == parent.world.shape[1]:  # no link after joint index has geometry
                 return _State(*coords, frames, parent.world, parent.rotated, parent.pix, parent.front)
@@ -327,21 +326,6 @@ class _CachedObjective:
             )
         rotated = _camera_rows(parent.world, rotation) if kind == "rot" else parent.rotated
         return _State(*coords, parent.frames, parent.world, rotated, *self._project(rotated, scale))
-
-    def _frames(self, frames, theta, index):
-        """frames[:index + 1] followed by the frames of joints index.. at
-        theta, each composed as ``forward_kinematics`` composes it; the DH
-        locals come from the memo."""
-        frames = frames[: index + 1]
-        for i in range(index, self.chain.dof):
-            key = (i, theta[i].tobytes())
-            local = self.dh.get(key)
-            if local is None:
-                joint = dh_transform(self.chain.joints[i], theta[i])
-                local = self.dh[key] = joint.rotation, joint.translation
-            rot, tra = frames[i]
-            frames.append((rot @ local[0], rot @ local[1] + tra))
-        return frames
 
     def _pose(self, frames, first, world):
         """Write into world (3, n) the columns of links first.., each cloud

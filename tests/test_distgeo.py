@@ -329,13 +329,13 @@ def test_align_points_runs_forward_kinematics_once(monkeypatch):
     # an equal chain loaded separately has its own cache entry
     want = align_points(cloud, builtin_chain("panda7"))
     calls = []
-    original = kinematics.forward_kinematics
+    original = kinematics.chain_frames
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(kinematics, "forward_kinematics", counting)
+    monkeypatch.setattr(kinematics, "chain_frames", counting)
     got = align_points(cloud, chain)
     assert len(calls) == 1
     assert np.array_equal(got, want)

@@ -124,7 +124,7 @@ def test_planar_two_link_forward_kinematics_oracle():
 
 
 def test_forward_kinematics_equals_incremental_dh_products():
-    # bit for bit: FK composes raw arrays in the order RigidTransform.compose does
+    # bit for bit: the walk composes with kinematics.compose, as RigidTransform @ does
     for name in ("panda7", "planar2"):
         chain = builtin_chain(name)
         rng = np.random.default_rng(5)

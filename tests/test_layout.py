@@ -206,3 +206,30 @@ def test_only_poseinit_reads_the_pinhole_constants():
             if isinstance(node, ast.Attribute) and node.attr in ("fx", "fy", "cx", "cy")
         ]
     assert found == []
+
+
+def test_only_kinematics_walks_the_chain():
+    """kinematics.chain_frames is the one forward-kinematics walk: no module
+    besides kinematics composes DH locals, except distgeo's IK, which picks
+    each angle as it walks."""
+    found = []
+    for name in _module_names():
+        if name == "kinematics":
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        allowed = set()
+        if name == "distgeo":
+            allowed = {
+                id(inner)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "configuration_from_points"
+                for inner in ast.walk(node)
+            }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "dh_transform":
+                found.append(f"{name}.py:{node.lineno} calls dh_transform")
+    assert found == []

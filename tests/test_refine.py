@@ -29,6 +29,7 @@ from armpose import (
     silhouette_iou,
 )
 from armpose.datagen import SamplerConfig, build_scene, draw_scene
+from armpose.kinematics import chain_frames
 from armpose.distgeo import (
     TrainConfig,
     edm_from_configuration,
@@ -662,6 +663,37 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
             theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved
 
 
+@pytest.mark.parametrize("name", ["panda7", "planar2"])
+def test_chain_frames_from_every_first_match_forward_kinematics(name):
+    """A theta probe's frames come from its parent's: chain_frames keeps
+    frames[:first + 1] and composes joints first.. with one memo shared
+    across calls, as the cached objective does. Every frame has the bits
+    forward_kinematics gives it, angles at a joint limit included, whether
+    its DH local is composed or read from the memo."""
+    chain = builtin_chain(name)
+    lo, hi = chain.limits()
+    rng = np.random.default_rng(4)
+    memo = {}
+    parent_theta = rng.uniform(lo, hi)
+    parent = chain_frames(chain, parent_theta, memo=memo)
+    kept = list(parent)
+    for first in range(chain.dof):
+        for bound in (lo, hi, None):
+            theta = parent_theta.copy()
+            theta[first:] = rng.uniform(lo, hi)[first:] if bound is None else bound[first:]
+            want = [chain.base_frame] + forward_kinematics(chain, theta)
+            for _ in range(2):  # the second walk reads every DH local from the memo
+                got = chain_frames(chain, theta, parent, first, memo)
+                assert len(got) == chain.dof + 1
+                assert all(
+                    np.array_equal(r, f.rotation) and np.array_equal(t, f.translation) for (r, t), f in zip(got, want)
+                ), (first, bound is None)
+                assert all(a is b for a, b in zip(got[: first + 1], parent))
+    # the parent's list is left as it was
+    assert len(parent) == len(kept) and all(a is b for a, b in zip(parent, kept))
+    assert set(memo) >= {(i, parent_theta[i].tobytes()) for i in range(chain.dof)}
+
+
 @pytest.mark.parametrize("samples", [1, 2, 600])
 def test_stacked_suffix_pose_matches_each_link_alone(samples):
     """The cached objective poses links first.. with one stacked product and
@@ -681,7 +713,7 @@ def test_stacked_suffix_pose_matches_each_link_alone(samples):
         theta = rng.uniform(*chain.limits())
         fk = [chain.base_frame] + forward_kinematics(chain, theta)
         want = _link_rows(clouds, fk)
-        frames = cost._frames([cost.base], theta, 0)
+        frames = chain_frames(chain, theta, memo=cost.dh)
         assert all(np.array_equal(r, f.rotation) and np.array_equal(t, f.translation) for (r, t), f in zip(frames, fk))
         # link 7 has no geometry, so the suffix from link 7 on is empty
         for first in range(chain.dof):
