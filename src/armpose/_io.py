@@ -96,6 +96,14 @@ def check_int_fields(record, **least):
             raise ValueError(f"{name} must be at least {bound}, got {value}")
 
 
+def check_float_fields(record, *names):
+    """Each named field of a dataclass record is a number by json_field's rule
+    (finite, an integer included, never a boolean); a ValueError naming the
+    field otherwise."""
+    for name in names:
+        json_field(vars(record), name, float)
+
+
 def read_json(path, parse):
     """parse(the JSON value held in path)."""
     with open(path, "rb") as fh:

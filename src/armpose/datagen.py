@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, json_field, json_record, read_json, read_jsonl
+from ._io import DatasetFormatError, atomic_write_text, check_float_fields, json_field, json_record, read_json, read_jsonl
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import read_pgm, render_chain_silhouette, write_pgm
@@ -54,9 +54,10 @@ class SamplerConfig:
                 raise ValueError(f"{name} range is inverted")
         if self.distance[0] <= 0:
             raise ValueError("camera distance must be positive")
-        if not (math.isfinite(self.focal) and self.focal > 0):
+        check_float_fields(self, "focal", "noise_std")
+        if not self.focal > 0:
             raise ValueError(f"focal must be finite and positive, got {self.focal}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+        if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
 
     def intrinsics(self):

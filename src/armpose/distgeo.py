@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_text, check_int_fields, json_field, read_json
+from ._io import atomic_write_text, check_float_fields, check_int_fields, json_field, read_json
 from .kinematics import compose, dh_transform, joint_points, kabsch, wrap_angle
 
 
@@ -549,10 +549,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int_fields(self, steps=0, batch_size=1, warmup_steps=0, seed=0, start_step=0)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(
-                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
-            )
+        check_float_fields(self, "learning_rate")
+        if not self.learning_rate >= 0.0:
+            raise ValueError(f"learning_rate must be finite and non-negative, got {self.learning_rate}")
 
 
 def train_gim(net, dataset, cfg, adam_state=None):
@@ -567,8 +566,9 @@ def train_gim(net, dataset, cfg, adam_state=None):
     constant. Batch selection, dropout masks, and the learning rate are pure
     functions of (cfg.seed, global step), so a run resumed from start_step
     with the saved Adam state reproduces the uninterrupted run bitwise.
-    Returns (net, trace, adam_state) where trace rows are (step, batch loss
-    before the update).
+    adam_state, when given, has its moments updated in place. Returns (net,
+    trace, adam_state) where trace rows are (step, batch loss before the
+    update).
     """
     inputs = [np.asarray(kp, dtype=float).reshape(-1) for kp, _ in dataset]
     if not inputs:
@@ -580,6 +580,10 @@ def train_gim(net, dataset, cfg, adam_state=None):
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     work = replace(net, layer_dims=list(net.layer_dims), weights=weights, biases=biases)
+    params = weights + biases
+    # the update's two scratch buffers, sized to the largest parameter
+    size = max(param.size for param in params)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     trace = []
     inv = 1.0 / cfg.batch_size
     for step in range(cfg.start_step, cfg.steps):
@@ -593,13 +597,18 @@ def train_gim(net, dataset, cfg, adam_state=None):
         trace.append((step, loss))
         lr = cfg.learning_rate * min(1.0, (step + 1) / warmup_steps)
         t = step + 1
-        params = weights + biases
-        grads = [g * inv for g in gw] + [g * inv for g in gb]
-        for pi, (param, grad) in enumerate(zip(params, grads)):
-            state.m[pi] = ADAM_BETA1 * state.m[pi] + (1.0 - ADAM_BETA1) * grad
-            state.v[pi] = ADAM_BETA2 * state.v[pi] + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = state.m[pi] / (1.0 - ADAM_BETA1**t)
-            v_hat = state.v[pi] / (1.0 - ADAM_BETA2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for param, grad, m, v in zip(params, gw + gb, state.m, state.v):
+            # Adam in place, each product and sum as in m = b1 m + (1 - b1) g,
+            # v = b2 v + ((1 - b2) g) g, param -= (lr m_hat) / (sqrt(v_hat) + eps)
+            g = np.multiply(grad, inv, out=scratch_a[: param.size].reshape(param.shape))
+            tmp = scratch_b[: param.size].reshape(param.shape)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=tmp), g, out=tmp)
+            np.multiply(np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp), lr, out=tmp)
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=g), out=g)
+            g += ADAM_EPS
+            param -= np.divide(tmp, g, out=tmp)
         state.step = t
     return work, trace, state

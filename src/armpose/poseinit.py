@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import check_int_fields, json_field
+from ._io import check_float_fields, check_int_fields, json_field
 from .distgeo import align_points, configuration_from_points, gram_from_edm, points_from_gram
 from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
 
@@ -53,6 +53,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
             raise ValueError("focal lengths and principal point must be finite")
+        check_float_fields(self, "fx", "fy", "cx", "cy")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         check_int_fields(self, width=1, height=1)

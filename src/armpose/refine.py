@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import check_int_fields
+from ._io import check_float_fields, check_int_fields
 from .kinematics import chain_frames, check_configuration
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
@@ -165,9 +165,10 @@ class RefinerConfig:
 
     def __post_init__(self):
         check_int_fields(self, iterations=1, inner_evals_per_iteration=1)
+        check_float_fields(self, "step_theta", "step_rot", "step_scale")
         for name in ("step_theta", "step_rot"):
             step = getattr(self, name)
-            if not (math.isfinite(step) and step > 0.0):
+            if not step > 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {step}")
         if not (0.0 < self.step_scale < 1.0):
             raise ValueError("step_scale must lie in (0, 1)")

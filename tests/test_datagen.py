@@ -51,6 +51,9 @@ def test_sampler_config_validation_and_round_trip():
         ("focal", 0.0),
         ("noise_std", math.nan),
         ("noise_std", math.inf),
+        ("focal", True),
+        ("noise_std", True),
+        ("noise_std", False),
     ],
 )
 def test_sampler_config_rejects_non_finite_values(field, value):

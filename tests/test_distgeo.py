@@ -642,6 +642,9 @@ def test_train_gim_draws_masks_in_per_sample_stream_order(monkeypatch):
         ("seed", -1),
         ("seed", 1.5),
         ("seed", False),
+        ("learning_rate", True),
+        ("learning_rate", False),
+        ("learning_rate", "1e-3"),
     ],
 )
 def test_train_config_rejects_bad_values(field, value):

@@ -87,6 +87,14 @@ def test_intrinsics_reject_non_finite_values(field, value):
         CameraIntrinsics(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+@pytest.mark.parametrize("value", [True, False])
+def test_intrinsics_refuse_booleans(field, value):
+    fields = {"fx": 260.0, "fy": 260.0, "cx": 112.0, "cy": 112.0, "width": 224, "height": 224}
+    with pytest.raises(ValueError, match=f"{field} must be a finite number, got {str(value).lower()}"):
+        CameraIntrinsics(**{**fields, field: value})
+
+
 @pytest.mark.parametrize("field", ["width", "height"])
 @pytest.mark.parametrize("value", [224.5, 224.0, True, 0, -3, "224"])
 def test_intrinsics_take_integer_image_sizes(field, value):

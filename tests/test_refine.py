@@ -235,7 +235,7 @@ def test_refiner_config_takes_integer_counts(field, value):
 
 
 @pytest.mark.parametrize("field", ["step_theta", "step_rot"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05, True, "0.05"])
 def test_refiner_config_rejects_bad_step_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         RefinerConfig(**{field: value})
