@@ -15,7 +15,15 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, check_float_fields, json_field, json_record, read_json, read_jsonl
+from ._io import (
+    DatasetFormatError,
+    atomic_write_text,
+    check_float_fields,
+    json_field,
+    json_record,
+    read_json,
+    read_jsonl,
+)
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import CameraIntrinsics, Keypoints2D
 from .silhouette import read_pgm, render_chain_silhouette, write_pgm
