@@ -19,6 +19,7 @@ from ._io import (
     DatasetFormatError,
     atomic_write_text,
     check_float_fields,
+    check_int_fields,
     json_field,
     json_record,
     read_json,
@@ -55,13 +56,12 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("distance", "elevation", "azimuth"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} range must be finite, got ({lo}, {hi})")
+            lo, hi = json_field(vars(self), name, float, (2,))
             if hi < lo:
                 raise ValueError(f"{name} range is inverted")
         if self.distance[0] <= 0:
             raise ValueError("camera distance must be positive")
+        check_int_fields(self, image_width=1, image_height=1)
         check_float_fields(self, "focal", "noise_std")
         if not self.focal > 0:
             raise ValueError(f"focal must be finite and positive, got {self.focal}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import check_float_fields, check_int_fields, json_field
+from ._io import check_float_fields, check_int_fields, json_field, json_record
 from .distgeo import align_points, configuration_from_points, gram_from_edm, points_from_gram
 from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
 
@@ -51,9 +51,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
-            raise ValueError("focal lengths and principal point must be finite")
-        check_float_fields(self, "fx", "fy", "cx", "cy")
+        where = "focal lengths and principal point must be finite"
+        json_record(where, lambda record: check_float_fields(record, "fx", "fy", "cx", "cy"), self)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         check_int_fields(self, width=1, height=1)

@@ -21,7 +21,7 @@ iteration with the move refines as well as three without it did.
 
 A search point is one ``_State``: its coordinates and its render rows (FK
 frames as plain (rotation, translation) pairs and, per link sample in
-``silhouette._link_rows``' column order, its world point, the point rotated
+``silhouette._LinkClouds``' column order, its world point, the point rotated
 into the camera, its int64 pixel center and its near-plane flag). Rows are
 coordinate-major, (3, n) for points and (2, n) for centers, as in
 ``silhouette``. The start and each pattern point are built from scratch
@@ -31,9 +31,8 @@ the probe moves:
 
 - a theta_j probe keeps frames 0..j and the columns of links 0..j, has
   ``kinematics.chain_frames`` compose frames j+1.. with a per-call memo of
-  DH locals, poses the clouds of links j+1.. with one stacked ``np.matmul``
-  and one translation add, and recomputes the rotated and pixel columns of
-  that contiguous suffix;
+  DH locals, poses the clouds of links j+1.. with ``_LinkClouds.pose``, and
+  recomputes the rotated and pixel columns of that contiguous suffix;
 - a rotation probe keeps the frames and world columns, and recomputes the
   camera rotation (``silhouette._camera_rows``) and the projection
   (``pixel_centers``, which adds the translation and projects through
@@ -48,16 +47,15 @@ becomes the incumbent. Across a sweep the search keeps only b's coordinates,
 not its rows. The value is bitwise equal to ``1 -
 silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
 column goes through the same float operations in the same order: the
-frames come from the walk ``forward_kinematics`` wraps, the stacked pose
-gives each link the bits of its own ``R @ cloud.T + t[:, None]`` in
-``_link_rows`` (the tests check both), the camera product ``_camera_rows``
-over any run of two or more columns gives each column the bits the full
-product gives it (an invariant of the BLAS that the tests check; a
-one-column product takes another path, so a theta suffix is multiplied
-together with the lead column before it), and the add, projection and
-rounding are elementwise. The splat window depends only on the set of pixel
-centers, and the IoU is integer counts, taken on that window against the
-observed mask.
+frames come from the walk ``forward_kinematics`` wraps, the world columns
+from render_link_clouds' own pose, ``_LinkClouds.pose``, which gives a link
+the same bits from any first link, the camera product ``_camera_rows`` over
+any run of two or more columns gives each column the bits the full product
+gives it (invariants the tests check; a one-column product takes another
+BLAS path, so a theta suffix is multiplied together with the lead column
+before it), and the add, projection and rounding are elementwise. The
+splat window depends only on the set of pixel centers, and the IoU is
+integer counts, taken on that window against the observed mask.
 
 Each refine call also keeps a memo of every point it has evaluated, keyed by
 the exact bits of (theta, rotation matrix, scale); the matrix is keyed, not
@@ -87,7 +85,7 @@ from ._io import check_float_fields, check_int_fields
 from .kinematics import chain_frames, check_configuration
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
-from .silhouette import RenderSettings, _camera_rows, _splat_window, pixel_centers, sample_link_clouds
+from .silhouette import RenderSettings, _camera_rows, _LinkClouds, _splat_window, pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
@@ -200,19 +198,9 @@ class _CachedObjective:
     (see the module docstring)."""
 
     def __init__(self, observed, chain, meshes, k, settings, base_pixel):
-        clouds = sample_link_clouds(meshes, settings)
-        if len(clouds) != chain.dof + 1:
-            raise ValueError("need one frame per link cloud")
-        if all(cloud is None for cloud in clouds):
-            raise ValueError("no link has geometry")
-        # the links with geometry, in order, and their clouds as one
-        # (L, 3, m) stack; every cloud has samples_per_link points
-        self.links = [i for i, cloud in enumerate(clouds) if cloud is not None]
-        self.stack = np.stack([clouds[i].T for i in self.links])
-        # slots[i] is the stack position of the first link >= i with
-        # geometry, and starts[i] the first column of link i
-        self.slots = np.cumsum([0] + [cloud is not None for cloud in clouds]).tolist()
-        self.starts = [slot * self.stack.shape[2] for slot in self.slots]
+        if len(meshes) != chain.dof + 1:
+            raise ValueError(f"need one mesh per link: got {len(meshes)} meshes for {chain.dof + 1} links")
+        self.clouds = _LinkClouds(sample_link_clouds(meshes, settings))
         self.chain, self.k, self.radius = chain, k, settings.splat_radius
         self.lo, self.hi = chain.limits()
         self.observed = observed
@@ -294,8 +282,7 @@ class _CachedObjective:
     def build(self, theta, rotation, r6, scale):
         """The state at (theta, rotation, r6, scale), built from scratch."""
         frames = chain_frames(self.chain, theta, memo=self.dh)
-        world = np.empty((3, self.starts[-1]))
-        self._pose(frames, 0, world)
+        world = self.clouds.pose(frames)
         rotated = _camera_rows(world, rotation)
         return _State(theta, rotation, r6, scale, frames, world, rotated, *self._project(rotated, scale))
 
@@ -306,12 +293,12 @@ class _CachedObjective:
         coords = (theta, rotation, r6, scale)
         if kind == "theta":
             frames = chain_frames(self.chain, theta, parent.frames, index, self.dh)
-            start = self.starts[index + 1]
+            start = self.clouds.starts[index + 1]
             if start == parent.world.shape[1]:  # no link after joint index has geometry
                 return _State(*coords, frames, parent.world, parent.rotated, parent.pix, parent.front)
             world = np.empty_like(parent.world)
             world[:, :start] = parent.world[:, :start]
-            self._pose(frames, index + 1, world)
+            self.clouds.pose(frames, index + 1, world)
             # a one-column product takes another BLAS path than a stack does,
             # so the suffix is multiplied together with the column before it
             lead = max(start - 1, 0)
@@ -327,18 +314,6 @@ class _CachedObjective:
             )
         rotated = _camera_rows(parent.world, rotation) if kind == "rot" else parent.rotated
         return _State(*coords, parent.frames, parent.world, rotated, *self._project(rotated, scale))
-
-    def _pose(self, frames, first, world):
-        """Write into world (3, n) the columns of links first.., each cloud
-        under its frame, as one stacked product and one translation add."""
-        slot = self.slots[first]
-        links = self.links[slot:]
-        rot = np.array([frames[i][0] for i in links])
-        tra = np.array([frames[i][1] for i in links])
-        # world's columns of stack slots slot.., as (3, links, m)
-        cols = world.reshape(3, -1, self.stack.shape[2])[:, slot:]
-        np.matmul(rot, self.stack[slot:], out=cols.transpose(1, 0, 2))
-        cols += tra.T[:, :, None]
 
     def value(self, state):
         """1 - IoU of the state's splat window against the observed mask."""

@@ -9,10 +9,10 @@ the first s samples drawn for a mesh do not depend on the total sample count.
 
 Render rows are coordinate-major: n points are one (3, n) array, x, y and z
 on rows 0, 1 and 2, so each transform is one ``R @ cols + t[:, None]`` and
-each coordinate is one contiguous run. Posed link clouds become stacked
-columns in ``_link_rows`` (the refiner's cache poses the same columns with
-one stacked product, held to the same bits by the tests), and are rotated
-into the camera in one place, ``_camera_rows``. Camera-rotated columns and
+each coordinate is one contiguous run. Link clouds are posed in one place,
+``_LinkClouds.pose`` (one stacked product, for render_link_clouds and the
+refiner's cache alike), and rotated into the camera in one place,
+``_camera_rows``. Camera-rotated columns and
 the camera translation become pixel centers in one place,
 ``pixel_centers``, which translates, projects and rounds half up, and the
 splat has one implementation, ``_splat_window``:
@@ -249,20 +249,44 @@ def render_link_clouds(clouds, frames, pose, k, settings):
     """Render presampled local clouds given their world frames."""
     if len(clouds) != len(frames):
         raise ValueError("need one frame per link cloud")
-    if all(cloud is None for cloud in clouds):
-        raise ValueError("no link has geometry")
-    return render_silhouette(_link_rows(clouds, frames).T, pose, k, settings)
+    return render_silhouette(_LinkClouds(clouds).pose([f.pair for f in frames]).T, pose, k, settings)
 
 
-def _link_rows(clouds, frames):
-    """World points of the link clouds (m, 3) under their frames as columns
-    (3, n), stacked link by link, one column per sample, links without
-    geometry (None) skipped: the column order that render_link_clouds and
-    the refiner's cache share. Each link is
-    ``frame.rotation @ cloud.T + frame.translation[:, None]``, which has the
-    bits of ``frame.apply(cloud).T``."""
-    parts = [f.rotation @ c.T + f.translation[:, None] for c, f in zip(clouds, frames) if c is not None]
-    return np.concatenate(parts, axis=1)
+class _LinkClouds:
+    """``sample_link_clouds``' clouds, all of one sample count, posed as world
+    columns (3, n) stacked link by link, links without geometry (None)
+    skipped: the one pose of render_link_clouds and the refiner's cache."""
+
+    def __init__(self, clouds):
+        if all(cloud is None for cloud in clouds):
+            raise ValueError("no link has geometry")
+        # the links with geometry, in order, and their clouds as one (L, 3, m) stack
+        self.links = [i for i, cloud in enumerate(clouds) if cloud is not None]
+        counts = sorted({clouds[i].shape[0] for i in self.links})
+        if len(counts) > 1:
+            raise ValueError(f"link clouds must hold one sample count, got {counts}")
+        self.stack = np.stack([clouds[i].T for i in self.links])
+        # slots[i] is the stack position of the first link >= i with
+        # geometry, and starts[i] the first column of link i
+        self.slots = np.cumsum([0] + [cloud is not None for cloud in clouds]).tolist()
+        self.starts = [slot * self.stack.shape[2] for slot in self.slots]
+
+    def pose(self, frames, first=0, world=None):
+        """world (3, n), allocated when None, with links first.. posed under
+        frames, ``kinematics.chain_frames``' pairs, by one stacked product and
+        one translation add: each link's columns have the bits of
+        ``frame.apply(cloud).T``, and earlier columns are left as they are."""
+        if world is None:
+            world = np.empty((3, self.starts[-1]))
+        slot = self.slots[first]
+        links = self.links[slot:]
+        rot = np.array([frames[i][0] for i in links])
+        tra = np.array([frames[i][1] for i in links])
+        # world's columns of stack slots slot.., as (3, links, m)
+        cols = world.reshape(3, -1, self.stack.shape[2])[:, slot:]
+        np.matmul(rot, self.stack[slot:], out=cols.transpose(1, 0, 2))
+        cols += tra.T[:, :, None]
+        return world
 
 
 def bresenham_line(p0, p1):

@@ -61,6 +61,27 @@ def test_sampler_config_rejects_non_finite_values(field, value):
         SamplerConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("image_width", True),
+        ("image_height", False),
+        ("image_width", 224.0),
+        ("image_height", "224"),
+        ("image_width", 0),
+        ("distance", (True, 2.0)),
+        ("elevation", (0.1, True)),
+        ("azimuth", ("a", 1.0)),
+        ("azimuth", (None, 1.0)),
+        ("distance", (1.8, 2.0, 3.0)),
+        ("elevation", 0.3),
+    ],
+)
+def test_sampler_config_refuses_wrongly_typed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(**{field: value})
+
+
 def test_look_at_geometry():
     cam = np.array([2.0, 0.0, 0.5])
     target = np.zeros(3)

@@ -208,6 +208,15 @@ def test_only_poseinit_reads_the_pinhole_constants():
     assert found == []
 
 
+def _calls(tree, called):
+    """The calls in tree of a function or method named called, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == called:
+                yield node
+
+
 def test_only_kinematics_walks_the_chain():
     """kinematics.chain_frames is the one forward-kinematics walk: no module
     besides kinematics composes DH locals, except distgeo's IK, which picks
@@ -225,11 +234,22 @@ def test_only_kinematics_walks_the_chain():
                 if isinstance(node, ast.FunctionDef) and node.name == "configuration_from_points"
                 for inner in ast.walk(node)
             }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in allowed:
-                continue
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == "dh_transform":
-                found.append(f"{name}.py:{node.lineno} calls dh_transform")
+        found += [
+            f"{name}.py:{node.lineno} calls dh_transform"
+            for node in _calls(tree, "dh_transform")
+            if id(node) not in allowed
+        ]
+    assert found == []
+
+
+def test_only_silhouette_poses_link_clouds():
+    """silhouette._LinkClouds.pose is the one pose of link clouds, which
+    render_link_clouds and the refiner's cache share: no module besides
+    silhouette calls np.matmul."""
+    found = []
+    for name in _module_names():
+        if name == "silhouette":
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        found += [f"{name}.py:{node.lineno} calls np.matmul" for node in _calls(tree, "matmul")]
     assert found == []

@@ -103,6 +103,14 @@ def test_intrinsics_take_integer_image_sizes(field, value):
         CameraIntrinsics(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+@pytest.mark.parametrize("value", ["260", None, [260.0]])
+def test_intrinsics_refuse_non_numbers_with_a_value_error(field, value):
+    fields = {"fx": 260.0, "fy": 260.0, "cx": 112.0, "cy": 112.0, "width": 224, "height": 224}
+    with pytest.raises(ValueError, match=f"must be finite: {field} must be a finite number"):
+        CameraIntrinsics(**{**fields, field: value})
+
+
 def test_project_takes_coordinates_on_the_first_axis():
     k = _camera()
     rng = np.random.default_rng(7)

@@ -39,7 +39,7 @@ from armpose.distgeo import (
     train_gim,
 )
 from armpose.refine import _CachedObjective, _clip
-from armpose.silhouette import _camera_rows, _link_rows
+from armpose.silhouette import _camera_rows
 
 
 def _random_rotation(rng):
@@ -293,6 +293,14 @@ def test_refine_checks_mask_shape():
     chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
     with pytest.raises(ValueError):
         refine(truth, mask[:100], chain, meshes, k, RefinerConfig(), settings)
+
+
+def test_refine_checks_its_meshes():
+    chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
+    with pytest.raises(ValueError, match="need one mesh per link: got 7 meshes for 8 links"):
+        refine(truth, mask, chain, meshes[:-1], k, RefinerConfig(), settings)
+    with pytest.raises(ValueError, match="no link has geometry"):
+        refine(truth, mask, chain, [None] * len(meshes), k, RefinerConfig(), settings)
 
 
 # sha256 of one fixed short refinement, recorded from the pre-optimization
@@ -692,36 +700,6 @@ def test_chain_frames_from_every_first_match_forward_kinematics(name):
     # the parent's list is left as it was
     assert len(parent) == len(kept) and all(a is b for a, b in zip(parent, kept))
     assert set(memo) >= {(i, parent_theta[i].tobytes()) for i in range(chain.dof)}
-
-
-@pytest.mark.parametrize("samples", [1, 2, 600])
-def test_stacked_suffix_pose_matches_each_link_alone(samples):
-    """The cached objective poses links first.. with one stacked product and
-    one translation add; each link's columns have the bits of its own
-    ``_link_rows`` product, links without geometry skipped, and the columns
-    before the suffix are left as they were."""
-    chain = builtin_chain("panda7")
-    k = SamplerConfig().intrinsics()
-    meshes = default_link_meshes(chain)
-    meshes[3] = meshes[-1] = None
-    settings = RenderSettings(samples_per_link=samples)
-    observed = np.zeros((k.height, k.width), dtype=bool)
-    cost = _CachedObjective(observed, chain, meshes, k, settings, np.array([112.0, 112.0]))
-    clouds = sample_link_clouds(meshes, settings)
-    rng = np.random.default_rng(samples)
-    for _ in range(5):
-        theta = rng.uniform(*chain.limits())
-        fk = [chain.base_frame] + forward_kinematics(chain, theta)
-        want = _link_rows(clouds, fk)
-        frames = chain_frames(chain, theta, memo=cost.dh)
-        assert all(np.array_equal(r, f.rotation) and np.array_equal(t, f.translation) for (r, t), f in zip(frames, fk))
-        # link 7 has no geometry, so the suffix from link 7 on is empty
-        for first in range(chain.dof):
-            world = np.full((3, cost.starts[-1]), np.nan)
-            cost._pose(frames, first, world)
-            start = cost.starts[first]
-            assert np.isnan(world[:, :start]).all()
-            assert np.array_equal(world[:, start:], want[:, start:]), first
 
 
 def test_camera_rotation_rows_match_the_full_product():

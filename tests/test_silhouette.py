@@ -23,7 +23,8 @@ from armpose import (
     write_pgm,
 )
 from armpose.poseinit import NEAR_PLANE
-from armpose.silhouette import _camera_rows, _disc_rows, _link_rows, _splat_window, pixel_centers
+from armpose.kinematics import chain_frames
+from armpose.silhouette import _camera_rows, _disc_rows, _LinkClouds, _splat_window, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -340,24 +341,55 @@ def test_render_chain_and_clouds_agree():
     assert np.array_equal(direct, via_clouds)
 
 
-def test_link_rows_are_each_frame_apply_as_columns():
-    # column link rows have the bits of the row-major transform of each
-    # link, links without geometry skipped; the camera product of the
-    # columns has the bits of the row-major product too
+@pytest.mark.parametrize("samples", [1, 2, 37, 600])
+def test_link_clouds_pose_is_each_frame_apply_as_columns(samples):
+    """The one pose of link clouds, _LinkClouds.pose: from every first link,
+    each link's columns have the bits of its own ``frame.apply(cloud).T``,
+    links without geometry skipped, and the columns before the first link's
+    are left as they were. The camera product of the posed columns has the
+    bits of the row-major product too."""
     chain = builtin_chain("panda7")
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(samples)
     meshes = default_link_meshes(chain)
-    meshes[2] = meshes[-1] = None
-    for samples in (1, 2, 37, 600):
-        clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=samples))
+    meshes[0] = meshes[3] = meshes[-1] = None
+    clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=samples))
+    stacked = _LinkClouds(clouds)
+    for _ in range(3):
         theta = rng.uniform(*chain.limits())
-        frames = [chain.base_frame] + forward_kinematics(chain, theta)
-        cols = _link_rows(clouds, frames)
-        want = np.concatenate([f.apply(c) for c, f in zip(clouds, frames) if c is not None])
-        assert cols.shape == (3, 6 * samples) and np.array_equal(cols, want.T), samples
+        fk = [chain.base_frame] + forward_kinematics(chain, theta)
+        # the per-link reference: each link with geometry transformed alone
+        want = np.concatenate([f.apply(c) for c, f in zip(clouds, fk) if c is not None]).T
+        frames = chain_frames(chain, theta)
+        cols = stacked.pose(frames)
+        assert cols.shape == (3, 5 * samples) and np.array_equal(cols, want), samples
+        # the last link has no geometry, so the suffix from it on is empty
+        for first in range(chain.dof):
+            world = np.full((3, stacked.starts[-1]), np.nan)
+            assert stacked.pose(frames, first, world) is world
+            start = stacked.starts[first]
+            assert np.isnan(world[:, :start]).all()
+            assert np.array_equal(world[:, start:], want[:, start:]), (samples, first)
         rotation = _random_rotation(rng)
-        rowwise = want @ np.ascontiguousarray(rotation.T)  # the camera product on (n, 3) rows
+        rowwise = want.T @ np.ascontiguousarray(rotation.T)  # the camera product on (n, 3) rows
         assert np.array_equal(_camera_rows(cols, rotation), rowwise.T), samples
+
+
+def test_render_link_clouds_checks_its_clouds():
+    chain = builtin_chain("panda7")
+    k = _camera()
+    settings = RenderSettings(samples_per_link=10)
+    meshes = default_link_meshes(chain)
+    clouds = sample_link_clouds(meshes, settings)
+    frames = [chain.base_frame] + forward_kinematics(chain, np.zeros(chain.dof))
+    pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 2.5]))
+    assert render_link_clouds(clouds, frames, pose, k, settings).any()
+    with pytest.raises(ValueError, match="need one frame per link cloud"):
+        render_link_clouds(clouds, frames[:-1], pose, k, settings)
+    with pytest.raises(ValueError, match="no link has geometry"):
+        render_link_clouds([None] * len(frames), frames, pose, k, settings)
+    mixed = clouds[:3] + sample_link_clouds(meshes, RenderSettings(samples_per_link=11))[3:]
+    with pytest.raises(ValueError, match=r"link clouds must hold one sample count, got \[10, 11\]"):
+        render_link_clouds(mixed, frames, pose, k, settings)
 
 
 def test_render_link_clouds_is_render_silhouette_of_the_stacked_rows():
