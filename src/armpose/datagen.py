@@ -134,20 +134,26 @@ class Scene:
 def look_at(camera_pos, target, up=(0.0, 0.0, 1.0)):
     """Camera-from-world transform for a camera at camera_pos facing target."""
     camera_pos = np.asarray(camera_pos, dtype=float)
-    target = np.asarray(target, dtype=float)
-    z = target - camera_pos
-    dist = np.linalg.norm(z)
+    z = np.asarray(target, dtype=float) - camera_pos
+    # each norm is np.linalg.norm's, sqrt(v.dot(v)), without its per-call dispatch
+    dist = math.sqrt(z.dot(z))
     if dist < 1e-9:
         raise ValueError("camera sits on its target")
     z = z / dist
-    x = np.cross(z, np.asarray(up, dtype=float))
-    nx = np.linalg.norm(x)
+    x = _cross(z, np.asarray(up, dtype=float))
+    nx = math.sqrt(x.dot(x))
     if nx < 1e-9:
         raise ValueError("view direction is parallel to the up vector")
     x = x / nx
-    y = np.cross(z, x)
-    rot = np.vstack([x, y, z])
+    rot = np.array([x, _cross(z, x), z])
     return RigidTransform(rot, -rot @ camera_pos)
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors from plain floats: the products and
+    differences np.cross forms, without its per-call array set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def project_keypoints(points, pose, k):

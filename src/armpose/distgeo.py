@@ -426,10 +426,19 @@ def _forward(net, x, masks):
     return raw, (t1, h1, t2, h2)
 
 
+@functools.cache
+def _upper_indices(m):
+    """np.triu_indices(m, k=1), made once per matrix size, as read-only arrays."""
+    rows, cols = np.triu_indices(m, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _matrix_from_upper(values, m):
     """Symmetric zero-diagonal (..., m, m) matrices from (..., m(m-1)/2) upper triangles."""
     mat = np.zeros(values.shape[:-1] + (m, m))
-    iu = np.triu_indices(m, k=1)
+    iu = _upper_indices(m)
     mat[..., iu[0], iu[1]] = values
     return mat + np.swapaxes(mat, -1, -2)
 
@@ -444,7 +453,7 @@ def _batch_loss_and_gradients(net, x, targets, masks):
     """Per-sample losses (B,) and the gradients of their sum, in one pass over the batch."""
     raw, (t1, h1, t2, h2) = _forward(net, x, masks)
     resid, losses = _residuals(net, raw, targets)
-    iu = np.triu_indices(net.matrix_size, k=1)
+    iu = _upper_indices(net.matrix_size)
     # Each upper-triangle value appears twice in the symmetric matrix.
     d_raw = 2.0 * (resid[:, iu[0], iu[1]] + resid[:, iu[1], iu[0]]) * raw
     d_h2 = d_raw @ net.weights[2]

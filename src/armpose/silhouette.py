@@ -6,6 +6,10 @@ pose, projects them with ``CameraIntrinsics.project`` (the package's one
 pinhole model and near-plane rule), and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
+Sampling reads an area table each ``Mesh`` builds once, when it is made
+(triangle corners, cumulative areas and their total, by the arithmetic the
+per-call formula used), so every sample keeps that formula's bits; scenes
+reseed their samples, so only the table is shared across scenes.
 
 Render rows are coordinate-major: n points are one (3, n) array, x, y and z
 on rows 0, 1 and 2, so each transform is one ``R @ cols + t[:, None]`` and
@@ -58,6 +62,28 @@ class Mesh:
                 raise ValueError("triangle indices out of range")
             tris.flags.writeable = False
             object.__setattr__(self, "triangles", tris)
+        # not a field: replace() runs __post_init__ and builds it again
+        object.__setattr__(self, "_table", _area_table(verts, self.triangles))
+
+
+def _area_table(verts, tris):
+    """sample_surface's table of a triangle mesh, built once per Mesh:
+    (corners, cumulative areas, total area), all read-only, or None for a
+    point cloud or a mesh of zero total area. corners is (9, T),
+    coordinate-major: row 3 * c + j holds coordinate j of each triangle's
+    corner c."""
+    if tris is None or not tris.size:
+        return None
+    tri = verts[tris]
+    areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    total = float(areas.sum())
+    if not total > 0.0:
+        return None
+    corners = np.ascontiguousarray(tri.reshape(-1, 9).T)
+    cum = np.cumsum(areas)
+    corners.flags.writeable = False
+    cum.flags.writeable = False
+    return corners, cum, total
 
 
 @dataclass(frozen=True)
@@ -74,40 +100,53 @@ class RenderSettings:
 
 
 def sample_surface(mesh, count, seed):
-    """Draw `count` surface points, area-weighted over triangles.
+    """Draw `count` surface points, area-weighted over triangles, as (count, 3).
 
+    Triangles are picked from the mesh's area table and points placed by
+    uniform barycentric weights (Osada et al., "Shape Distributions", 2002).
     Point-cloud meshes (or zero-area triangle sets) fall back to cycling
     through a seed-fixed vertex permutation. The draw for sample i depends
     only on (seed, i), so prefixes agree across different counts.
     """
+    return _sample_surfaces([mesh], count, [seed])[0]
+
+
+def _sample_surfaces(meshes, count, seeds):
+    """sample_surface(mesh, count, seed) for each mesh and its seed, None
+    meshes passing through: the one sampler. The barycentric arithmetic of
+    every mesh with an area table runs as one pass over all their samples;
+    it is elementwise, so each point has the bits a pass over its mesh alone
+    would give."""
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    verts = mesh.vertices
-    if mesh.triangles is not None and mesh.triangles.size:
-        tri = verts[mesh.triangles]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-        )
-        total = float(areas.sum())
-        if total > 0.0:
-            draws = rng.random((count, 3))
-            cum = np.cumsum(areas)
-            idx = np.minimum(
-                np.searchsorted(cum, draws[:, 0] * total, side="right"), len(areas) - 1
-            )
-            sq = np.sqrt(draws[:, 1])
-            w0 = 1.0 - sq
-            w1 = sq * (1.0 - draws[:, 2])
-            w2 = sq * draws[:, 2]
-            chosen = tri[idx]
-            return (
-                w0[:, None] * chosen[:, 0]
-                + w1[:, None] * chosen[:, 1]
-                + w2[:, None] * chosen[:, 2]
-            )
-    perm = rng.permutation(verts.shape[0])
-    return verts[perm[np.arange(count) % verts.shape[0]]]
+    clouds, tabled = [None] * len(meshes), []
+    for i, mesh in enumerate(meshes):
+        if mesh is None:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(seeds[i]))
+        if mesh._table is not None:
+            tabled.append((i, rng))
+            continue
+        verts = mesh.vertices
+        perm = rng.permutation(verts.shape[0])
+        clouds[i] = verts[perm[np.arange(count) % verts.shape[0]]]
+    draws = np.empty((len(tabled), count, 3))
+    chosen = np.empty((len(tabled), 9, count))
+    for slot, (i, rng) in enumerate(tabled):
+        corners, cum, total = meshes[i]._table
+        rng.random(out=draws[slot])
+        idx = np.searchsorted(cum, draws[slot, :, 0] * total, side="right")
+        # clip mode takes index T, a draw at the very top of the total area,
+        # as the last triangle
+        np.take(corners, idx, axis=1, out=chosen[slot], mode="clip")
+    sq = np.sqrt(draws[:, None, :, 1])
+    w0 = 1.0 - sq
+    w1 = sq * (1.0 - draws[:, None, :, 2])
+    w2 = sq * draws[:, None, :, 2]
+    points = w0 * chosen[:, 0:3] + w1 * chosen[:, 3:6] + w2 * chosen[:, 6:9]
+    for slot, (i, _) in enumerate(tabled):
+        clouds[i] = points[slot].T
+    return clouds
 
 
 @functools.cache
@@ -234,15 +273,13 @@ def render_chain_silhouette(chain, theta, meshes, pose, k, settings):
 
 
 def sample_link_clouds(meshes, settings):
-    """Per-link local-frame surface samples (None entries pass through)."""
-    clouds = []
-    for li, mesh in enumerate(meshes):
-        if mesh is None:
-            clouds.append(None)
-            continue
-        seed = int(np.random.SeedSequence((settings.seed, li)).generate_state(1)[0])
-        clouds.append(sample_surface(mesh, settings.samples_per_link, seed))
-    return clouds
+    """Per-link local-frame surface samples (None entries pass through): link
+    li's are sample_surface's at a seed drawn from (settings.seed, li)."""
+    seeds = [
+        None if mesh is None else int(np.random.SeedSequence((settings.seed, li)).generate_state(1)[0])
+        for li, mesh in enumerate(meshes)
+    ]
+    return _sample_surfaces(meshes, settings.samples_per_link, seeds)
 
 
 def render_link_clouds(clouds, frames, pose, k, settings):
@@ -343,7 +380,7 @@ def write_pgm(path, image):
     """Write a binary (P5, maxval 255) PGM. Boolean masks map to {0, 255}."""
     arr = np.asarray(image)
     if arr.dtype == bool:
-        arr = np.where(arr, 255, 0).astype(np.uint8)
+        arr = arr.view(np.uint8) * np.uint8(255)
     else:
         arr = arr.astype(np.uint8)
     if arr.ndim != 2:

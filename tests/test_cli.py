@@ -1,6 +1,7 @@
 """End-to-end tests that drive the command line in process via main(argv)."""
 
 import base64
+import hashlib
 import json
 import math
 import shutil
@@ -8,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from armpose import AdamState, init_regressor, save_regressor
+from armpose import AdamState, RenderSettings, init_regressor, save_regressor
 from armpose.cli import main
 
 
@@ -177,6 +178,33 @@ def test_gen_is_bitwise_repeatable(tmp_path):
         assert [m.name for m in masks_b] == [m.name for m in masks_a]
         for ma, mb in zip(masks_a, masks_b):
             assert ma.read_bytes() == mb.read_bytes()
+
+
+# sha256 over every file gen writes for six scenes of seed 3, once at the
+# default sample count and once at 37 samples per link, recorded before link
+# surfaces were sampled from a per-mesh table. A speed-up of gen that moves a
+# keypoint, a pose or a mask pixel changes it.
+GOLDEN_GEN_SHA256 = "d97d949793ba0e8d8a8225650049ce6f9034e258e02c70ecf1f89fbff3c0c5de"
+
+
+def _gen_tree_sha256(roots):
+    digest = hashlib.sha256()
+    for root in roots:
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gen_writes_the_golden_bytes(tmp_path, workers):
+    roots = []
+    for samples in (RenderSettings.samples_per_link, 37):
+        out = tmp_path / f"samples{samples}"
+        args = ["--count", 6, "--seed", 3, "--samples-per-link", samples, "--workers", workers]
+        assert run("gen", "--out", out, *args) == 0
+        roots.append(out)
+    assert _gen_tree_sha256(roots) == GOLDEN_GEN_SHA256
 
 
 def test_gen_all_scenes_failing_exits_five(tmp_path):

@@ -21,6 +21,7 @@ from armpose import (
     perturb_keypoints,
     project_keypoints,
     read_dataset,
+    sample_link_clouds,
     sample_scene,
     skeleton_keypoints,
     write_dataset,
@@ -99,6 +100,35 @@ def test_look_at_geometry():
         look_at(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         look_at(np.array([0.0, 0.0, 2.0]), np.zeros(3))  # view parallel to up
+
+
+def test_look_at_is_the_numpy_cross_and_norm_form_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    n = 4000
+    cams = rng.normal(size=(n, 3)) * rng.uniform(1e-2, 1e2, size=(n, 1))
+    targets = rng.normal(size=(n, 3)) * rng.uniform(1e-2, 1e2, size=(n, 1))
+    ups = [(0.0, 0.0, 1.0)] * (n // 2) + rng.normal(size=(n - n // 2, 3)).tolist()
+    for cam, target, up in zip(cams, targets, ups):
+        z = target - cam
+        z = z / np.linalg.norm(z)
+        x = np.cross(z, up)
+        x = x / np.linalg.norm(x)
+        rot = np.vstack([x, np.cross(z, x), z])
+        pose = look_at(cam, target, up)
+        assert np.array_equal(pose.rotation, rot) and np.array_equal(pose.translation, -rot @ cam)
+
+
+def test_scenes_compute_no_cross_product(monkeypatch):
+    # meshes keep their area tables and look_at forms its cross products
+    # from floats, so once the meshes exist no scene calls np.cross
+    chain = builtin_chain("panda7")
+    meshes = default_link_meshes(chain)
+    cross, calls = np.cross, []
+    monkeypatch.setattr(np, "cross", lambda *args, **kwargs: calls.append(1) or cross(*args, **kwargs))
+    for index in range(3):
+        build_scene(chain, SamplerConfig(), 0, index, meshes, RenderSettings())
+    sample_link_clouds(meshes, RenderSettings())
+    assert len(calls) == 0
 
 
 def test_skeleton_keypoints_layout():

@@ -355,6 +355,15 @@ def test_configuration_from_points_shape_check():
 # regressor
 
 
+def test_upper_indices_are_made_once_per_size_and_read_only():
+    rows, cols = distgeo._upper_indices(14)
+    want_rows, want_cols = np.triu_indices(14, k=1)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert distgeo._upper_indices(14)[0] is rows
+    with pytest.raises(ValueError):
+        rows[0] = 1
+
+
 def test_keypoint_features_zeroes_invisible():
     kp = Keypoints2D(np.array([[112.0, 56.0], [10.0, 20.0]]), np.array([True, False]))
     feats = keypoint_features(kp, 224, 224)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,77 @@ def test_sample_surface_prefix_stable():
     a = sample_surface(mesh, 100, seed=9)
     b = sample_surface(mesh, 400, seed=9)
     assert np.array_equal(b[:100], a)
+
+
+def _reference_sample_surface(mesh, count, seed):
+    """sample_surface as it read before meshes kept an area table: the
+    areas, their total and their running sum recomputed on every call."""
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    verts = mesh.vertices
+    if mesh.triangles is not None and mesh.triangles.size:
+        tri = verts[mesh.triangles]
+        areas = 0.5 * np.linalg.norm(
+            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
+        )
+        total = float(areas.sum())
+        if total > 0.0:
+            draws = rng.random((count, 3))
+            cum = np.cumsum(areas)
+            idx = np.minimum(
+                np.searchsorted(cum, draws[:, 0] * total, side="right"), len(areas) - 1
+            )
+            sq = np.sqrt(draws[:, 1])
+            w0 = 1.0 - sq
+            w1 = sq * (1.0 - draws[:, 2])
+            w2 = sq * draws[:, 2]
+            chosen = tri[idx]
+            return (
+                w0[:, None] * chosen[:, 0]
+                + w1[:, None] * chosen[:, 1]
+                + w2[:, None] * chosen[:, 2]
+            )
+    perm = rng.permutation(verts.shape[0])
+    return verts[perm[np.arange(count) % verts.shape[0]]]
+
+
+def _sampling_meshes():
+    """The built-in links, then a mesh with one zero-area triangle among
+    others, an all-degenerate mesh, a bare point cloud and a mesh with an
+    empty triangle array (the last three cycle through their vertices)."""
+    line = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]
+    return default_link_meshes(builtin_chain("panda7")) + [
+        Mesh(line + [[0.0, 2.0, 0.5], [1.0, 0.0, -1.0]], [[0, 3, 1], [0, 1, 2], [1, 4, 2], [2, 3, 4]]),
+        Mesh(line, [[0, 1, 2], [2, 1, 0]]),
+        Mesh(line),
+        Mesh(line, np.zeros((0, 3), dtype=int)),
+    ]
+
+
+@pytest.mark.parametrize("count", [1, 2, 37, 600])
+def test_sampling_is_the_per_call_formula_bit_for_bit(count):
+    meshes = _sampling_meshes()
+    for seed in (0, 1, 9, 2**32 - 1):
+        for mesh in meshes:
+            assert np.array_equal(sample_surface(mesh, count, seed), _reference_sample_surface(mesh, count, seed))
+    # every link in one call, links without geometry passing through
+    meshes[3] = None
+    for seed in (0, 5):
+        clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=count, seed=seed))
+        assert len(clouds) == len(meshes) and clouds[3] is None
+        for li, mesh in enumerate(meshes):
+            if mesh is not None:
+                link_seed = int(np.random.SeedSequence((seed, li)).generate_state(1)[0])
+                assert np.array_equal(clouds[li], _reference_sample_surface(mesh, count, link_seed))
+
+
+def test_replaced_mesh_samples_its_new_geometry():
+    mesh = _cube_mesh([0.0, 0.0, 0.0], 1.0)
+    for moved in [replace(mesh, vertices=2.0 * mesh.vertices + 1.0), replace(mesh, triangles=None)]:
+        pts = sample_surface(moved, 50, seed=3)
+        assert np.array_equal(pts, _reference_sample_surface(moved, 50, seed=3))
+        assert not np.array_equal(pts, sample_surface(mesh, 50, seed=3))
 
 
 def test_sample_surface_vertex_cycling_without_triangles():
@@ -563,6 +635,8 @@ def test_pgm_round_trip(tmp_path):
     assert arr.dtype == np.uint8
     assert set(np.unique(arr)).issubset({0, 255})
     assert np.array_equal(arr > 0, mask)
+    write_pgm(path, mask.T)  # a strided boolean view
+    assert np.array_equal(read_pgm(path), np.where(mask.T, 255, 0))
     write_pgm(path, arr)  # uint8 passthrough
     assert np.array_equal(read_pgm(path), arr)
 
