@@ -293,16 +293,13 @@ class _CachedObjective:
         coords = (theta, rotation, r6, scale)
         if kind == "theta":
             frames = chain_frames(self.chain, theta, parent.frames, index, self.dh)
-            start = self.clouds.starts[index + 1]
-            if start == parent.world.shape[1]:  # no link after joint index has geometry
-                return _State(*coords, frames, parent.world, parent.rotated, parent.pix, parent.front)
+            start = (index + 1) * self.clouds.stack.shape[2]  # link index + 1's first column
             world = np.empty_like(parent.world)
             world[:, :start] = parent.world[:, :start]
             self.clouds.pose(frames, index + 1, world)
             # a one-column product takes another BLAS path than a stack does,
             # so the suffix is multiplied together with the column before it
-            lead = max(start - 1, 0)
-            rotated = _camera_rows(world[:, lead:], rotation)[:, start - lead :]
+            rotated = _camera_rows(world[:, start - 1 :], rotation)[:, 1:]
             pix, front = self._project(rotated, scale)
             return _State(
                 *coords,
@@ -353,7 +350,9 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     objective evaluations, and the best objective value so far; when ground
     truth is supplied each row also carries the current pose-point error.
     The objective is one minus the silhouette IoU, so it needs only the
-    observed mask; ground truth never steers the search.
+    observed mask; ground truth never steers the search. meshes holds one
+    ``silhouette.Mesh`` per link, base first (``chain.dof + 1``); a link
+    without one raises ValueError naming it.
     """
     cfg = cfg or RefinerConfig()
     settings = settings or RenderSettings()

@@ -43,42 +43,46 @@ from .kinematics import forward_kinematics
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangle mesh, or a bare point cloud when triangles is None."""
+    """Triangle mesh: finite (n, 3) vertices and integer (t, 3) triangles of
+    positive total area. Malformed input raises ValueError rather than being
+    reshaped."""
 
     vertices: np.ndarray
-    triangles: np.ndarray | None = None
+    triangles: np.ndarray
 
     def __post_init__(self):
-        verts = np.array(self.vertices, dtype=float).reshape(-1, 3)
+        verts = np.array(self.vertices, dtype=float)
+        if verts.ndim != 2 or verts.shape[1] != 3:
+            raise ValueError(f"mesh vertices must be an (n, 3) array, got shape {verts.shape}")
         if verts.shape[0] == 0:
             raise ValueError("mesh has no vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("mesh vertices must be finite")
-        verts.flags.writeable = False
+        tris = np.array(self.triangles)
+        if tris.dtype.kind not in "iu" or tris.ndim != 2 or tris.shape[1] != 3:
+            raise ValueError(f"mesh triangles must be an integer (t, 3) array, got {tris.dtype} {tris.shape}")
+        if tris.shape[0] == 0:
+            raise ValueError("mesh has no triangles")
+        if tris.min() < 0 or tris.max() >= verts.shape[0]:
+            raise ValueError("triangle indices out of range")
+        tris = tris.astype(int, copy=False)
+        verts.flags.writeable = tris.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
-        if self.triangles is not None:
-            tris = np.array(self.triangles, dtype=int).reshape(-1, 3)
-            if tris.size and (tris.min() < 0 or tris.max() >= verts.shape[0]):
-                raise ValueError("triangle indices out of range")
-            tris.flags.writeable = False
-            object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "triangles", tris)
         # not a field: replace() runs __post_init__ and builds it again
-        object.__setattr__(self, "_table", _area_table(verts, self.triangles))
+        object.__setattr__(self, "_table", _area_table(verts, tris))
 
 
 def _area_table(verts, tris):
-    """sample_surface's table of a triangle mesh, built once per Mesh:
-    (corners, cumulative areas, total area), all read-only, or None for a
-    point cloud or a mesh of zero total area. corners is (9, T),
-    coordinate-major: row 3 * c + j holds coordinate j of each triangle's
-    corner c."""
-    if tris is None or not tris.size:
-        return None
+    """sample_surface's table of a mesh, built once per Mesh: (corners,
+    cumulative areas, total area), all read-only; a mesh of zero total area
+    raises ValueError. corners is (9, T), coordinate-major: row 3 * c + j
+    holds coordinate j of each triangle's corner c."""
     tri = verts[tris]
     areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
     total = float(areas.sum())
     if not total > 0.0:
-        return None
+        raise ValueError("mesh triangles must have positive total area")
     corners = np.ascontiguousarray(tri.reshape(-1, 9).T)
     cum = np.cumsum(areas)
     corners.flags.writeable = False
@@ -104,49 +108,34 @@ def sample_surface(mesh, count, seed):
 
     Triangles are picked from the mesh's area table and points placed by
     uniform barycentric weights (Osada et al., "Shape Distributions", 2002).
-    Point-cloud meshes (or zero-area triangle sets) fall back to cycling
-    through a seed-fixed vertex permutation. The draw for sample i depends
-    only on (seed, i), so prefixes agree across different counts.
+    The draw for sample i depends only on (seed, i), so prefixes agree
+    across different counts.
     """
     return _sample_surfaces([mesh], count, [seed])[0]
 
 
 def _sample_surfaces(meshes, count, seeds):
-    """sample_surface(mesh, count, seed) for each mesh and its seed, None
-    meshes passing through: the one sampler. The barycentric arithmetic of
-    every mesh with an area table runs as one pass over all their samples;
-    it is elementwise, so each point has the bits a pass over its mesh alone
-    would give."""
+    """sample_surface(mesh, count, seed) for each mesh and its seed: the one
+    sampler. The barycentric arithmetic of every mesh runs as one pass over
+    all their samples; it is elementwise, so each point has the bits a pass
+    over its mesh alone would give."""
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    clouds, tabled = [None] * len(meshes), []
+    draws = np.empty((len(meshes), count, 3))
+    chosen = np.empty((len(meshes), 9, count))
     for i, mesh in enumerate(meshes):
-        if mesh is None:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seeds[i]))
-        if mesh._table is not None:
-            tabled.append((i, rng))
-            continue
-        verts = mesh.vertices
-        perm = rng.permutation(verts.shape[0])
-        clouds[i] = verts[perm[np.arange(count) % verts.shape[0]]]
-    draws = np.empty((len(tabled), count, 3))
-    chosen = np.empty((len(tabled), 9, count))
-    for slot, (i, rng) in enumerate(tabled):
-        corners, cum, total = meshes[i]._table
-        rng.random(out=draws[slot])
-        idx = np.searchsorted(cum, draws[slot, :, 0] * total, side="right")
+        corners, cum, total = mesh._table
+        np.random.default_rng(np.random.SeedSequence(seeds[i])).random(out=draws[i])
+        idx = np.searchsorted(cum, draws[i, :, 0] * total, side="right")
         # clip mode takes index T, a draw at the very top of the total area,
         # as the last triangle
-        np.take(corners, idx, axis=1, out=chosen[slot], mode="clip")
+        np.take(corners, idx, axis=1, out=chosen[i], mode="clip")
     sq = np.sqrt(draws[:, None, :, 1])
     w0 = 1.0 - sq
     w1 = sq * (1.0 - draws[:, None, :, 2])
     w2 = sq * draws[:, None, :, 2]
     points = w0 * chosen[:, 0:3] + w1 * chosen[:, 3:6] + w2 * chosen[:, 6:9]
-    for slot, (i, _) in enumerate(tabled):
-        clouds[i] = points[slot].T
-    return clouds
+    return [cloud.T for cloud in points]
 
 
 @functools.cache
@@ -162,14 +151,17 @@ def _disc_rows(radius):
 
 
 def render_silhouette(points, pose, k, settings):
-    """Project base-frame points (n, 3) through pose and splat into a boolean mask.
+    """Project base-frame points (n, 3) through pose and splat into a boolean mask;
+    points of any other shape raise ValueError.
 
     Points behind the camera's near plane (see ``k.project``) are dropped. Pixel
     centers come from ``pixel_centers``; each surviving sample sets a disc of
     settings.splat_radius pixels, clipped to the image. The discs are drawn
     by ``_splat_window``, whose window is then pasted into the image.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
     bits = np.zeros((k.height, k.width), dtype=bool)
     pix, front = pixel_centers(_camera_rows(pts.T, pose.rotation), pose.translation, k)
     splat = _splat_window(pix, front, k, settings.splat_radius)
@@ -273,12 +265,12 @@ def render_chain_silhouette(chain, theta, meshes, pose, k, settings):
 
 
 def sample_link_clouds(meshes, settings):
-    """Per-link local-frame surface samples (None entries pass through): link
-    li's are sample_surface's at a seed drawn from (settings.seed, li)."""
-    seeds = [
-        None if mesh is None else int(np.random.SeedSequence((settings.seed, li)).generate_state(1)[0])
-        for li, mesh in enumerate(meshes)
-    ]
+    """Per-link local-frame surface samples: link li's are sample_surface's
+    at a seed drawn from (settings.seed, li). Every link needs a Mesh."""
+    for li, mesh in enumerate(meshes):
+        if not isinstance(mesh, Mesh):
+            raise ValueError(f"link {li} needs a Mesh, got {mesh!r}")
+    seeds = [int(np.random.SeedSequence((settings.seed, li)).generate_state(1)[0]) for li in range(len(meshes))]
     return _sample_surfaces(meshes, settings.samples_per_link, seeds)
 
 
@@ -290,38 +282,30 @@ def render_link_clouds(clouds, frames, pose, k, settings):
 
 
 class _LinkClouds:
-    """``sample_link_clouds``' clouds, all of one sample count, posed as world
-    columns (3, n) stacked link by link, links without geometry (None)
-    skipped: the one pose of render_link_clouds and the refiner's cache."""
+    """``sample_link_clouds``' clouds, all of one sample count m, posed as
+    world columns (3, n) stacked link by link, so link i's columns start at
+    i * m: the one pose of render_link_clouds and the refiner's cache."""
 
     def __init__(self, clouds):
-        if all(cloud is None for cloud in clouds):
-            raise ValueError("no link has geometry")
-        # the links with geometry, in order, and their clouds as one (L, 3, m) stack
-        self.links = [i for i, cloud in enumerate(clouds) if cloud is not None]
-        counts = sorted({clouds[i].shape[0] for i in self.links})
+        counts = sorted({cloud.shape[0] for cloud in clouds})
         if len(counts) > 1:
             raise ValueError(f"link clouds must hold one sample count, got {counts}")
-        self.stack = np.stack([clouds[i].T for i in self.links])
-        # slots[i] is the stack position of the first link >= i with
-        # geometry, and starts[i] the first column of link i
-        self.slots = np.cumsum([0] + [cloud is not None for cloud in clouds]).tolist()
-        self.starts = [slot * self.stack.shape[2] for slot in self.slots]
+        # the clouds as one (links, 3, m) stack
+        self.stack = np.stack([cloud.T for cloud in clouds])
 
     def pose(self, frames, first=0, world=None):
         """world (3, n), allocated when None, with links first.. posed under
-        frames, ``kinematics.chain_frames``' pairs, by one stacked product and
-        one translation add: each link's columns have the bits of
-        ``frame.apply(cloud).T``, and earlier columns are left as they are."""
+        frames[first:], ``kinematics.chain_frames``' pairs, by one stacked
+        product and one translation add: each link's columns have the bits
+        of ``frame.apply(cloud).T``, and earlier columns are left as they are."""
+        links, _, m = self.stack.shape
         if world is None:
-            world = np.empty((3, self.starts[-1]))
-        slot = self.slots[first]
-        links = self.links[slot:]
-        rot = np.array([frames[i][0] for i in links])
-        tra = np.array([frames[i][1] for i in links])
-        # world's columns of stack slots slot.., as (3, links, m)
-        cols = world.reshape(3, -1, self.stack.shape[2])[:, slot:]
-        np.matmul(rot, self.stack[slot:], out=cols.transpose(1, 0, 2))
+            world = np.empty((3, links * m))
+        rot = np.array([r for r, _ in frames[first:]])
+        tra = np.array([t for _, t in frames[first:]])
+        # world's columns of links first.., as (3, links - first, m)
+        cols = world.reshape(3, links, m)[:, first:]
+        np.matmul(rot, self.stack[first:], out=cols.transpose(1, 0, 2))
         cols += tra.T[:, :, None]
         return world
 

@@ -53,13 +53,41 @@ def _camera(width=224, height=224, f=260.0):
 # meshes
 
 
+_TRIANGLE = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
 def test_mesh_validation():
-    with pytest.raises(ValueError):
-        Mesh(np.zeros((0, 3)), None)
-    with pytest.raises(ValueError):
-        Mesh(np.array([[0.0, 0.0, np.inf]]), None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no vertices"):
+        Mesh(np.zeros((0, 3)), [[0, 1, 2]])
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(np.array([[0.0, 0.0, np.inf]] * 3), [[0, 1, 2]])
+    with pytest.raises(ValueError, match="out of range"):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
+    mesh = Mesh(_TRIANGLE, [[0, 1, 2]])
+    assert mesh.triangles.dtype == int and mesh.triangles.shape == (1, 3)
+    assert not mesh.vertices.flags.writeable and not mesh.triangles.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "vertices, triangles, message",
+    [
+        (_TRIANGLE, [[0, 1.9, 2]], "integer"),
+        (_TRIANGLE, np.array([[0, 1], [2, 0], [1, 2]]), "integer"),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]], r"\(n, 3\)"),
+        (_TRIANGLE, np.array([[False, True, True]]), "integer"),
+        (_TRIANGLE, None, "integer"),
+        (_TRIANGLE, np.zeros((0, 3), dtype=int), "no triangles"),
+        (_TRIANGLE, [[0, 1, 1], [2, 2, 2]], "positive total area"),
+        ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]], [[0, 1, 2]], "positive total area"),
+    ],
+    ids=["float_index", "triangles_3x2", "vertices_3x2", "bool_index", "no_triangle_array", "zero_triangles", "zero_area", "collinear"],
+)
+def test_mesh_refuses_malformed_input(vertices, triangles, message):
+    """A mesh is finite (n, 3) vertices and integer (t, 3) triangles of
+    positive total area: nothing else is reshaped, cast or sampled by its
+    vertices."""
+    with pytest.raises(ValueError, match=message):
+        Mesh(vertices, triangles)
 
 
 @pytest.mark.parametrize(
@@ -135,43 +163,34 @@ def _reference_sample_surface(mesh, count, seed):
     if count < 1:
         raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    verts = mesh.vertices
-    if mesh.triangles is not None and mesh.triangles.size:
-        tri = verts[mesh.triangles]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-        )
-        total = float(areas.sum())
-        if total > 0.0:
-            draws = rng.random((count, 3))
-            cum = np.cumsum(areas)
-            idx = np.minimum(
-                np.searchsorted(cum, draws[:, 0] * total, side="right"), len(areas) - 1
-            )
-            sq = np.sqrt(draws[:, 1])
-            w0 = 1.0 - sq
-            w1 = sq * (1.0 - draws[:, 2])
-            w2 = sq * draws[:, 2]
-            chosen = tri[idx]
-            return (
-                w0[:, None] * chosen[:, 0]
-                + w1[:, None] * chosen[:, 1]
-                + w2[:, None] * chosen[:, 2]
-            )
-    perm = rng.permutation(verts.shape[0])
-    return verts[perm[np.arange(count) % verts.shape[0]]]
+    tri = mesh.vertices[mesh.triangles]
+    areas = 0.5 * np.linalg.norm(
+        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
+    )
+    total = float(areas.sum())
+    draws = rng.random((count, 3))
+    cum = np.cumsum(areas)
+    idx = np.minimum(
+        np.searchsorted(cum, draws[:, 0] * total, side="right"), len(areas) - 1
+    )
+    sq = np.sqrt(draws[:, 1])
+    w0 = 1.0 - sq
+    w1 = sq * (1.0 - draws[:, 2])
+    w2 = sq * draws[:, 2]
+    chosen = tri[idx]
+    return (
+        w0[:, None] * chosen[:, 0]
+        + w1[:, None] * chosen[:, 1]
+        + w2[:, None] * chosen[:, 2]
+    )
 
 
 def _sampling_meshes():
     """The built-in links, then a mesh with one zero-area triangle among
-    others, an all-degenerate mesh, a bare point cloud and a mesh with an
-    empty triangle array (the last three cycle through their vertices)."""
+    others (it is never drawn)."""
     line = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]
     return default_link_meshes(builtin_chain("panda7")) + [
         Mesh(line + [[0.0, 2.0, 0.5], [1.0, 0.0, -1.0]], [[0, 3, 1], [0, 1, 2], [1, 4, 2], [2, 3, 4]]),
-        Mesh(line, [[0, 1, 2], [2, 1, 0]]),
-        Mesh(line),
-        Mesh(line, np.zeros((0, 3), dtype=int)),
     ]
 
 
@@ -181,31 +200,23 @@ def test_sampling_is_the_per_call_formula_bit_for_bit(count):
     for seed in (0, 1, 9, 2**32 - 1):
         for mesh in meshes:
             assert np.array_equal(sample_surface(mesh, count, seed), _reference_sample_surface(mesh, count, seed))
-    # every link in one call, links without geometry passing through
-    meshes[3] = None
+    # every link in one call
     for seed in (0, 5):
         clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=count, seed=seed))
-        assert len(clouds) == len(meshes) and clouds[3] is None
+        assert len(clouds) == len(meshes)
         for li, mesh in enumerate(meshes):
-            if mesh is not None:
-                link_seed = int(np.random.SeedSequence((seed, li)).generate_state(1)[0])
-                assert np.array_equal(clouds[li], _reference_sample_surface(mesh, count, link_seed))
+            link_seed = int(np.random.SeedSequence((seed, li)).generate_state(1)[0])
+            assert np.array_equal(clouds[li], _reference_sample_surface(mesh, count, link_seed))
 
 
 def test_replaced_mesh_samples_its_new_geometry():
     mesh = _cube_mesh([0.0, 0.0, 0.0], 1.0)
-    for moved in [replace(mesh, vertices=2.0 * mesh.vertices + 1.0), replace(mesh, triangles=None)]:
+    for moved in [replace(mesh, vertices=2.0 * mesh.vertices + 1.0), replace(mesh, triangles=mesh.triangles[:6])]:
         pts = sample_surface(moved, 50, seed=3)
         assert np.array_equal(pts, _reference_sample_surface(moved, 50, seed=3))
         assert not np.array_equal(pts, sample_surface(mesh, 50, seed=3))
-
-
-def test_sample_surface_vertex_cycling_without_triangles():
-    cloud = Mesh(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), None)
-    pts = sample_surface(cloud, 5, seed=0)
-    assert np.array_equal(pts[0], [1.0, 2.0, 3.0])
-    assert np.array_equal(pts[1], [4.0, 5.0, 6.0])
-    assert np.array_equal(pts[2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="integer"):
+        replace(mesh, triangles=None)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +248,15 @@ def test_render_half_up_rounding_single_point():
     on = np.argwhere(img)
     assert on.shape == (1, 2)
     assert (on[0] == [20, 11]).all()  # row = v, column = u
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 3), (3,), (6,)])
+def test_render_silhouette_takes_points_as_n_by_3(shape):
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=16.0, width=32, height=32)
+    points = np.full(shape, 0.1)
+    points[..., -1] = 1.0
+    with pytest.raises(ValueError, match=r"points must be an \(n, 3\) array"):
+        render_silhouette(points, RigidTransform(), k, RenderSettings())
 
 
 def test_pixel_centers_round_half_up_and_zero_rows_behind():
@@ -417,28 +437,25 @@ def test_render_chain_and_clouds_agree():
 def test_link_clouds_pose_is_each_frame_apply_as_columns(samples):
     """The one pose of link clouds, _LinkClouds.pose: from every first link,
     each link's columns have the bits of its own ``frame.apply(cloud).T``,
-    links without geometry skipped, and the columns before the first link's
-    are left as they were. The camera product of the posed columns has the
-    bits of the row-major product too."""
+    link i's columns start at i * samples, and the columns before the first
+    link's are left as they were. The camera product of the posed columns
+    has the bits of the row-major product too."""
     chain = builtin_chain("panda7")
     rng = np.random.default_rng(samples)
-    meshes = default_link_meshes(chain)
-    meshes[0] = meshes[3] = meshes[-1] = None
-    clouds = sample_link_clouds(meshes, RenderSettings(samples_per_link=samples))
+    clouds = sample_link_clouds(default_link_meshes(chain), RenderSettings(samples_per_link=samples))
     stacked = _LinkClouds(clouds)
     for _ in range(3):
         theta = rng.uniform(*chain.limits())
         fk = [chain.base_frame] + forward_kinematics(chain, theta)
-        # the per-link reference: each link with geometry transformed alone
-        want = np.concatenate([f.apply(c) for c, f in zip(clouds, fk) if c is not None]).T
+        # the per-link reference: each link transformed alone
+        want = np.concatenate([f.apply(c) for c, f in zip(clouds, fk)]).T
         frames = chain_frames(chain, theta)
         cols = stacked.pose(frames)
-        assert cols.shape == (3, 5 * samples) and np.array_equal(cols, want), samples
-        # the last link has no geometry, so the suffix from it on is empty
-        for first in range(chain.dof):
-            world = np.full((3, stacked.starts[-1]), np.nan)
+        assert cols.shape == (3, 8 * samples) and np.array_equal(cols, want), samples
+        for first in range(chain.dof + 1):
+            world = np.full((3, 8 * samples), np.nan)
             assert stacked.pose(frames, first, world) is world
-            start = stacked.starts[first]
+            start = first * samples
             assert np.isnan(world[:, :start]).all()
             assert np.array_equal(world[:, start:], want[:, start:]), (samples, first)
         rotation = _random_rotation(rng)
@@ -457,8 +474,6 @@ def test_render_link_clouds_checks_its_clouds():
     assert render_link_clouds(clouds, frames, pose, k, settings).any()
     with pytest.raises(ValueError, match="need one frame per link cloud"):
         render_link_clouds(clouds, frames[:-1], pose, k, settings)
-    with pytest.raises(ValueError, match="no link has geometry"):
-        render_link_clouds([None] * len(frames), frames, pose, k, settings)
     mixed = clouds[:3] + sample_link_clouds(meshes, RenderSettings(samples_per_link=11))[3:]
     with pytest.raises(ValueError, match=r"link clouds must hold one sample count, got \[10, 11\]"):
         render_link_clouds(mixed, frames, pose, k, settings)
@@ -467,15 +482,13 @@ def test_render_link_clouds_checks_its_clouds():
 def test_render_link_clouds_is_render_silhouette_of_the_stacked_rows():
     chain = builtin_chain("panda7")
     k = _camera()
-    meshes = default_link_meshes(chain)
-    meshes[0] = None
     settings = RenderSettings(samples_per_link=120, splat_radius=2, seed=4)
-    clouds = sample_link_clouds(meshes, settings)
+    clouds = sample_link_clouds(default_link_meshes(chain), settings)
     rng = np.random.default_rng(5)
     for _ in range(5):
         frames = [chain.base_frame] + forward_kinematics(chain, rng.uniform(*chain.limits()))
         pose = RigidTransform(_random_rotation(rng), np.array([0.0, 0.0, 2.5]) + rng.normal(0.0, 0.2, 3))
-        rows = np.concatenate([f.apply(c) for c, f in zip(clouds, frames) if c is not None])
+        rows = np.concatenate([f.apply(c) for c, f in zip(clouds, frames)])
         got = render_link_clouds(clouds, frames, pose, k, settings)
         assert got.any() and np.array_equal(got, render_silhouette(rows, pose, k, settings))
 
