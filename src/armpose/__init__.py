@@ -89,12 +89,11 @@ from .refine import (
 from .silhouette import (
     Mesh,
     RenderSettings,
-    bresenham_line,
     default_link_meshes,
-    draw_segment,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
+    render_polyline,
     render_silhouette,
     sample_link_clouds,
     sample_surface,

@@ -57,6 +57,13 @@ def _leaves(value, shape):
     return None if None in inner else [leaf for part in inner for leaf in part]
 
 
+def _as_json(value):
+    """value with each leaf whose type is not exactly a JSON type (a numpy scalar) as its repr."""
+    if type(value) in (list, tuple):
+        return [_as_json(item) for item in value]
+    return value if type(value) in (int, float, bool, str, dict, type(None)) else repr(value)
+
+
 def json_field(obj, key, kind, shape=(), name=None, default=None):
     """obj[key] as a JSON value of kind (int, float, bool or str) nested in
     lists of the lengths in shape (None: any length), or default, when not
@@ -80,7 +87,7 @@ def json_field(obj, key, kind, shape=(), name=None, default=None):
     if not ok:
         for n in reversed(shape):
             want = f"a list of {'' if n is None else f'{n} '}values, each {want}"
-        raise ValueError(f"{name or key} must be {want}, got {json.dumps(raw, default=repr)}")
+        raise ValueError(f"{name or key} must be {want}, got {json.dumps(_as_json(raw), default=repr)}")
     if kind is not float:
         return raw
     return np.array(raw, dtype=float) if shape else float(raw)

@@ -54,9 +54,8 @@ from .refine import RefinerConfig, refine
 from .silhouette import (
     RenderSettings,
     default_link_meshes,
-    draw_segment,
-    pixel_centers,
     render_chain_silhouette,
+    render_polyline,
     write_pgm,
 )
 
@@ -463,13 +462,7 @@ def cmd_render(args):
     overlay[model] = 255
     write_pgm(args.out, overlay)
     if args.skeleton:
-        rotated = pose.rotation @ skeleton_keypoints(chain, theta).T
-        pix, front = pixel_centers(rotated, pose.translation, k)
-        image = np.zeros((k.height, k.width), dtype=np.uint8)
-        for a in range(front.size - 1):
-            if front[a] and front[a + 1]:
-                draw_segment(image, pix[:, a], pix[:, a + 1])
-        write_pgm(args.skeleton, image)
+        write_pgm(args.skeleton, render_polyline(skeleton_keypoints(chain, theta), pose, k))
     print(f"wrote {args.out}")
 
 

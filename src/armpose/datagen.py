@@ -26,11 +26,10 @@ from ._io import (
     read_jsonl,
 )
 from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
-from .poseinit import CameraIntrinsics, Keypoints2D
+from .poseinit import MIN_CORRESPONDENCES, CameraIntrinsics, Keypoints2D, scale_link_visible
 from .silhouette import read_pgm, render_chain_silhouette, write_pgm
 
 MAX_SCENE_ATTEMPTS = 50
-MIN_VISIBLE = 4
 
 
 class SceneGenerationError(RuntimeError):
@@ -178,8 +177,8 @@ def perturb_keypoints(keypoints, noise_std, seed):
 def sample_scene(chain, cfg, seed, index):
     """Draw one scene: configuration, camera, and true pixel keypoints.
 
-    Retries with a fresh sub-seed until the base keypoint, its neighbor, and
-    at least four keypoints overall are visible; gives up after 50 attempts.
+    Retries with a fresh sub-seed until the view meets initial_estimate's
+    visibility rules (``scale_link_visible``, ``MIN_CORRESPONDENCES``); gives up after 50 attempts.
     Returns (theta, pose, true keypoints).
     """
     k = cfg.intrinsics()
@@ -197,7 +196,7 @@ def sample_scene(chain, cfg, seed, index):
         )
         pose = look_at(camera_pos, target)
         keypoints = project_keypoints(points, pose, k)
-        if keypoints.visible[0] and keypoints.visible[1] and keypoints.visible.sum() >= MIN_VISIBLE:
+        if scale_link_visible(keypoints.visible) and keypoints.visible.sum() >= MIN_CORRESPONDENCES:
             return theta, pose, keypoints
     raise SceneGenerationError(
         f"scene {index}: no valid view in {MAX_SCENE_ATTEMPTS} attempts"

@@ -326,6 +326,7 @@ class MlpRegressor:
 def _check_widths(dims):
     if len(dims) != 4:
         raise ValueError("regressor is fixed at three weight stages (four layer dims)")
+    json_field({"dims": dims}, "dims", int, (4,), name="layer widths")
     if min(dims) < 1:
         raise ValueError(f"every layer width must be at least 1, got {list(dims)}")
 
@@ -368,7 +369,7 @@ def regressor_widths(chain):
 
 def init_regressor(input_dim, output_dim, hidden=(160, 160), dropout_rate=MlpRegressor.dropout_rate, seed=0):
     """Fresh regressor with uniform Glorot weights and zero biases."""
-    dims = [int(input_dim), int(hidden[0]), int(hidden[1]), int(output_dim)]
+    dims = [input_dim, hidden[0], hidden[1], output_dim]
     _check_widths(dims)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights = []

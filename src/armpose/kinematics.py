@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._io import atomic_write_text, json_field, json_record, read_json
+from ._io import atomic_write_text, check_float_fields, json_field, json_record, read_json
 
 _EYE3 = np.eye(3)
 
@@ -150,9 +150,7 @@ class JointSpec:
     limit_hi: float = math.pi
 
     def __post_init__(self):
-        vals = (self.a, self.d, self.alpha, self.theta_offset, self.limit_lo, self.limit_hi)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("joint parameters must be finite")
+        check_float_fields(self, "a", "d", "alpha", "theta_offset", "limit_lo", "limit_hi")
         if not self.limit_lo < self.limit_hi:
             raise ValueError(f"joint limits must satisfy lo < hi, got [{self.limit_lo}, {self.limit_hi}]")
 
@@ -185,6 +183,8 @@ class KinematicChain:
             raise ValueError(f"unsupported DH convention: {self.convention!r}")
         if len(self.joints) < 1:
             raise ValueError("a chain needs at least one joint")
+        if not isinstance(self.base_frame, RigidTransform):
+            raise ValueError(f"base_frame must be a RigidTransform, got {self.base_frame!r}")
         object.__setattr__(self, "joints", tuple(self.joints))
 
     @property

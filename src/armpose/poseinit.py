@@ -26,6 +26,9 @@ from .kinematics import RigidTransform, check_configuration, check_rotation, kab
 # rendering, keypoint visibility and EPnP scoring all read it from project.
 NEAR_PLANE = 1e-6
 
+# EPnP's fewest correspondences: the visible keypoints initial_estimate and gen need
+MIN_CORRESPONDENCES = 4
+
 
 class InsufficientCorrespondencesError(ValueError):
     """Fewer than four usable 2D-3D correspondences."""
@@ -56,11 +59,6 @@ class CameraIntrinsics:
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         check_int_fields(self, width=1, height=1)
-
-    def normalized(self, uv):
-        """Pixel coordinates to normalized image-plane coordinates."""
-        pts = np.asarray(uv, dtype=float)
-        return (pts - np.array([self.cx, self.cy])) / np.array([self.fx, self.fy])
 
     def project(self, points):
         """Camera-frame points, coordinates on the first axis (3, ...), to
@@ -359,9 +357,9 @@ def epnp(points3d, points2d, k):
     uv = np.asarray(points2d, dtype=float)
     if pts3d.ndim != 2 or pts3d.shape[1] != 3 or uv.shape != (pts3d.shape[0], 2):
         raise ValueError("epnp expects (j, 3) points and matching (j, 2) pixels")
-    if pts3d.shape[0] < 4:
+    if pts3d.shape[0] < MIN_CORRESPONDENCES:
         raise InsufficientCorrespondencesError(
-            f"need at least 4 correspondences, got {pts3d.shape[0]}"
+            f"need at least {MIN_CORRESPONDENCES} correspondences, got {pts3d.shape[0]}"
         )
     if not (np.all(np.isfinite(pts3d)) and np.all(np.isfinite(uv))):
         raise ValueError("correspondences must be finite")
@@ -407,12 +405,17 @@ def scale_factor(kp_i, kp_j, link_length, k):
     """
     if link_length <= 0:
         raise ValueError("link length must be positive")
-    ni = k.normalized(np.asarray(kp_i, dtype=float))
-    nj = k.normalized(np.asarray(kp_j, dtype=float))
+    ni = k.backproject(1.0, kp_i)[:2]
+    nj = k.backproject(1.0, kp_j)[:2]
     den = float(np.linalg.norm(ni - nj))
     if den < 1e-12:
         raise ScaleUndefinedError("keypoints coincide in normalized coordinates")
     return float(link_length) / den
+
+
+def scale_link_visible(visible):
+    """Whether the base and first-joint keypoints, whose link gives the scale, are visible."""
+    return bool(visible[0] and visible[1])
 
 
 def initial_estimate(keypoints, theta_init, chain, k):
@@ -431,12 +434,12 @@ def initial_estimate(keypoints, theta_init, chain, k):
         )
     pts3d = skeleton_keypoints(chain, theta)
     vis = keypoints.visible
-    if int(vis.sum()) < 4:
+    if int(vis.sum()) < MIN_CORRESPONDENCES:
         raise InsufficientCorrespondencesError(
-            f"only {int(vis.sum())} keypoints visible, need at least 4"
+            f"only {int(vis.sum())} keypoints visible, need at least {MIN_CORRESPONDENCES}"
         )
     pose, _ = epnp(pts3d[vis], keypoints.uv[vis], k)
-    if not (vis[0] and vis[1]):
+    if not scale_link_visible(vis):
         raise ScaleUndefinedError("base and first-joint keypoints must be visible for scale")
     link_length = float(np.linalg.norm(pts3d[1] - pts3d[0]))
     lam = scale_factor(keypoints.uv[0], keypoints.uv[1], link_length, k)

@@ -23,7 +23,8 @@ splat has one implementation, ``_splat_window``:
 it turns the centers in front of the near plane into the clipped image
 window their discs cover.
 Centers are one contiguous int64 array of shape (2, n), u on row 0 and v on
-row 1. render_silhouette pastes the window into a full image; the refiner
+row 1. render_silhouette pastes the window into a full image, as does
+render_polyline, whose centers are a line's pixels at radius 0; the refiner
 scores it directly against the observed mask. The window depends only on
 the set of centers, not on their order or multiplicity, so any caller that
 produces the same centers gets the same window.
@@ -111,6 +112,8 @@ def sample_surface(mesh, count, seed):
     The draw for sample i depends only on (seed, i), so prefixes agree
     across different counts.
     """
+    if not isinstance(mesh, Mesh):
+        raise ValueError(f"sample_surface needs a Mesh, got {mesh!r}")
     return _sample_surfaces([mesh], count, [seed])[0]
 
 
@@ -157,14 +160,39 @@ def render_silhouette(points, pose, k, settings):
     Points behind the camera's near plane (see ``k.project``) are dropped. Pixel
     centers come from ``pixel_centers``; each surviving sample sets a disc of
     settings.splat_radius pixels, clipped to the image. The discs are drawn
-    by ``_splat_window``, whose window is then pasted into the image.
+    by ``_splat_window``, whose window ``_mask`` pastes into the image.
     """
+    return _mask(*_point_centers(points, pose, k), k, settings.splat_radius)
+
+
+def render_polyline(points, pose, k):
+    """Project base-frame points (n, 3) through pose and draw, clipped to the
+    image, the segment between each two consecutive points in front of the
+    near plane; points of any other shape raise ValueError. A segment from
+    pixel center p0 to p1 is the s + 1 centers p0 + (p1 - p0) i / s for
+    i = 0..s, s = max(|du|, |dv|), rounded half up as by ``pixel_centers``:
+    8-connected, both ends set, and painted by ``_splat_window`` at radius 0."""
+    pix, front = _point_centers(points, pose, k)
+    start, delta = pix[:, :-1], np.diff(pix)
+    count = np.where(front[1:] & front[:-1], np.abs(delta).max(axis=0) + 1, 0)
+    seg = np.repeat(np.arange(count.size), count)
+    i = np.arange(seg.size) - (np.cumsum(count) - count)[seg]
+    centers = np.floor(start[:, seg] + delta[:, seg] * i / np.maximum(count[seg] - 1, 1) + 0.5)
+    return _mask(centers.astype(np.int64), np.ones(seg.size, dtype=bool), k, 0)
+
+
+def _point_centers(points, pose, k):
+    """``pixel_centers`` of base-frame points (n, 3) seen from pose; other shapes raise ValueError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+    return pixel_centers(_camera_rows(pts.T, pose.rotation), pose.translation, k)
+
+
+def _mask(pix, front, k, r):
+    """The boolean image of ``_splat_window(pix, front, k, r)``, False outside its window."""
     bits = np.zeros((k.height, k.width), dtype=bool)
-    pix, front = pixel_centers(_camera_rows(pts.T, pose.rotation), pose.translation, k)
-    splat = _splat_window(pix, front, k, settings.splat_radius)
+    splat = _splat_window(pix, front, k, r)
     if splat is not None:
         window, y0, x0 = splat
         bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
@@ -287,6 +315,8 @@ class _LinkClouds:
     i * m: the one pose of render_link_clouds and the refiner's cache."""
 
     def __init__(self, clouds):
+        if len(clouds) == 0:
+            raise ValueError("need at least one link cloud")
         counts = sorted({cloud.shape[0] for cloud in clouds})
         if len(counts) > 1:
             raise ValueError(f"link clouds must hold one sample count, got {counts}")
@@ -308,39 +338,6 @@ class _LinkClouds:
         np.matmul(rot, self.stack[first:], out=cols.transpose(1, 0, 2))
         cols += tra.T[:, :, None]
         return world
-
-
-def bresenham_line(p0, p1):
-    """Integer pixel run from p0 to p1 inclusive, as an (n, 2) array of (x, y)."""
-    x0, y0 = int(p0[0]), int(p0[1])
-    x1, y1 = int(p1[0]), int(p1[1])
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    pts = []
-    while True:
-        pts.append((x0, y0))
-        if x0 == x1 and y0 == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
-    return np.array(pts, dtype=np.int64)
-
-
-def draw_segment(image, p0, p1, value=255):
-    """Rasterize one segment into a 2-D array, clipping to the bounds."""
-    pts = bresenham_line(p0, p1)
-    h, w = image.shape
-    ok = (pts[:, 0] >= 0) & (pts[:, 0] < w) & (pts[:, 1] >= 0) & (pts[:, 1] < h)
-    image[pts[ok, 1], pts[ok, 0]] = value
-    return image
 
 
 def silhouette_iou(a, b):

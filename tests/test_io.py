@@ -6,7 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from armpose import DatasetFormatError, builtin_chain, init_regressor, load_chain, load_regressor, save_regressor
+from armpose import (
+    CameraIntrinsics,
+    DatasetFormatError,
+    JointSpec,
+    KinematicChain,
+    RefinerConfig,
+    builtin_chain,
+    init_regressor,
+    load_chain,
+    load_regressor,
+    save_regressor,
+)
 from armpose._io import atomic_write_bytes, json_field, read_jsonl
 
 
@@ -100,3 +111,36 @@ def test_json_field_rejects_other_values_naming_the_field(text, kind, shape, rea
         json_field(json.loads(text), "k", kind, shape)
     with pytest.raises(ValueError, match=re.escape("config key 'k' must be")):
         json_field(json.loads(text), "k", kind, shape, name="config key 'k'")
+
+
+def test_json_field_shows_a_numpy_scalar_by_its_repr():
+    """np.float64 subclasses float, so json.dumps would print it as a valid
+    number; the error names its type instead."""
+    with pytest.raises(ValueError, match=re.escape('got "np.float64(0.05)"')):
+        RefinerConfig(step_theta=np.float64(0.05))
+    with pytest.raises(ValueError, match=re.escape('fx must be a finite number, got "np.float64(591.5)"')):
+        CameraIntrinsics(np.float64(591.5), 591.5, 320.0, 240.0, 640, 480)
+    with pytest.raises(ValueError, match=re.escape('got [1, "np.int64(2)"]')):
+        json_field({"k": [1, np.int64(2)]}, "k", int, (2,))
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: JointSpec(True, 0.1, 0.0), "a must be a finite number, got true"),
+        (lambda: JointSpec("0.1", 0.1, 0.0), 'a must be a finite number, got "0.1"'),
+        (lambda: JointSpec(0.1, 0.1, 0.0, limit_hi=float("inf")), "limit_hi must be a finite number, got Infinity"),
+        (
+            lambda: KinematicChain("x", (JointSpec(0.1, 0.0, 0.0),), None),
+            "base_frame must be a RigidTransform, got None",
+        ),
+        (
+            lambda: init_regressor(16, 91, hidden=(2.7, 3)),
+            "layer widths must be a list of 4 values, each an integer, got [16, 2.7, 3, 91]",
+        ),
+    ],
+    ids=["joint-bool", "joint-str", "joint-inf", "chain-base-none", "regressor-float-width"],
+)
+def test_constructors_refuse_what_from_json_refuses(build, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        build()

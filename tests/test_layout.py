@@ -253,3 +253,20 @@ def test_only_silhouette_poses_link_clouds():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         found += [f"{name}.py:{node.lineno} calls np.matmul" for node in _calls(tree, "matmul")]
     assert found == []
+
+
+def test_only_silhouette_and_refine_rasterize():
+    """silhouette._splat_window, fed by pixel_centers, is the one rasterizer:
+    every mask is painted by render_silhouette, render_polyline or the
+    refiner's cache, and no other module turns points into pixels."""
+    found = []
+    for name in _module_names():
+        if name in ("silhouette", "refine"):
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        found += [
+            f"{name}.py:{node.lineno} calls {called}"
+            for called in ("pixel_centers", "_splat_window")
+            for node in _calls(tree, called)
+        ]
+    assert found == []

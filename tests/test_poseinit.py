@@ -53,15 +53,6 @@ def test_projection_oracle():
     assert uv[0, 1] == pytest.approx(260.0 * (-0.1) / 2.0 + 112.0, abs=1e-12)
 
 
-def test_normalized_undoes_pixels():
-    k = _camera()
-    pt = np.array([0.3, 0.25, 1.7])
-    uv = k.project(pt)[0]
-    n = k.normalized(uv)
-    assert n[0] == pytest.approx(0.3 / 1.7, abs=1e-12)
-    assert n[1] == pytest.approx(0.25 / 1.7, abs=1e-12)
-
-
 def test_backproject_inverts_projection():
     k = _camera()
     pt = np.array([0.4, -0.3, 2.2])

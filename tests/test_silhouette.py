@@ -9,14 +9,13 @@ from armpose import (
     Mesh,
     RenderSettings,
     RigidTransform,
-    bresenham_line,
     builtin_chain,
     default_link_meshes,
-    draw_segment,
     forward_kinematics,
     read_pgm,
     render_chain_silhouette,
     render_link_clouds,
+    render_polyline,
     render_silhouette,
     sample_link_clouds,
     sample_surface,
@@ -257,6 +256,8 @@ def test_render_silhouette_takes_points_as_n_by_3(shape):
     points[..., -1] = 1.0
     with pytest.raises(ValueError, match=r"points must be an \(n, 3\) array"):
         render_silhouette(points, RigidTransform(), k, RenderSettings())
+    with pytest.raises(ValueError, match=r"points must be an \(n, 3\) array"):
+        render_polyline(points, RigidTransform(), k)
 
 
 def test_pixel_centers_round_half_up_and_zero_rows_behind():
@@ -477,6 +478,10 @@ def test_render_link_clouds_checks_its_clouds():
     mixed = clouds[:3] + sample_link_clouds(meshes, RenderSettings(samples_per_link=11))[3:]
     with pytest.raises(ValueError, match=r"link clouds must hold one sample count, got \[10, 11\]"):
         render_link_clouds(mixed, frames, pose, k, settings)
+    with pytest.raises(ValueError, match="need at least one link cloud"):
+        render_link_clouds([], [], pose, k, settings)
+    with pytest.raises(ValueError, match="sample_surface needs a Mesh, got None"):
+        sample_surface(None, 5, 0)
 
 
 def test_render_link_clouds_is_render_silhouette_of_the_stacked_rows():
@@ -584,25 +589,57 @@ def test_render_matches_full_image_scatter_oracle():
 # lines
 
 
-def test_bresenham_oracle():
-    got = bresenham_line((0, 0), (5, 2))
-    want = np.array([[0, 0], [1, 0], [2, 1], [3, 1], [4, 2], [5, 2]])
-    assert np.array_equal(got, want)
-    # endpoints always included, any octant
-    for p0, p1 in [((3, 7), (-2, -1)), ((0, 0), (0, 4)), ((5, 5), (5, 5))]:
-        line = bresenham_line(p0, p1)
-        assert tuple(line[0]) == p0
-        assert tuple(line[-1]) == p1
-        steps = np.abs(np.diff(line, axis=0))
-        assert steps.max(initial=0) <= 1
+def _polyline(pixels, k):
+    """render_polyline of points that k (unit focal lengths, principal point
+    at the origin) projects onto these pixel centers."""
+    uv = np.asarray(pixels, dtype=float)
+    return render_polyline(np.column_stack([uv, np.ones(len(uv))]), RigidTransform(), k)
 
 
-def test_draw_segment_clips_out_of_bounds():
-    img = np.zeros((10, 10), dtype=np.uint8)
-    draw_segment(img, (-3, 5), (4, 5), value=200)
-    assert img[5, 4] == 200
-    assert img[5, 0] == 200
-    assert img.sum() == 200 * 5  # columns 0..4 of row 5
+def test_render_polyline_draws_eight_connected_segments_with_both_ends():
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=16, height=16)
+    got = np.argwhere(_polyline([(0, 0), (5, 2)], k))[:, ::-1]
+    assert np.array_equal(got, [[0, 0], [1, 0], [2, 1], [3, 1], [4, 2], [5, 2]])
+    # a step half-way between two pixels rounds up, whichever end the segment starts from
+    for ends in ([(0, 0), (2, 1)], [(2, 1), (0, 0)]):
+        assert np.array_equal(np.argwhere(_polyline(ends, k))[:, ::-1], [[0, 0], [1, 1], [2, 1]])
+    # any octant: max(|du|, |dv|) + 1 pixels, both ends set, one pixel per
+    # step along the longer axis and at most one step across it
+    for p0, p1 in [((11, 14), (6, 1)), ((3, 2), (3, 9)), ((12, 3), (1, 7)), ((2, 13), (9, 12)), ((5, 5), (5, 5))]:
+        mask = _polyline([p0, p1], k)
+        steps = max(abs(p1[0] - p0[0]), abs(p1[1] - p0[1]))
+        assert np.count_nonzero(mask) == steps + 1
+        assert mask[p0[1], p0[0]] and mask[p1[1], p1[0]]
+        along = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
+        line = np.argwhere(mask)[:, ::-1]
+        line = line[np.argsort(line[:, along])]
+        assert np.abs(np.diff(line, axis=0)).max(initial=0) <= 1
+    # a polyline is its segments; a point behind the near plane drops both of its own
+    path = _polyline([(1, 1), (8, 1), (8, 6)], k)
+    assert np.array_equal(path, _polyline([(1, 1), (8, 1)], k) | _polyline([(8, 1), (8, 6)], k))
+    broken = render_polyline(
+        np.array([[1.0, 1.0, 1.0], [8.0, 1.0, 1.0], [3.0, 3.0, -1.0], [8.0, 6.0, 1.0], [8.0, 9.0, 1.0]]),
+        RigidTransform(),
+        k,
+    )
+    assert np.array_equal(broken, _polyline([(1, 1), (8, 1)], k) | _polyline([(8, 6), (8, 9)], k))
+    for points in (np.zeros((0, 3)), np.array([[4.0, 4.0, 1.0]])):
+        assert not render_polyline(points, RigidTransform(), k).any()
+
+
+def test_render_polyline_clips_to_the_image():
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
+    want = np.zeros((10, 10), dtype=bool)
+    want[5, 0:5] = True
+    assert np.array_equal(_polyline([(-3, 5), (4, 5)], k), want)
+    # an end 10**6 pixels off the image: only the in-image pixels are set
+    want[:] = False
+    want[3, 2:] = True
+    assert np.array_equal(_polyline([(2, 3), (2 + 10**6, 3)], k), want)
+    far = _polyline([(2, 3), (-(10**6), 10**6 + 3)], k)
+    want[:] = False
+    want[np.arange(3, 6), 2 - np.arange(3)] = True
+    assert np.array_equal(far, want)
 
 
 # ---------------------------------------------------------------------------
