@@ -53,6 +53,8 @@ from .kinematics import (
     forward_kinematics,
     joint_points,
     load_chain,
+    matrix_to_rot6d,
+    rot6d_to_matrix,
     rotation_geodesic,
     skeleton_keypoints,
     wrap_angle,
@@ -81,10 +83,8 @@ from .poseinit import (
 from .refine import (
     RefinerConfig,
     config_loss,
-    matrix_to_rot6d,
     pose_loss,
     refine,
-    rot6d_to_matrix,
 )
 from .silhouette import (
     Mesh,

@@ -556,7 +556,12 @@ def build_parser():
         "--evals-per-iteration", type=int, default=RefinerConfig.inner_evals_per_iteration
     )
     p.add_argument("--step-theta", type=float, default=RefinerConfig.step_theta)
-    p.add_argument("--step-rot", type=float, default=RefinerConfig.step_rot)
+    p.add_argument(
+        "--step-rot",
+        type=float,
+        default=RefinerConfig.step_rot,
+        help="first rotation step, in radians about a base-frame axis",
+    )
     p.add_argument("--step-scale", type=float, default=RefinerConfig.step_scale)
     render_options(p)
     p.add_argument("--trace-dir", help="write per-scene objective traces here")

@@ -138,6 +138,35 @@ def rotation_geodesic(r_a, r_b):
     return math.atan2(float(np.linalg.norm(skew)), float(cos_term))
 
 
+def rot6d_to_matrix(r6):
+    """Decode a 6-vector (two stacked 3-vectors) into a rotation matrix: the
+    continuous 6D code of Zhou et al. (CVPR 2019), a rotation representation
+    for network outputs.
+
+    Gram-Schmidt: the first 3-vector fixes column one, the second is made
+    orthogonal to it, and column three is their cross product. Degenerate
+    inputs (zero or parallel vectors) raise ValueError.
+    """
+    r6 = np.asarray(r6, dtype=float).reshape(6)
+    a1, a2 = r6[:3], r6[3:]
+    n1 = np.linalg.norm(a1)
+    if n1 < 1e-12:
+        raise ValueError("first rotation column is numerically zero")
+    b1 = a1 / n1
+    w = a2 - np.dot(b1, a2) * b1
+    n2 = np.linalg.norm(w)
+    if n2 < 1e-12:
+        raise ValueError("rotation columns are numerically parallel")
+    b2 = w / n2
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=1)
+
+
+def matrix_to_rot6d(rotation):
+    """First two columns of the matrix, stacked into a 6-vector."""
+    rotation = np.asarray(rotation, dtype=float).reshape(3, 3)
+    return np.concatenate([rotation[:, 0], rotation[:, 1]])
+
+
 @dataclass(frozen=True)
 class JointSpec:
     """One revolute joint: standard DH constants plus joint limits (radians)."""

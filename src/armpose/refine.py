@@ -1,23 +1,30 @@
 """Iterative silhouette-based refinement of a pose-and-configuration estimate.
 
-The estimate is parameterized as joint angles, a base rotation stored as a
-3x3 matrix but searched through a continuous 6D encoding (the first two
-matrix columns, re-orthogonalized on decode), and a positive scale factor
-that slides the base origin along the camera ray through a fixed pixel.
-The reference refiner is a deterministic pattern search on the
-rendered-silhouette overlap, so it needs no derivatives of the renderer.
+The estimate is parameterized as joint angles, a base rotation (a 3x3
+matrix), and a positive scale factor that slides the base origin along the
+camera ray through a fixed pixel. The reference refiner is a deterministic
+pattern search on the rendered-silhouette overlap, so it needs no
+derivatives of the renderer.
 
-Each sweep of the search probes every coordinate one step up and down,
-rides an improving direction while it pays, and halves the step sizes when
-nothing moved. After a sweep that moved, and while budget remains, the search
-probes the pattern point ``2 x - b`` once (the Hooke-Jeeves pattern move:
-Hooke and Jeeves, J. ACM 8(2), 1961): x is the incumbent after the sweep and
-b the incumbent at its start, theta is clipped to the joint limits, the 6D
-code is extrapolated and decoded, and the scale is extrapolated linearly. A
-coordinate search alone stops at a fixed point of its pattern, where more
-iterations change nothing; the pattern move follows the sweep's net
-direction off it. On the acceptance suite's 100 scenes, one 250-probe
-iteration with the move refines as well as three without it did.
+The search coordinates are one table, ``_CachedObjective.coords``, in sweep
+order: each joint angle, a turn about each base-frame axis, and the scale.
+A turn of s radians about axis i takes the rotation R to ``R @ exp(s
+[e_i]x)``, a local increment on SO(3) (Sola, Deray and Atchuthan, "A micro
+Lie theory for state estimation in robotics", 2018), so the rotation stays a
+matrix. Over a 3 x 250-probe refine the products drift from orthonormality
+by about 1e-15, far inside ``Estimate``'s 1e-9 check, so they are not
+re-orthonormalized.
+
+Each sweep probes every coordinate one step up and down, rides an improving
+direction while it pays, and halves the step sizes when nothing moved. After
+a sweep that moved, and while budget remains, the search probes the pattern
+point once (the Hooke-Jeeves pattern move: Hooke and Jeeves, J. ACM 8(2),
+1961). With x the incumbent after the sweep and b the incumbent at its
+start, the pattern point repeats the sweep's net move: theta 2 x - b clipped
+to the joint limits, the rotation ``R_x R_b^T R_x`` (the net turn applied
+once more, on the group), and the scale 2 x - b. A coordinate search alone
+stops at a fixed point of its pattern, where more iterations change
+nothing; the pattern move follows the sweep's net direction off it.
 
 A search point is one ``_State``: its coordinates and its render rows (FK
 frames as plain (rotation, translation) pairs and, per link sample in
@@ -58,26 +65,26 @@ splat window depends only on the set of pixel centers, and the IoU is
 integer counts, taken on that window against the observed mask.
 
 Each refine call also keeps a memo of every point it has evaluated, keyed by
-the exact bits of (theta, rotation matrix, scale); the matrix is keyed, not
-its 6D code, because the start rotation need not equal the decode of its
-own encoding. A probe that lands on a stored point (a rotation step undone,
-a theta step clipped back onto the incumbent, a pattern point that repeats a
-step the sweep already tried) takes the stored value and builds no rows. No
-stored value lies below the incumbent's: each one was either accepted, or
-lost to a probe that was, or was not below the incumbent of its time, and
-the incumbent's value never rises. A pattern point goes through the same
-memo and the same strict-decrease rule as any probe, so this holds for it
-too. A probe is accepted only on a strict decrease, so a revisited point is
-never accepted and its rows are never needed. A revisit still counts
-against inner_evals_per_iteration, so the search takes the same path it
-would without the memo, and the trace's ``evaluations`` column counts
-probes, revisits and pattern points included, not renders.
+the exact bits of (theta, rotation matrix, scale). A probe that lands on a
+stored point (a step undone to the same bits, a theta step clipped back onto
+the incumbent, a pattern point that repeats a step the sweep already tried)
+takes the stored value and builds no rows. No stored value lies below the
+incumbent's: each one was either accepted, or lost to a probe that was, or
+was not below the incumbent of its time, and the incumbent's value never
+rises. A pattern point goes through the same memo and the same
+strict-decrease rule as any probe, so this holds for it too. A probe is
+accepted only on a strict decrease, so a revisited point is never accepted
+and its rows are never needed. A revisit still counts against
+inner_evals_per_iteration, so the search takes the same path it would
+without the memo, and the trace's ``evaluations`` column counts probes,
+revisits and pattern points included, not renders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,40 +94,6 @@ from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
 from .silhouette import RenderSettings, _camera_rows, _LinkClouds, _splat_window, pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
-
-
-def rot6d_to_matrix(r6):
-    """Decode a 6-vector (two stacked 3-vectors) into a rotation matrix.
-
-    Gram-Schmidt: the first 3-vector fixes column one, the second is made
-    orthogonal to it, and column three is their cross product. Degenerate
-    inputs (zero or parallel vectors) raise ValueError.
-    """
-    r6 = np.asarray(r6, dtype=float).reshape(6)
-    a1, a2 = r6[:3], r6[3:]
-    # the Euclidean norm as np.linalg.norm takes it, sqrt(x.dot(x)),
-    # without its per-call dispatch
-    n1 = math.sqrt(a1.dot(a1))
-    if n1 < 1e-12:
-        raise ValueError("first rotation column is numerically zero")
-    b1 = a1 / n1
-    w = a2 - np.dot(b1, a2) * b1
-    n2 = math.sqrt(w.dot(w))
-    if n2 < 1e-12:
-        raise ValueError("rotation columns are numerically parallel")
-    b2 = w / n2
-    # plain-float cross product: the products and differences np.cross forms,
-    # without its per-call array set-up
-    x1, y1, z1 = b1.tolist()
-    x2, y2, z2 = b2.tolist()
-    b3 = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-    return np.array([[x1, x2, b3[0]], [y1, y2, b3[1]], [z1, z2, b3[2]]])
-
-
-def matrix_to_rot6d(rotation):
-    """First two columns of the matrix, stacked into a 6-vector."""
-    rotation = np.asarray(rotation, dtype=float).reshape(3, 3)
-    return np.concatenate([rotation[:, 0], rotation[:, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +128,10 @@ def pose_loss(pose_est, pose_gt, points):
 
 @dataclass(frozen=True)
 class RefinerConfig:
+    """The pattern search's budget and first step sizes: step_theta in
+    radians of a joint angle, step_rot in radians about a base-frame axis,
+    and step_scale as a fraction of the scale."""
+
     iterations: int = 1
     inner_evals_per_iteration: int = 250
     step_theta: float = 0.05
@@ -174,22 +151,35 @@ class RefinerConfig:
 
 @dataclass
 class _State:
-    """One search point: raw coordinates (theta, the rotation matrix and its
-    6D code, the scale) and their render rows; only the returned result is
-    validated. frames are ``kinematics.chain_frames``' pairs, base first;
-    world and rotated are (3, n); pix is (2, n), as ``pixel_centers`` returns
-    it, with zeros where front is False. The arrays are never written after
+    """One search point: raw coordinates (theta, the rotation matrix, the
+    scale) and their render rows; only the returned result is validated.
+    frames are ``kinematics.chain_frames``' pairs, base first; world and
+    rotated are (3, n); pix is (2, n), as ``pixel_centers`` returns it, with
+    zeros where front is False. The arrays are never written after
     construction, so states share them freely."""
 
     theta: np.ndarray
     rotation: np.ndarray
-    r6: np.ndarray
     scale: float
     frames: list
     world: np.ndarray
     rotated: np.ndarray
     pix: np.ndarray
     front: np.ndarray
+
+
+class _Coordinate(NamedTuple):
+    """A row of the coordinate table: the ``RefinerConfig`` field of its
+    first step, its index (a joint or a base-frame axis), ``point(cost,
+    state, index, step)``, the stepped (theta, rotation, scale), and
+    ``rows(cost, parent, index, theta, rotation, scale)``, that point's
+    (frames, world, rotated, pix, front) built from its parent's, where cost
+    is the ``_CachedObjective``."""
+
+    step: str
+    index: int
+    point: Callable
+    rows: Callable
 
 
 class _CachedObjective:
@@ -212,105 +202,108 @@ class _CachedObjective:
         self.seen = {}
         # chain_frames' DH locals, by joint and angle bits
         self.dh = {}
+        # the search coordinates in sweep order, with the class's functions:
+        # bound methods would tie a cycle that outlives refine's return
+        cls = type(self)
+        self.coords = (
+            [_Coordinate("step_theta", j, cls._theta_point, cls._theta_rows) for j in range(chain.dof)]
+            + [_Coordinate("step_rot", i, cls._rotation_point, cls._rotation_rows) for i in range(3)]
+            + [_Coordinate("step_scale", 0, cls._scale_point, cls._scale_rows)]
+        )
 
     def start(self, theta, rotation, scale):
         """(value, state) of the search's start point, built from scratch and
         stored in the memo; theta is checked here."""
         check_configuration(self.chain, theta)
-        return self._evaluate(theta, rotation, matrix_to_rot6d(rotation), scale)
+        return self._evaluate(theta, rotation, scale)
 
-    def probe(self, state, kind, index, step):
-        """(value, state) one step from state along the coordinate (kind,
-        index): theta[index] + step clipped to the joint limits, r6[index] +
-        step, or scale * (1 + step); state is left untouched.
+    def probe(self, state, coord, step):
+        """(value, state) one step from state along coord, a row of
+        self.coords; state is left untouched. A point evaluated before gives
+        its stored value and None for its state, which the search never
+        accepts (see the module docstring)."""
+        theta, rotation, scale = coord.point(self, state, coord.index, step)
+        return self._evaluate(theta, rotation, scale, state, coord)
 
-        None when the stepped 6D code is degenerate. A point evaluated before
-        gives its stored value and None for its state, which the search never
-        accepts (see the module docstring).
-        """
-        theta, rotation, r6, scale = state.theta, state.rotation, state.r6, state.scale
-        if kind == "theta":
-            theta = theta.copy()
-            theta[index] = _clip(theta[index] + step, self.lo[index], self.hi[index])
-        elif kind == "rot":
-            r6 = r6.copy()
-            r6[index] += step
-            try:
-                rotation = rot6d_to_matrix(r6)
-            except ValueError:
-                return None
-        else:
-            scale = scale * (1.0 + step)
-        return self._evaluate(theta, rotation, r6, scale, state, kind, index)
+    def pattern(self, state, theta, rotation, scale):
+        """(value, state) at the pattern point of state x and an earlier point
+        b = (theta, rotation, scale): theta 2 x - b clipped to the joint
+        limits, the rotation R_x R_b^T R_x, the scale 2 x - b. The point
+        moves every coordinate, so it is built from scratch; state is left
+        untouched.
 
-    def pattern(self, state, theta, r6, scale):
-        """(value, state) at the pattern point 2 x - b of state x and an
-        earlier point b = (theta, r6, scale): theta clipped to the joint
-        limits, the 6D code decoded, the scale linear. The point moves every
-        coordinate, so it is built from scratch; state is left untouched.
-
-        None when the 6D code is degenerate or the scale is not positive; a
-        point evaluated before gives its stored value and None, as in probe.
+        None when the scale is not positive; a point evaluated before gives
+        its stored value and None, as in probe.
         """
         scale = 2.0 * state.scale - scale
         if not scale > 0.0:
             return None
-        r6 = 2.0 * state.r6 - r6
-        try:
-            rotation = rot6d_to_matrix(r6)
-        except ValueError:
-            return None
         theta = np.clip(2.0 * state.theta - theta, self.lo, self.hi)
-        return self._evaluate(theta, rotation, r6, scale)
+        return self._evaluate(theta, state.rotation @ rotation.T @ state.rotation, scale)
 
-    def _evaluate(self, theta, rotation, r6, scale, parent=None, kind=None, index=None):
-        """(value, state) at (theta, rotation, r6, scale): the stored value
-        and None for a point evaluated before; else a state built from
-        parent's rows along (kind, index), or from scratch without a parent,
-        whose value is stored."""
+    def _evaluate(self, theta, rotation, scale, parent=None, coord=None):
+        """(value, state) at (theta, rotation, scale): the stored value and
+        None for a point evaluated before; else a state built from parent's
+        rows along coord, or from scratch without a parent, whose value is
+        stored."""
         key = _state_key(theta, rotation, scale)
         value = self.seen.get(key)
         if value is not None:
             return value, None
         if parent is None:
-            state = self.build(theta, rotation, r6, scale)
+            state = self.build(theta, rotation, scale)
         else:
-            state = self.moved(parent, kind, index, theta, rotation, r6, scale)
+            state = self.moved(parent, coord, theta, rotation, scale)
         value = self.seen[key] = self.value(state)
         return value, state
 
-    def build(self, theta, rotation, r6, scale):
-        """The state at (theta, rotation, r6, scale), built from scratch."""
+    def build(self, theta, rotation, scale):
+        """The state at (theta, rotation, scale), built from scratch."""
         frames = chain_frames(self.chain, theta, memo=self.dh)
         world = self.clouds.pose(frames)
         rotated = _camera_rows(world, rotation)
-        return _State(theta, rotation, r6, scale, frames, world, rotated, *self._project(rotated, scale))
+        return _State(theta, rotation, scale, frames, world, rotated, *self._project(rotated, scale))
 
-    def moved(self, parent, kind, index, theta, rotation, r6, scale):
-        """The state at (theta, rotation, r6, scale), which differs from
-        parent's only in the coordinate (kind, index), built from parent's
-        rows; parent is left untouched."""
-        coords = (theta, rotation, r6, scale)
-        if kind == "theta":
-            frames = chain_frames(self.chain, theta, parent.frames, index, self.dh)
-            start = (index + 1) * self.clouds.stack.shape[2]  # link index + 1's first column
-            world = np.empty_like(parent.world)
-            world[:, :start] = parent.world[:, :start]
-            self.clouds.pose(frames, index + 1, world)
-            # a one-column product takes another BLAS path than a stack does,
-            # so the suffix is multiplied together with the column before it
-            rotated = _camera_rows(world[:, start - 1 :], rotation)[:, 1:]
-            pix, front = self._project(rotated, scale)
-            return _State(
-                *coords,
-                frames,
-                world,
-                np.concatenate([parent.rotated[:, :start], rotated], axis=1),
-                np.concatenate([parent.pix[:, :start], pix], axis=1),
-                np.concatenate([parent.front[:start], front]),
-            )
-        rotated = _camera_rows(parent.world, rotation) if kind == "rot" else parent.rotated
-        return _State(*coords, parent.frames, parent.world, rotated, *self._project(rotated, scale))
+    def moved(self, parent, coord, theta, rotation, scale):
+        """The state at (theta, rotation, scale), which differs from parent's
+        only along coord, built from parent's rows; parent is left untouched."""
+        return _State(theta, rotation, scale, *coord.rows(self, parent, coord.index, theta, rotation, scale))
+
+    def _theta_point(self, state, j, step):
+        theta = state.theta.copy()
+        theta[j] = _clip(theta[j] + step, self.lo[j], self.hi[j])
+        return theta, state.rotation, state.scale
+
+    def _theta_rows(self, parent, j, theta, rotation, scale):
+        frames = chain_frames(self.chain, theta, parent.frames, j, self.dh)
+        start = (j + 1) * self.clouds.stack.shape[2]  # link j + 1's first column
+        world = np.empty_like(parent.world)
+        world[:, :start] = parent.world[:, :start]
+        self.clouds.pose(frames, j + 1, world)
+        # a one-column product takes another BLAS path than a stack does,
+        # so the suffix is multiplied together with the column before it
+        rotated = _camera_rows(world[:, start - 1 :], rotation)[:, 1:]
+        pix, front = self._project(rotated, scale)
+        return (
+            frames,
+            world,
+            np.concatenate([parent.rotated[:, :start], rotated], axis=1),
+            np.concatenate([parent.pix[:, :start], pix], axis=1),
+            np.concatenate([parent.front[:start], front]),
+        )
+
+    def _rotation_point(self, state, i, step):
+        return state.theta, state.rotation @ _axis_rotation(i, step), state.scale
+
+    def _rotation_rows(self, parent, i, theta, rotation, scale):
+        rotated = _camera_rows(parent.world, rotation)
+        return parent.frames, parent.world, rotated, *self._project(rotated, scale)
+
+    def _scale_point(self, state, _, step):
+        return state.theta, state.rotation, state.scale * (1.0 + step)
+
+    def _scale_rows(self, parent, _, theta, rotation, scale):
+        return parent.frames, parent.world, parent.rotated, *self._project(parent.rotated, scale)
 
     def value(self, state):
         """1 - IoU of the state's splat window against the observed mask."""
@@ -327,6 +320,17 @@ class _CachedObjective:
     def _project(self, rotated, scale):
         """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
         return pixel_centers(rotated, scale * self.ray, self.k)
+
+
+def _axis_rotation(axis, angle):
+    """exp(angle [e_axis]x): the rotation by angle radians about the unit
+    axis e_axis, in closed form."""
+    c, s = math.cos(angle), math.sin(angle)
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    rot = np.eye(3)
+    rot[j, j] = rot[k, k] = c
+    rot[k, j], rot[j, k] = s, -s
+    return rot
 
 
 def _clip(x, lo, hi):
@@ -368,8 +372,8 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     def tracked_error(cand):
         if ground_truth is None:
             return None
-        # every candidate rotation comes from a valid estimate or from
-        # rot6d_to_matrix, so it is proper and its pose needs no check
+        # every candidate rotation is a valid estimate's or a product of
+        # rotations, proper up to rounding, so its pose needs no check
         pose = _camera_pose(cand.rotation, cand.scale, base_pixel, k)
         return add_metric(gt_pose, ground_truth.theta, pose, cand.theta, chain)
 
@@ -377,45 +381,37 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
     trace = [_trace_row(0, 0, f_curr, tracked_error(state))]
     evals_total = 0
     budget = cfg.inner_evals_per_iteration
-    coords = [("theta", i) for i in range(chain.dof)] + [("rot", i) for i in range(6)] + [("scale", 0)]
 
     for it in range(1, cfg.iterations + 1):
-        steps = {"theta": cfg.step_theta, "rot": cfg.step_rot, "scale": cfg.step_scale}
+        steps = [getattr(cfg, coord.step) for coord in cost.coords]
         used = 0
         while used < budget:
             moved = False
             # the sweep's start point; its coordinates only, not its rows
-            base = state.theta, state.r6, state.scale
-            for kind, index in coords:
+            base = state.theta, state.rotation, state.scale
+            for coord, step in zip(cost.coords, steps):
                 if used >= budget:
                     break
                 trials = []
                 for direction in (1.0, -1.0):
                     if used >= budget:
                         break
-                    probed = cost.probe(state, kind, index, direction * steps[kind])
-                    if probed is not None:
-                        trials.append((probed[0], direction, probed[1]))
-                        used += 1
-                if not trials:
-                    continue
+                    f_new, cand = cost.probe(state, coord, direction * step)
+                    trials.append((f_new, direction, cand))
+                    used += 1
                 f_new, direction, cand = min(trials, key=lambda t: t[0])
                 if f_new < f_curr:
                     f_curr, state = f_new, cand
                     moved = True
                     # ride the same direction while it keeps paying off
                     while used < budget:
-                        probed = cost.probe(state, kind, index, direction * steps[kind])
-                        if probed is None:
-                            break
-                        f_new, cand = probed
+                        f_new, cand = cost.probe(state, coord, direction * step)
                         used += 1
-                        if f_new < f_curr:
-                            f_curr, state = f_new, cand
-                        else:
+                        if not f_new < f_curr:
                             break
+                        f_curr, state = f_new, cand
             if not moved:
-                steps = {kind: step * 0.5 for kind, step in steps.items()}
+                steps = [step * 0.5 for step in steps]
             elif used < budget:
                 # Hooke-Jeeves pattern move: repeat the sweep's net move once
                 probed = cost.pattern(state, *base)

@@ -171,13 +171,25 @@ def render_polyline(points, pose, k):
     near plane; points of any other shape raise ValueError. A segment from
     pixel center p0 to p1 is the s + 1 centers p0 + (p1 - p0) i / s for
     i = 0..s, s = max(|du|, |dv|), rounded half up as by ``pixel_centers``:
-    8-connected, both ends set, and painted by ``_splat_window`` at radius 0."""
+    8-connected, both ends set, and painted by ``_splat_window`` at radius 0.
+    Only the steps that can be painted are made, so a segment costs at most
+    one image width or height of centers however far off the image it ends."""
     pix, front = _point_centers(points, pose, k)
     start, delta = pix[:, :-1], np.diff(pix)
-    count = np.where(front[1:] & front[:-1], np.abs(delta).max(axis=0) + 1, 0)
-    seg = np.repeat(np.arange(count.size), count)
-    i = np.arange(seg.size) - (np.cumsum(count) - count)[seg]
-    centers = np.floor(start[:, seg] + delta[:, seg] * i / np.maximum(count[seg] - 1, 1) + 0.5)
+    span = np.abs(delta).max(axis=0)
+    # along the longer axis, center i lies exactly i pixels from the start:
+    # counted from the image edge the segment moves away from, at c + i,
+    # which is in the image for i in [-c, edge - c] (edge = extent - 1)
+    segs = np.arange(span.size)
+    longer = (np.abs(delta[1]) > np.abs(delta[0])).astype(np.int64)
+    edge = np.where(longer, k.height, k.width) - 1
+    c = start[longer, segs]
+    c = np.where(delta[longer, segs] < 0, edge - c, c)
+    first = np.maximum(-c, 0)
+    count = np.where(front[1:] & front[:-1], np.maximum(np.minimum(span, edge - c) - first + 1, 0), 0)
+    seg = np.repeat(segs, count)
+    i = np.arange(seg.size) - (np.cumsum(count) - count)[seg] + first[seg]
+    centers = np.floor(start[:, seg] + delta[:, seg] * i / np.maximum(span[seg], 1) + 0.5)
     return _mask(centers.astype(np.int64), np.ones(seg.size, dtype=bool), k, 0)
 
 

@@ -270,3 +270,29 @@ def test_only_silhouette_and_refine_rasterize():
             for node in _calls(tree, called)
         ]
     assert found == []
+
+
+def test_refine_keeps_one_rotation_state():
+    """The search's only rotation state is the matrix: refine.py neither
+    defines nor references the 6D codec, rot6d_to_matrix and
+    matrix_to_rot6d, or a 6D code named r6."""
+    banned = {"rot6d_to_matrix", "matrix_to_rot6d", "r6"}
+    tree = ast.parse((PACKAGE / "refine.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named = {node.id}
+        elif isinstance(node, ast.Attribute):
+            named = {node.attr}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named = {node.name}
+        elif isinstance(node, ast.arg):
+            named = {node.arg}
+        elif isinstance(node, ast.keyword):
+            named = {node.arg}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = {alias.asname or alias.name for alias in node.names} | {alias.name for alias in node.names}
+        else:
+            continue
+        found += [f"refine.py:{getattr(node, 'lineno', '?')} names {name}" for name in sorted(named & banned)]
+    assert found == []

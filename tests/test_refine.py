@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -309,8 +310,9 @@ def test_refine_checks_its_meshes():
 # unchecked FK, the crop-and-dilate splat, count-based IoU, and the cached
 # objective that recomputes only the rows a probe moves and scores the splat
 # window. A speed-up that flips a mask pixel, an accepted move or a tracked
-# error on this path changes it.
-GOLDEN_REFINE_SHA256 = "dd26db26dbe7d1d4a0913ad813b88eb42a9c7f4dc1d1caddd521698f8e898a4c"
+# error on this path changes it. Re-recorded when the rotation probes became
+# turns about three base-frame axes in place of steps of the 6D code.
+GOLDEN_REFINE_SHA256 = "b0abb780796c65bf12f55517e5f87d9baaa60c6ec805d12c8d9cf1e18c5a3ccd"
 
 
 def _golden_scene():
@@ -340,8 +342,9 @@ def test_refine_golden_digest():
 # sha256 of _golden_scene refined from the same start at the default
 # RefinerConfig (one 250-probe iteration with pattern moves), recorded
 # before the render rows became (3, n) columns. The digest above stops after
-# 60 probes, before any pattern move; this one covers the default search.
-GOLDEN_REFINE_DEFAULT_SHA256 = "6d2df0e6403e5072d86ee77154783db60265ea09bd47ea7d133b841afb12c587"
+# 60 probes, two pattern points in; this one covers the default search.
+# Re-recorded with the digest above, for the same reason.
+GOLDEN_REFINE_DEFAULT_SHA256 = "22111c0ff045974bfd12ba6b537e5ba38aceafefd105fa63457badccd251e0c5"
 
 
 def test_refine_golden_digest_at_the_default_search():
@@ -354,6 +357,19 @@ def test_refine_golden_digest_at_the_default_search():
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_REFINE_DEFAULT_SHA256
 
 
+def _turn(axis, angle):
+    """The rotation by angle radians about base-frame axis e_axis, written
+    out per axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array(
+        [
+            [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]],
+            [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]],
+            [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
+        ][axis]
+    )
+
+
 def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
     """The search refine makes, with every point rendered in full and no
     memo: (final theta, rotation, scale, [(evaluations, objective)] per
@@ -361,68 +377,56 @@ def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
     clouds = sample_link_clouds(meshes, settings)
     lo, hi = chain.limits()
 
-    def point(theta, r6, rotation, scale):
+    def point(theta, rotation, scale):
         frames = [chain.base_frame] + forward_kinematics(chain, theta)
         pose = RigidTransform(rotation, k.backproject(scale, start.base_pixel))
         value = 1.0 - silhouette_iou(render_link_clouds(clouds, frames, pose, k, settings), observed)
-        return value, (theta, r6, rotation, scale)
+        return value, (theta, rotation, scale)
 
-    def step(x, kind, index, size):
-        theta, r6, rotation, scale = x
-        if kind == "theta":
+    def step(x, field, index, size):
+        theta, rotation, scale = x
+        if field == "step_theta":
             theta = theta.copy()
             theta[index] = np.clip(theta[index] + size, lo[index], hi[index])
-        elif kind == "rot":
-            r6 = r6.copy()
-            r6[index] += size
-            try:
-                rotation = rot6d_to_matrix(r6)
-            except ValueError:
-                return None
+        elif field == "step_rot":
+            rotation = rotation @ _turn(index, size)
         else:
             scale = scale * (1.0 + size)
-        return point(theta, r6, rotation, scale)
+        return point(theta, rotation, scale)
 
-    f, x = point(start.theta, matrix_to_rot6d(start.rotation), start.rotation, start.scale)
+    f, x = point(start.theta, start.rotation, start.scale)
     rows, total, accepted = [], 0, 0
     for _ in range(cfg.iterations):
-        sizes = {"theta": cfg.step_theta, "rot": cfg.step_rot, "scale": cfg.step_scale}
+        sizes = {field: getattr(cfg, field) for field in ("step_theta", "step_rot", "step_scale")}
         used, budget = 0, cfg.inner_evals_per_iteration
         while used < budget:
             moved, base = False, x
-            for kind, index in _PROBES:
+            for field, index in _PROBES:
                 trials = []
                 for direction in (1.0, -1.0):
-                    probed = step(x, kind, index, direction * sizes[kind]) if used < budget else None
-                    if probed is not None:
-                        trials.append((probed[0], direction, probed[1]))
+                    if used < budget:
+                        trials.append((*step(x, field, index, direction * sizes[field]), direction))
                         used += 1
                 if trials and min(trials, key=lambda t: t[0])[0] < f:
-                    f, direction, x = min(trials, key=lambda t: t[0])
+                    f, x, direction = min(trials, key=lambda t: t[0])
                     moved = True
                     while used < budget:
-                        probed = step(x, kind, index, direction * sizes[kind])
-                        if probed is None:
-                            break
+                        probed = step(x, field, index, direction * sizes[field])
                         used += 1
                         if probed[0] >= f:
                             break
                         f, x = probed
             if not moved:
-                sizes = {kind: size * 0.5 for kind, size in sizes.items()}
-            elif used < budget and 2.0 * x[3] - base[3] > 0.0:
-                r6 = 2.0 * x[1] - base[1]
-                try:
-                    rotation = rot6d_to_matrix(r6)
-                except ValueError:
-                    continue
-                value, p = point(np.clip(2.0 * x[0] - base[0], lo, hi), r6, rotation, 2.0 * x[3] - base[3])
+                sizes = {field: size * 0.5 for field, size in sizes.items()}
+            elif used < budget and 2.0 * x[2] - base[2] > 0.0:
+                theta = np.clip(2.0 * x[0] - base[0], lo, hi)
+                value, p = point(theta, x[1] @ base[1].T @ x[1], 2.0 * x[2] - base[2])
                 used += 1
                 if value < f:
                     f, x, accepted = value, p, accepted + 1
         total += used
         rows.append((total, f))
-    return x[0], x[2], x[3], rows, accepted
+    return *x, rows, accepted
 
 
 def test_refine_matches_a_from_scratch_reference_search():
@@ -438,7 +442,7 @@ def test_refine_matches_a_from_scratch_reference_search():
     cfg = RefinerConfig(iterations=2, inner_evals_per_iteration=120)
     refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
     theta, rotation, scale, rows, accepted = _reference_refine(start, mask, chain, meshes, k, cfg, settings)
-    assert accepted > 0
+    assert accepted > 0 and not np.array_equal(rotation, start.rotation)
     assert np.array_equal(refined.theta, theta) and np.array_equal(refined.rotation, rotation)
     assert refined.scale == scale
     assert [(row["evaluations"], row["objective"]) for row in trace[1:]] == rows
@@ -480,7 +484,7 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
         def probe(self, parent, *args):
             rendered = len(renders)
             probed = real(self, parent, *args)
-            if probed is not None:  # a degenerate rotation or pattern point is no probe
+            if probed is not None:  # a pattern point of non-positive scale is no probe
                 # the parent is the incumbent when the probe is made
                 made.append((probed[0], values[id(parent)][1], len(renders) > rendered))
             return probed
@@ -564,35 +568,65 @@ def test_refine_returns_a_validated_estimate():
         refine(bad, mask, chain, meshes, k, cfg, settings)
 
 
-def test_refine_skips_degenerate_rotation_probes_without_counting_them(monkeypatch):
+def test_refine_counts_every_rotation_probe_from_the_identity(monkeypatch):
     chain = builtin_chain("panda7")
     sampler = SamplerConfig()
     k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings(samples_per_link=50)
     scene, mask = build_scene(chain, sampler, seed=5, index=0, meshes=meshes, render_settings=settings)
     truth = Estimate.from_pose(scene.theta, scene.pose, k)
-    # from the identity's code (1, 0, 0, 0, 1, 0), a unit step down of r6[0]
-    # or r6[4] zeroes a column, which rot6d_to_matrix rejects
+    # a turn of one radian from the identity is a rotation like any other:
+    # every probe is evaluated and counted against the budget
     start = Estimate(scene.theta, np.eye(3), truth.scale, truth.base_pixel)
     real_probe, probed = _CachedObjective.probe, []
 
     def probe(self, *args):
-        probed.append(real_probe(self, *args))  # None for a degenerate step
+        probed.append(real_probe(self, *args))
         return probed[-1]
 
     monkeypatch.setattr(_CachedObjective, "probe", probe)
     cfg = RefinerConfig(iterations=1, inner_evals_per_iteration=40, step_rot=1.0)
     refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
-    skipped = sum(p is None for p in probed)
-    assert skipped == 2 and len(probed) - skipped == cfg.inner_evals_per_iteration
+    assert None not in probed and len(probed) == cfg.inner_evals_per_iteration
     assert trace[-1]["evaluations"] == cfg.inner_evals_per_iteration
     assert type(refined) is Estimate and refined.provenance == "refined(1)"
+
+
+def test_refine_frees_its_objective_without_the_cycle_collector():
+    # the objective holds the link clouds and the memo; a reference cycle
+    # through it would keep them alive until a collection, and a run of
+    # many refines would hold several at once
+    chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
+    gc.disable()
+    try:
+        refine(truth, mask, chain, meshes, k, RefinerConfig(inner_evals_per_iteration=20), settings)
+        assert not any(isinstance(obj, _CachedObjective) for obj in gc.get_objects())
+    finally:
+        gc.enable()
+
+
+def test_refined_rotation_stays_orthonormal():
+    # criterion 9's scene 0 and start, refined for 3 x 250 probes: the
+    # rotation is a product of steps, never re-orthonormalized
+    chain, sampler = builtin_chain("panda7"), SamplerConfig()
+    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings()
+    scene, mask = build_scene(chain, sampler, 900, 0, meshes=meshes, render_settings=settings)
+    rng = np.random.default_rng(np.random.SeedSequence((900, 0, 3)))
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
+    theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
+    start = Estimate(theta, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
+    refined, _ = refine(start, mask, chain, meshes, k, RefinerConfig(iterations=3), settings)
+    rot = refined.rotation
+    assert not np.array_equal(rot, start.rotation)
+    assert np.max(np.abs(rot.T @ rot - np.eye(3))) <= 1e-12 and abs(np.linalg.det(rot) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # cached objective
 
 
-_PROBES = [("theta", i) for i in range(7)] + [("rot", i) for i in range(6)] + [("scale", 0)]
+# the search coordinates in sweep order, as (RefinerConfig step field, index):
+# panda7's seven joints, the three base-frame rotation axes, the scale
+_PROBES = [("step_theta", i) for i in range(7)] + [("step_rot", i) for i in range(3)] + [("step_scale", 0)]
 
 
 def _full_render_objective(chain, meshes, settings, k, observed, theta, rotation, scale, base_pixel):
@@ -628,9 +662,9 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     rng = np.random.default_rng(sum(map(ord, case)))
     lo, hi = chain.limits()
     theta = np.clip(scene.theta + rng.uniform(-0.3, 0.3, chain.dof), lo, hi)
-    r6 = matrix_to_rot6d(scene.pose.rotation) + rng.normal(0.0, 0.05, 6)
-    rotation = rot6d_to_matrix(r6)
+    rotation = scene.pose.rotation @ _turn(0, 0.04) @ _turn(1, -0.03) @ _turn(2, 0.05)
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
+    assert [(coord.step, coord.index) for coord in cost.coords] == _PROBES
     _, rows = cost.start(theta, rotation, scale)
     if case == "near_plane":
         assert rows.front.any() and not rows.front.all()
@@ -643,30 +677,25 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     # a one-row product misses the stack's bits in about half the draws on
     # some BLAS builds, so that case runs enough rounds to see it
     rounds = 12 if case == "one_sample" else 2
-    for step, (kind, index) in enumerate(_PROBES * rounds):
-        new_theta, new_r6, new_rotation, new_scale = theta, r6, rotation, scale
-        if kind == "theta":
-            new_theta = theta.copy()
-            new_theta[index] = np.clip(theta[index] + rng.uniform(-0.2, 0.2), lo[index], hi[index])
-        elif kind == "rot":
-            new_r6 = r6.copy()
-            new_r6[index] += rng.uniform(-0.05, 0.05)
-            new_rotation = rot6d_to_matrix(new_r6)
-        else:
-            new_scale = scale * (1.0 + rng.uniform(-0.05, 0.05))
+    spread = {"step_theta": 0.2, "step_rot": 0.05, "step_scale": 0.05}
+    for step, coord in enumerate(cost.coords * rounds):
+        size = rng.uniform(-1.0, 1.0) * spread[coord.step]
+        new_theta, new_rotation, new_scale = coord.point(cost, rows, coord.index, size)
+        if coord.step == "step_rot":  # the closed-form turn about base-frame axis i
+            assert np.array_equal(new_rotation, rotation @ _turn(coord.index, size))
         names = ("world", "rotated", "pix", "front")
         before = [getattr(rows, name).copy() for name in names]
-        moved = cost.moved(rows, kind, index, new_theta, new_rotation, new_r6, new_scale)
+        moved = cost.moved(rows, coord, new_theta, new_rotation, new_scale)
         want = _full_render_objective(
             chain, meshes, settings, k, observed, new_theta, new_rotation, new_scale, base_pixel
         )
-        assert cost.value(moved) == want, (kind, index)
+        assert cost.value(moved) == want, coord[:2]
         # the parent's rows are untouched, and the probe's equal a fresh build
         assert all(np.array_equal(old, getattr(rows, name)) for old, name in zip(before, names))
-        fresh = cost.build(new_theta, new_rotation, new_r6, new_scale)
+        fresh = cost.build(new_theta, new_rotation, new_scale)
         assert all(np.array_equal(getattr(moved, name), getattr(fresh, name)) for name in names)
         if step % 2 == 0:  # adopt the probe's rows, as an accepted move does
-            theta, r6, rotation, scale, rows = new_theta, new_r6, new_rotation, new_scale, moved
+            theta, rotation, scale, rows = new_theta, new_rotation, new_scale, moved
 
 
 @pytest.mark.parametrize("name", ["panda7", "planar2"])
@@ -726,23 +755,23 @@ def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
     _, x = cost.start(np.clip(scene.theta + 0.05, lo, hi), scene.pose.rotation, scale)
     base_theta = x.theta - 0.02
     base_theta[0] = lo[0] + 2.0 * (x.theta[0] - lo[0]) + 0.01  # its reflection lies below the limit
-    base_r6 = x.r6 + np.linspace(-0.03, 0.03, 6)
+    base_rotation = x.rotation @ _turn(0, 0.03) @ _turn(2, -0.02)
 
-    value, p = cost.pattern(x, base_theta, base_r6, 0.95 * scale)
+    value, p = cost.pattern(x, base_theta, base_rotation, 0.95 * scale)
     assert np.array_equal(p.theta, np.clip(2.0 * x.theta - base_theta, lo, hi)) and p.theta[0] == lo[0]
-    assert np.array_equal(p.r6, 2.0 * x.r6 - base_r6)
-    assert np.array_equal(p.rotation, rot6d_to_matrix(p.r6))
+    # the sweep's net turn R_b^T R_x, applied to R_x once more
+    assert np.array_equal(p.rotation, x.rotation @ base_rotation.T @ x.rotation)
+    assert rotation_geodesic(p.rotation, x.rotation) == pytest.approx(rotation_geodesic(x.rotation, base_rotation))
     assert p.scale == 2.0 * scale - 0.95 * scale
     assert value == _full_render_objective(
         chain, meshes, settings, k, observed, p.theta, p.rotation, p.scale, base_pixel
     )
-    fresh = cost.build(p.theta, p.rotation, p.r6, p.scale)
+    fresh = cost.build(p.theta, p.rotation, p.scale)
     assert all(np.array_equal(getattr(p, name), getattr(fresh, name)) for name in ("world", "rotated", "pix", "front"))
     # a point evaluated before gives its stored value and no state
-    assert cost.pattern(x, base_theta, base_r6, 0.95 * scale) == (value, None)
-    # a scale that is not positive, or a degenerate 6D code, is no probe
-    assert cost.pattern(x, base_theta, base_r6, 2.0 * scale) is None
-    assert cost.pattern(x, base_theta, 2.0 * x.r6 - np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), scale) is None
+    assert cost.pattern(x, base_theta, base_rotation, 0.95 * scale) == (value, None)
+    # a scale that is not positive is no probe
+    assert cost.pattern(x, base_theta, base_rotation, 2.0 * scale) is None
 
 
 def test_camera_rows_of_a_stack_match_the_full_product():

@@ -24,6 +24,7 @@ from armpose import (
 )
 from armpose.poseinit import NEAR_PLANE
 from armpose.kinematics import chain_frames
+from armpose import silhouette
 from armpose.silhouette import _camera_rows, _disc_rows, _LinkClouds, _splat_window, pixel_centers
 
 
@@ -640,6 +641,59 @@ def test_render_polyline_clips_to_the_image():
     want[:] = False
     want[np.arange(3, 6), 2 - np.arange(3)] = True
     assert np.array_equal(far, want)
+
+
+def _every_step_polyline(points, pose, k):
+    """render_polyline as it made every step of each segment, in or out of
+    the image, before _splat_window clipped them."""
+    pix, front = silhouette._point_centers(points, pose, k)
+    start, delta = pix[:, :-1], np.diff(pix)
+    count = np.where(front[1:] & front[:-1], np.abs(delta).max(axis=0) + 1, 0)
+    seg = np.repeat(np.arange(count.size), count)
+    i = np.arange(seg.size) - (np.cumsum(count) - count)[seg]
+    centers = np.floor(start[:, seg] + delta[:, seg] * i / np.maximum(count[seg] - 1, 1) + 0.5)
+    return silhouette._mask(centers.astype(np.int64), np.ones(seg.size, dtype=bool), k, 0)
+
+
+def test_render_polyline_equals_every_step_drawn_and_clipped():
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        k = _camera(width=int(rng.integers(8, 90)), height=int(rng.integers(8, 90)), f=float(rng.uniform(20.0, 120.0)))
+        n = int(rng.integers(2, 12))
+        points = np.column_stack([rng.normal(0.0, 0.6, (n, 2)), rng.uniform(0.2, 3.0, n)])
+        # some points close in front of the camera land up to about 10**5 px
+        # off the image (the reference makes every step, so no farther), and
+        # some lie behind the near plane
+        near = rng.random(n) < 0.3
+        points[near, 2] = rng.uniform(1e-3, 1e-2, near.sum())
+        points[rng.random(n) < 0.1, 2] = -1.0
+        pose = RigidTransform()
+        assert np.array_equal(render_polyline(points, pose, k), _every_step_polyline(points, pose, k)), trial
+
+
+def test_render_polyline_makes_at_most_one_image_extent_of_centers(monkeypatch):
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=8)
+    made = []
+
+    def mask(pix, front, k, r):
+        made.append(pix.shape[1])
+        return real_mask(pix, front, k, r)
+
+    real_mask = silhouette._mask
+    monkeypatch.setattr(silhouette, "_mask", mask)
+    want = np.zeros((8, 10), dtype=bool)
+    want[3, 2:] = True
+    assert np.array_equal(_polyline([(2, 3), (2 + 10**8, 3)], k), want)
+    want[:] = False
+    want[3, :3] = True
+    assert np.array_equal(_polyline([(2 - 10**8, 3), (2, 3)], k), want)
+    # across the whole image from 10**8 px off each side, and along v
+    assert _polyline([(-(10**8), -(10**8) // 2), (10**8, 10**8 // 2)], k).any()
+    assert _polyline([(4, 10**8), (4, -(10**8))], k)[:, 4].all()
+    # the bound is on the longer axis only: a segment beside the image makes
+    # one image height of centers, which the splat clips
+    assert not _polyline([(-5, 10**8), (-5, -(10**8))], k).any()
+    assert made == [8, 3, 10, 8, 8]
 
 
 # ---------------------------------------------------------------------------
