@@ -25,7 +25,7 @@ from ._io import (
     read_json,
     read_jsonl,
 )
-from .kinematics import RigidTransform, check_configuration, load_chain, skeleton_keypoints
+from .kinematics import RigidTransform, _cross, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import MIN_CORRESPONDENCES, CameraIntrinsics, Keypoints2D, scale_link_visible
 from .silhouette import read_pgm, render_chain_silhouette, write_pgm
 
@@ -146,13 +146,6 @@ def look_at(camera_pos, target, up=(0.0, 0.0, 1.0)):
     x = x / nx
     rot = np.array([x, _cross(z, x), z])
     return RigidTransform(rot, -rot @ camera_pos)
-
-
-def _cross(a, b):
-    """np.cross of two 3-vectors from plain floats: the products and
-    differences np.cross forms, without its per-call array set-up."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def project_keypoints(points, pose, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._io import atomic_write_text, check_float_fields, check_int_fields, json_field, read_json
-from .kinematics import compose, dh_transform, joint_points, kabsch, wrap_angle
+from .kinematics import _cross, compose, dh_transform, joint_points, kabsch, wrap_angle
 
 
 class AlignmentDegenerateError(ValueError):
@@ -228,11 +228,8 @@ def configuration_from_points(chain, points):
         for ref, obs in zip(ref_vecs, obs_vecs):
             ref_perp = ref - axis * (axis @ ref)
             obs_perp = obs - axis * (axis @ obs)
-            r0, r1, r2 = ref_perp.tolist()
-            o0, o1, o2 = obs_perp.tolist()
-            # np.cross and np.linalg.norm, spelled out with the same float operations
-            cross = np.array([r1 * o2 - r2 * o1, r2 * o0 - r0 * o2, r0 * o1 - r1 * o0])
-            sin_acc += float(axis @ cross)
+            # np.cross and np.linalg.norm, by the same float operations
+            sin_acc += float(axis @ _cross(ref_perp, obs_perp))
             cos_acc += float(ref_perp @ obs_perp)
             strength += math.sqrt(ref_perp @ ref_perp) * math.sqrt(obs_perp @ obs_perp)
         if strength < 1e-10:

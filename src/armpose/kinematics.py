@@ -299,13 +299,20 @@ def compose(frame, local):
     return frame[0] @ local[0], frame[0] @ local[1] + frame[1]
 
 
-def chain_frames(chain, theta, frames=None, first=0, memo=None):
-    """World <- frame i as (rotation, translation) pairs, i = 0..dof: frames[:first + 1]
-    (default: the base frame alone), then joints first.. composed at theta, an unchecked
-    array, with the DH locals kept in memo (by joint and angle bits) when given."""
-    frames = [chain.base_frame.pair] if frames is None else frames[: first + 1]
+def _cross(a, b):
+    """np.cross of two 3-vectors from plain floats: the products and
+    differences np.cross forms, without its per-call array set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def chain_frames(chain, theta, memo=None):
+    """World <- frame i as (rotation, translation) pairs, i = 0..dof: the base frame, then
+    each joint composed at theta, an unchecked array, with the DH locals kept in memo (by
+    joint and angle bits) when given."""
+    frames = [chain.base_frame.pair]
     memo = {} if memo is None else memo
-    for i in range(first, chain.dof):
+    for i in range(chain.dof):
         key = (i, theta[i].tobytes())
         local = memo.get(key)
         if local is None:

@@ -142,9 +142,13 @@ class Estimate:
     @classmethod
     def from_pose(cls, theta, pose, k, provenance="initial"):
         """The estimate whose pose(k) is pose up to rounding: the base origin's
-        depth is the scale and its projection the base pixel."""
+        depth is the scale and its projection the base pixel. A base not past
+        the near plane raises ValueError."""
         t = pose.translation
-        return cls(theta, pose.rotation, float(t[2]), k.project(t)[0], provenance)
+        pixel, front = k.project(t)
+        if not front:
+            raise ValueError(f"the base origin's depth {t[2]} is not past the near plane {NEAR_PLANE}")
+        return cls(theta, pose.rotation, float(t[2]), pixel, provenance)
 
     def to_json(self):
         # rotation is stored row-major as a flat list of 9 floats

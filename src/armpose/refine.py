@@ -26,55 +26,33 @@ once more, on the group), and the scale 2 x - b. A coordinate search alone
 stops at a fixed point of its pattern, where more iterations change
 nothing; the pattern move follows the sweep's net direction off it.
 
-A search point is one ``_State``: its coordinates and its render rows (FK
-frames as plain (rotation, translation) pairs and, per link sample in
-``silhouette._LinkClouds``' column order, its world point, the point rotated
-into the camera, its int64 pixel center and its near-plane flag). Rows are
-coordinate-major, (3, n) for points and (2, n) for centers, as in
-``silhouette``. The start and each pattern point are built from scratch
-(``_CachedObjective.build``). Every other probe moves one coordinate, so the
-objective is evaluated from the incumbent's rows and recomputes only what
-the probe moves:
-
-- a theta_j probe keeps frames 0..j and the columns of links 0..j, has
-  ``kinematics.chain_frames`` compose frames j+1.. with a per-call memo of
-  DH locals, poses the clouds of links j+1.. with ``_LinkClouds.pose``, and
-  recomputes the rotated and pixel columns of that contiguous suffix;
-- a rotation probe keeps the frames and world columns, and recomputes the
-  camera rotation (``silhouette._camera_rows``) and the projection
-  (``pixel_centers``, which adds the translation and projects through
-  ``CameraIntrinsics.project``);
-- a scale probe keeps the rotated columns too, and recomputes only the
-  projection. Its translation is the scale times the ray through the base
-  pixel at depth 1, which each refine call reads once: the bits of
-  ``CameraIntrinsics.backproject`` at that scale.
-
-A rejected probe leaves the incumbent's state untouched; an accepted one
-becomes the incumbent. Across a sweep the search keeps only b's coordinates,
-not its rows. The value is bitwise equal to ``1 -
-silhouette_iou(render_link_clouds(...), observed)`` because each recomputed
-column goes through the same float operations in the same order: the
-frames come from the walk ``forward_kinematics`` wraps, the world columns
-from render_link_clouds' own pose, ``_LinkClouds.pose``, which gives a link
-the same bits from any first link, the camera product ``_camera_rows`` over
-any run of two or more columns gives each column the bits the full product
-gives it (invariants the tests check; a one-column product takes another
-BLAS path, so a theta suffix is multiplied together with the lead column
-before it), and the add, projection and rounding are elementwise. The
-splat window depends only on the set of pixel centers, and the IoU is
-integer counts, taken on that window against the observed mask.
+A search point is one ``_State``: its coordinates and world, the link
+clouds posed at its theta as (3, n) columns in ``silhouette._LinkClouds``'
+order. The start, each theta probe and each pattern point pose every link
+from ``kinematics.chain_frames``, with a per-call memo of DH locals; a
+rotation or scale probe shares its parent's world. The value rotates,
+projects and splats all n columns, so it is bitwise equal to ``1 -
+silhouette_iou(render_link_clouds(...), observed)``: the frames come from
+the walk ``forward_kinematics`` wraps, the world columns from
+render_link_clouds' own pose, ``_LinkClouds.pose``, the camera rows from
+the same ``_camera_rows`` product over the same columns, and the
+translation, the scale times the ray through the base pixel at depth 1
+(read once per refine call), has the bits of ``CameraIntrinsics.backproject``
+at that scale. The splat window holds every disc pixel inside the image,
+and the IoU is integer counts, taken on that window against the observed
+mask.
 
 Each refine call also keeps a memo of every point it has evaluated, keyed by
 the exact bits of (theta, rotation matrix, scale). A probe that lands on a
 stored point (a step undone to the same bits, a theta step clipped back onto
 the incumbent, a pattern point that repeats a step the sweep already tried)
-takes the stored value and builds no rows. No stored value lies below the
+takes the stored value and renders nothing. No stored value lies below the
 incumbent's: each one was either accepted, or lost to a probe that was, or
 was not below the incumbent of its time, and the incumbent's value never
 rises. A pattern point goes through the same memo and the same
 strict-decrease rule as any probe, so this holds for it too. A probe is
 accepted only on a strict decrease, so a revisited point is never accepted
-and its rows are never needed. A revisit still counts against
+and its state is never needed. A revisit still counts against
 inner_evals_per_iteration, so the search takes the same path it would
 without the memo, and the trace's ``evaluations`` column counts probes,
 revisits and pattern points included, not renders.
@@ -92,7 +70,8 @@ from ._io import check_float_fields, check_int_fields
 from .kinematics import chain_frames, check_configuration
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
-from .silhouette import RenderSettings, _camera_rows, _LinkClouds, _splat_window, pixel_centers, sample_link_clouds
+from .silhouette import RenderSettings, _camera_rows, _iou_of_counts, _LinkClouds, _splat_window
+from .silhouette import pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
 
@@ -152,40 +131,31 @@ class RefinerConfig:
 @dataclass
 class _State:
     """One search point: raw coordinates (theta, the rotation matrix, the
-    scale) and their render rows; only the returned result is validated.
-    frames are ``kinematics.chain_frames``' pairs, base first; world and
-    rotated are (3, n); pix is (2, n), as ``pixel_centers`` returns it, with
-    zeros where front is False. The arrays are never written after
-    construction, so states share them freely."""
+    scale) and world, the link clouds posed at theta as (3, n) columns; only
+    the returned result is validated. world is never written after
+    construction, so states share it freely."""
 
     theta: np.ndarray
     rotation: np.ndarray
     scale: float
-    frames: list
     world: np.ndarray
-    rotated: np.ndarray
-    pix: np.ndarray
-    front: np.ndarray
 
 
 class _Coordinate(NamedTuple):
     """A row of the coordinate table: the ``RefinerConfig`` field of its
-    first step, its index (a joint or a base-frame axis), ``point(cost,
-    state, index, step)``, the stepped (theta, rotation, scale), and
-    ``rows(cost, parent, index, theta, rotation, scale)``, that point's
-    (frames, world, rotated, pix, front) built from its parent's, where cost
-    is the ``_CachedObjective``."""
+    first step, its index (a joint or a base-frame axis), and ``point(cost,
+    state, index, step)``, the stepped (theta, rotation, scale, world),
+    where cost is the ``_CachedObjective`` and world is state's when theta
+    is unchanged, else None."""
 
     step: str
     index: int
     point: Callable
-    rows: Callable
 
 
 class _CachedObjective:
     """One minus the silhouette IoU of a search point against the observed
-    mask, evaluated from render rows, with a memo of every point evaluated
-    (see the module docstring)."""
+    mask, with a memo of every point evaluated (see the module docstring)."""
 
     def __init__(self, observed, chain, meshes, k, settings, base_pixel):
         if len(meshes) != chain.dof + 1:
@@ -206,30 +176,28 @@ class _CachedObjective:
         # bound methods would tie a cycle that outlives refine's return
         cls = type(self)
         self.coords = (
-            [_Coordinate("step_theta", j, cls._theta_point, cls._theta_rows) for j in range(chain.dof)]
-            + [_Coordinate("step_rot", i, cls._rotation_point, cls._rotation_rows) for i in range(3)]
-            + [_Coordinate("step_scale", 0, cls._scale_point, cls._scale_rows)]
+            [_Coordinate("step_theta", j, cls._theta_point) for j in range(chain.dof)]
+            + [_Coordinate("step_rot", i, cls._rotation_point) for i in range(3)]
+            + [_Coordinate("step_scale", 0, cls._scale_point)]
         )
 
     def start(self, theta, rotation, scale):
-        """(value, state) of the search's start point, built from scratch and
-        stored in the memo; theta is checked here."""
+        """(value, state) of the search's start point, stored in the memo;
+        theta is checked here."""
         check_configuration(self.chain, theta)
-        return self._evaluate(theta, rotation, scale)
+        return self._evaluate(theta, rotation, scale, None)
 
     def probe(self, state, coord, step):
         """(value, state) one step from state along coord, a row of
         self.coords; state is left untouched. A point evaluated before gives
         its stored value and None for its state, which the search never
         accepts (see the module docstring)."""
-        theta, rotation, scale = coord.point(self, state, coord.index, step)
-        return self._evaluate(theta, rotation, scale, state, coord)
+        return self._evaluate(*coord.point(self, state, coord.index, step))
 
     def pattern(self, state, theta, rotation, scale):
         """(value, state) at the pattern point of state x and an earlier point
         b = (theta, rotation, scale): theta 2 x - b clipped to the joint
-        limits, the rotation R_x R_b^T R_x, the scale 2 x - b. The point
-        moves every coordinate, so it is built from scratch; state is left
+        limits, the rotation R_x R_b^T R_x, the scale 2 x - b; state is left
         untouched.
 
         None when the scale is not positive; a point evaluated before gives
@@ -239,87 +207,46 @@ class _CachedObjective:
         if not scale > 0.0:
             return None
         theta = np.clip(2.0 * state.theta - theta, self.lo, self.hi)
-        return self._evaluate(theta, state.rotation @ rotation.T @ state.rotation, scale)
+        return self._evaluate(theta, state.rotation @ rotation.T @ state.rotation, scale, None)
 
-    def _evaluate(self, theta, rotation, scale, parent=None, coord=None):
+    def _evaluate(self, theta, rotation, scale, world):
         """(value, state) at (theta, rotation, scale): the stored value and
-        None for a point evaluated before; else a state built from parent's
-        rows along coord, or from scratch without a parent, whose value is
-        stored."""
+        None for a point evaluated before; else the state with world, the
+        clouds posed at theta here when world is None, whose value is stored."""
         key = _state_key(theta, rotation, scale)
         value = self.seen.get(key)
         if value is not None:
             return value, None
-        if parent is None:
-            state = self.build(theta, rotation, scale)
-        else:
-            state = self.moved(parent, coord, theta, rotation, scale)
+        if world is None:
+            world = self.clouds.pose(chain_frames(self.chain, theta, self.dh))
+        state = _State(theta, rotation, scale, world)
         value = self.seen[key] = self.value(state)
         return value, state
-
-    def build(self, theta, rotation, scale):
-        """The state at (theta, rotation, scale), built from scratch."""
-        frames = chain_frames(self.chain, theta, memo=self.dh)
-        world = self.clouds.pose(frames)
-        rotated = _camera_rows(world, rotation)
-        return _State(theta, rotation, scale, frames, world, rotated, *self._project(rotated, scale))
-
-    def moved(self, parent, coord, theta, rotation, scale):
-        """The state at (theta, rotation, scale), which differs from parent's
-        only along coord, built from parent's rows; parent is left untouched."""
-        return _State(theta, rotation, scale, *coord.rows(self, parent, coord.index, theta, rotation, scale))
 
     def _theta_point(self, state, j, step):
         theta = state.theta.copy()
         theta[j] = _clip(theta[j] + step, self.lo[j], self.hi[j])
-        return theta, state.rotation, state.scale
-
-    def _theta_rows(self, parent, j, theta, rotation, scale):
-        frames = chain_frames(self.chain, theta, parent.frames, j, self.dh)
-        start = (j + 1) * self.clouds.stack.shape[2]  # link j + 1's first column
-        world = np.empty_like(parent.world)
-        world[:, :start] = parent.world[:, :start]
-        self.clouds.pose(frames, j + 1, world)
-        # a one-column product takes another BLAS path than a stack does,
-        # so the suffix is multiplied together with the column before it
-        rotated = _camera_rows(world[:, start - 1 :], rotation)[:, 1:]
-        pix, front = self._project(rotated, scale)
-        return (
-            frames,
-            world,
-            np.concatenate([parent.rotated[:, :start], rotated], axis=1),
-            np.concatenate([parent.pix[:, :start], pix], axis=1),
-            np.concatenate([parent.front[:start], front]),
-        )
+        return theta, state.rotation, state.scale, None
 
     def _rotation_point(self, state, i, step):
-        return state.theta, state.rotation @ _axis_rotation(i, step), state.scale
-
-    def _rotation_rows(self, parent, i, theta, rotation, scale):
-        rotated = _camera_rows(parent.world, rotation)
-        return parent.frames, parent.world, rotated, *self._project(rotated, scale)
+        return state.theta, state.rotation @ _axis_rotation(i, step), state.scale, state.world
 
     def _scale_point(self, state, _, step):
-        return state.theta, state.rotation, state.scale * (1.0 + step)
-
-    def _scale_rows(self, parent, _, theta, rotation, scale):
-        return parent.frames, parent.world, parent.rotated, *self._project(parent.rotated, scale)
+        return state.theta, state.rotation, state.scale * (1.0 + step), state.world
 
     def value(self, state):
-        """1 - IoU of the state's splat window against the observed mask."""
-        splat = _splat_window(state.pix, state.front, self.k, self.radius)
+        """1 - IoU of the state's splat window against the observed mask: all
+        of its world columns rotated into the camera, projected and splatted
+        as render_silhouette does."""
+        pix, front = pixel_centers(_camera_rows(state.world, state.rotation), state.scale * self.ray, self.k)
+        splat = _splat_window(pix, front, self.k, self.radius)
         inter = drawn = 0
         if splat is not None:
             window, y0, x0 = splat
             h, w = window.shape
             drawn = np.count_nonzero(window)
             inter = np.count_nonzero(window & self.observed[y0 : y0 + h, x0 : x0 + w])
-        union = drawn + self.n_observed - inter
-        return 1.0 - (1.0 if union == 0 else float(inter) / union)
-
-    def _project(self, rotated, scale):
-        """(pix, front) of camera-rotated rows, as render_silhouette projects them."""
-        return pixel_centers(rotated, scale * self.ray, self.k)
+        return 1.0 - _iou_of_counts(inter, drawn, self.n_observed)
 
 
 def _axis_rotation(axis, angle):
@@ -387,7 +314,7 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
         used = 0
         while used < budget:
             moved = False
-            # the sweep's start point; its coordinates only, not its rows
+            # the sweep's start point; its coordinates only, not its world
             base = state.theta, state.rotation, state.scale
             for coord, step in zip(cost.coords, steps):
                 if used >= budget:

@@ -15,7 +15,7 @@ Render rows are coordinate-major: n points are one (3, n) array, x, y and z
 on rows 0, 1 and 2, so each transform is one ``R @ cols + t[:, None]`` and
 each coordinate is one contiguous run. Link clouds are posed in one place,
 ``_LinkClouds.pose`` (one stacked product, for render_link_clouds and the
-refiner's cache alike), and rotated into the camera in one place,
+refiner's objective alike), and rotated into the camera in one place,
 ``_camera_rows``. Camera-rotated columns and
 the camera translation become pixel centers in one place,
 ``pixel_centers``, which translates, projects and rounds half up, and the
@@ -213,10 +213,8 @@ def _mask(pix, front, k, r):
 
 def _camera_rows(cols, rotation):
     """Columns (3, n) rotated into the camera, rotation @ cols: the one
-    camera-rotation product that render_silhouette and the refiner's cache
-    share. Over two or more columns, any run of columns of the product has
-    the bits the product of that run alone gives (a property of the BLAS
-    that the tests check); a one-column product takes another path."""
+    camera-rotation product that render_silhouette and the refiner's
+    objective share."""
     return rotation @ cols
 
 
@@ -324,7 +322,7 @@ def render_link_clouds(clouds, frames, pose, k, settings):
 class _LinkClouds:
     """``sample_link_clouds``' clouds, all of one sample count m, posed as
     world columns (3, n) stacked link by link, so link i's columns start at
-    i * m: the one pose of render_link_clouds and the refiner's cache."""
+    i * m: the one pose of render_link_clouds and the refiner's objective."""
 
     def __init__(self, clouds):
         if len(clouds) == 0:
@@ -335,19 +333,18 @@ class _LinkClouds:
         # the clouds as one (links, 3, m) stack
         self.stack = np.stack([cloud.T for cloud in clouds])
 
-    def pose(self, frames, first=0, world=None):
-        """world (3, n), allocated when None, with links first.. posed under
-        frames[first:], ``kinematics.chain_frames``' pairs, by one stacked
-        product and one translation add: each link's columns have the bits
-        of ``frame.apply(cloud).T``, and earlier columns are left as they are."""
+    def pose(self, frames):
+        """The world columns (3, n) of the clouds posed under frames,
+        ``kinematics.chain_frames``' pairs, by one stacked product and one
+        translation add: each link's columns have the bits of
+        ``frame.apply(cloud).T``."""
         links, _, m = self.stack.shape
-        if world is None:
-            world = np.empty((3, links * m))
-        rot = np.array([r for r, _ in frames[first:]])
-        tra = np.array([t for _, t in frames[first:]])
-        # world's columns of links first.., as (3, links - first, m)
-        cols = world.reshape(3, links, m)[:, first:]
-        np.matmul(rot, self.stack[first:], out=cols.transpose(1, 0, 2))
+        world = np.empty((3, links * m))
+        rot = np.array([r for r, _ in frames])
+        tra = np.array([t for _, t in frames])
+        # world's columns by link, as (3, links, m)
+        cols = world.reshape(3, links, m)
+        np.matmul(rot, self.stack, out=cols.transpose(1, 0, 2))
         cols += tra.T[:, :, None]
         return world
 
@@ -358,11 +355,14 @@ def silhouette_iou(a, b):
     mb = np.asarray(b, dtype=bool)
     if ma.shape != mb.shape:
         raise ValueError(f"mask shapes differ: {ma.shape} vs {mb.shape}")
-    inter = np.count_nonzero(ma & mb)
-    union = np.count_nonzero(ma) + np.count_nonzero(mb) - inter
-    if union == 0:
-        return 1.0
-    return float(inter) / union
+    return _iou_of_counts(np.count_nonzero(ma & mb), np.count_nonzero(ma), np.count_nonzero(mb))
+
+
+def _iou_of_counts(inter, count_a, count_b):
+    """The IoU of two masks from their pixel counts and the count of their
+    intersection: inter / (count_a + count_b - inter), 1 when the union is empty."""
+    union = count_a + count_b - inter
+    return 1.0 if union == 0 else float(inter) / union
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,19 @@ def test_translation_reproduces_base_pixel():
         Estimate(np.zeros(7), np.eye(3), -1.0, [0.0, 0.0])
 
 
+def test_from_pose_rejects_a_base_not_past_the_near_plane():
+    # project gives a base at or before the near plane the pixel of depth 1,
+    # which is no estimate of that pose
+    k = _camera()
+    for z in (5e-7, poseinit.NEAR_PLANE, 0.0, -1.0):
+        with pytest.raises(ValueError, match="near plane"):
+            Estimate.from_pose(np.zeros(7), RigidTransform(np.eye(3), [0.1, -0.05, z]), k)
+    pose = RigidTransform(np.eye(3), [0.1, -0.05, 2.0 * poseinit.NEAR_PLANE])
+    est = Estimate.from_pose(np.zeros(7), pose, k)
+    assert est.scale == pose.translation[2]
+    assert np.allclose(est.pose(k).translation, pose.translation, rtol=1e-9, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # assembled initialization
 

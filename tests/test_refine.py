@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import json
 import math
 import warnings
@@ -40,7 +41,7 @@ from armpose.distgeo import (
     train_gim,
 )
 from armpose.refine import _CachedObjective, _clip
-from armpose.silhouette import _camera_rows
+from armpose.silhouette import _camera_rows, pixel_centers
 
 
 def _random_rotation(rng):
@@ -466,19 +467,13 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
     cfg = RefinerConfig()
 
     values, renders, probes, patterns = {}, [], [], []
-    real_value, real_moved, real_build = _CachedObjective.value, _CachedObjective.moved, _CachedObjective.build
+    real_value = _CachedObjective.value
 
     def value(self, state):
-        # the states are kept alive, so no two of them share an id
+        # one render per call; the states are kept alive, so no two share an id
+        renders.append(state)
         values[id(state)] = (state, real_value(self, state))
         return values[id(state)][1]
-
-    def render(real):
-        def rendered(self, *args):
-            renders.append(args)
-            return real(self, *args)
-
-        return rendered
 
     def counted(real, made):
         def probe(self, parent, *args):
@@ -492,15 +487,13 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
         return probe
 
     monkeypatch.setattr(_CachedObjective, "value", value)
-    monkeypatch.setattr(_CachedObjective, "moved", render(real_moved))
-    monkeypatch.setattr(_CachedObjective, "build", render(real_build))
     monkeypatch.setattr(_CachedObjective, "probe", counted(_CachedObjective.probe, probes))
     monkeypatch.setattr(_CachedObjective, "pattern", counted(_CachedObjective.pattern, patterns))
     _, trace = refine(start, mask, chain, meshes, k, cfg, settings)
 
-    # the start point is built before any probe; a pattern point is a probe,
-    # and a render unless it revisits a point, like any other
-    assert renders.pop(0)[0] is start.theta
+    # the start point is rendered before any probe; a pattern point is a
+    # probe, and a render unless it revisits a point, like any other
+    assert renders.pop(0).theta is start.theta
     assert patterns
     probes += patterns
     hits = [(stored, incumbent) for stored, incumbent, rendered in probes if not rendered]
@@ -653,7 +646,7 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     if case == "splat_radius_0":
         settings = RenderSettings(splat_radius=0)
     elif case == "one_sample":
-        settings = RenderSettings(samples_per_link=1)  # one-row theta suffixes
+        settings = RenderSettings(samples_per_link=1)  # one column per link
     elif case == "near_plane":
         scale *= 0.1
     elif case == "off_image":
@@ -665,43 +658,62 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     rotation = scene.pose.rotation @ _turn(0, 0.04) @ _turn(1, -0.03) @ _turn(2, 0.05)
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
     assert [(coord.step, coord.index) for coord in cost.coords] == _PROBES
-    _, rows = cost.start(theta, rotation, scale)
+    _, state = cost.start(theta, rotation, scale)
+    pix, front = pixel_centers(_camera_rows(state.world, rotation), scale * cost.ray, k)
     if case == "near_plane":
-        assert rows.front.any() and not rows.front.all()
+        assert front.any() and not front.all()
     if case == "off_image":
-        assert rows.pix[0].max() >= k.width + settings.splat_radius  # the clip branch runs
-    assert cost.value(rows) == _full_render_objective(
+        assert pix[0].max() >= k.width + settings.splat_radius  # the clip branch runs
+    assert cost.value(state) == _full_render_objective(
         chain, meshes, settings, k, observed, theta, rotation, scale, base_pixel
     )
 
-    # a one-row product misses the stack's bits in about half the draws on
-    # some BLAS builds, so that case runs enough rounds to see it
-    rounds = 12 if case == "one_sample" else 2
     spread = {"step_theta": 0.2, "step_rot": 0.05, "step_scale": 0.05}
-    for step, coord in enumerate(cost.coords * rounds):
+    for step, coord in enumerate(cost.coords * 2):
         size = rng.uniform(-1.0, 1.0) * spread[coord.step]
-        new_theta, new_rotation, new_scale = coord.point(cost, rows, coord.index, size)
+        new_theta, new_rotation, new_scale, world = coord.point(cost, state, coord.index, size)
         if coord.step == "step_rot":  # the closed-form turn about base-frame axis i
             assert np.array_equal(new_rotation, rotation @ _turn(coord.index, size))
-        names = ("world", "rotated", "pix", "front")
-        before = [getattr(rows, name).copy() for name in names]
-        moved = cost.moved(rows, coord, new_theta, new_rotation, new_scale)
+        # a theta probe poses the clouds afresh; any other keeps its parent's
+        assert world is None if coord.step == "step_theta" else world is state.world
+        before = state.world.copy()
+        value, probed = cost.probe(state, coord, size)
         want = _full_render_objective(
             chain, meshes, settings, k, observed, new_theta, new_rotation, new_scale, base_pixel
         )
-        assert cost.value(moved) == want, coord[:2]
-        # the parent's rows are untouched, and the probe's equal a fresh build
-        assert all(np.array_equal(old, getattr(rows, name)) for old, name in zip(before, names))
-        fresh = cost.build(new_theta, new_rotation, new_scale)
-        assert all(np.array_equal(getattr(moved, name), getattr(fresh, name)) for name in names)
-        if step % 2 == 0:  # adopt the probe's rows, as an accepted move does
-            theta, rotation, scale, rows = new_theta, new_rotation, new_scale, moved
+        assert value == want, coord[:2]
+        # the parent's world is untouched, and the probe's is its theta's pose
+        assert np.array_equal(state.world, before)
+        if probed is None:  # a theta step clipped back onto a point evaluated before
+            continue
+        assert np.array_equal(probed.world, cost.clouds.pose(chain_frames(chain, new_theta)))
+        if step % 2 == 0:  # adopt the probe, as an accepted move does
+            theta, rotation, scale, state = new_theta, new_rotation, new_scale, probed
+
+
+def test_every_render_rotates_all_columns(monkeypatch):
+    """The objective renders every evaluated point in full: each camera
+    product of a refine, at the start, a probe or a pattern point, takes all
+    n columns of the posed link clouds."""
+    chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
+    theta = np.clip(truth.theta + 0.1, *chain.limits())
+    start = Estimate(theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
+    n = (chain.dof + 1) * settings.samples_per_link
+    widths = []
+
+    def camera_rows(cols, rotation):
+        widths.append(cols.shape)
+        return _camera_rows(cols, rotation)
+
+    # the module, which the package's refine function shadows as an attribute
+    monkeypatch.setattr(importlib.import_module("armpose.refine"), "_camera_rows", camera_rows)
+    refine(start, mask, chain, meshes, k, RefinerConfig(inner_evals_per_iteration=60), settings)
+    assert len(widths) > 1 and set(widths) == {(3, n)}
 
 
 @pytest.mark.parametrize("name", ["panda7", "planar2"])
-def test_chain_frames_from_every_first_match_forward_kinematics(name):
-    """A theta probe's frames come from its parent's: chain_frames keeps
-    frames[:first + 1] and composes joints first.. with one memo shared
+def test_chain_frames_through_a_shared_memo_match_forward_kinematics(name):
+    """chain_frames composes the joints with one memo of DH locals shared
     across calls, as the cached objective does. Every frame has the bits
     forward_kinematics gives it, angles at a joint limit included, whether
     its DH local is composed or read from the memo."""
@@ -709,38 +721,21 @@ def test_chain_frames_from_every_first_match_forward_kinematics(name):
     lo, hi = chain.limits()
     rng = np.random.default_rng(4)
     memo = {}
-    parent_theta = rng.uniform(lo, hi)
-    parent = chain_frames(chain, parent_theta, memo=memo)
-    kept = list(parent)
-    for first in range(chain.dof):
+    first_theta = rng.uniform(lo, hi)
+    chain_frames(chain, first_theta, memo)
+    for changed in range(chain.dof):
         for bound in (lo, hi, None):
-            theta = parent_theta.copy()
-            theta[first:] = rng.uniform(lo, hi)[first:] if bound is None else bound[first:]
+            # joints changed.. move, so the walk mixes stored and new locals
+            theta = first_theta.copy()
+            theta[changed:] = rng.uniform(lo, hi)[changed:] if bound is None else bound[changed:]
             want = [chain.base_frame] + forward_kinematics(chain, theta)
             for _ in range(2):  # the second walk reads every DH local from the memo
-                got = chain_frames(chain, theta, parent, first, memo)
+                got = chain_frames(chain, theta, memo)
                 assert len(got) == chain.dof + 1
                 assert all(
                     np.array_equal(r, f.rotation) and np.array_equal(t, f.translation) for (r, t), f in zip(got, want)
-                ), (first, bound is None)
-                assert all(a is b for a, b in zip(got[: first + 1], parent))
-    # the parent's list is left as it was
-    assert len(parent) == len(kept) and all(a is b for a, b in zip(parent, kept))
-    assert set(memo) >= {(i, parent_theta[i].tobytes()) for i in range(chain.dof)}
-
-
-def test_camera_rotation_rows_match_the_full_product():
-    """The BLAS property on (n, 3) rows: over a stack of two or more rows,
-    W[s:e] @ R.T equals rows s:e of W @ R.T bit for bit. The cached
-    objective relies on its column form, checked below."""
-    rng = np.random.default_rng(9)
-    for n in (2, 3, 8, 601, 4800):
-        w = rng.normal(size=(n, 3))
-        rot = _random_rotation(rng)
-        full = w @ rot.T
-        for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
-            assert np.array_equal(w[s:] @ rot.T, full[s:]), (n, s)
-            assert np.array_equal(w[s : s + 2] @ rot.T, full[s : s + 2]), (n, s)
+                ), (changed, bound is None)
+    assert set(memo) >= {(i, first_theta[i].tobytes()) for i in range(chain.dof)}
 
 
 def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
@@ -766,23 +761,9 @@ def test_pattern_point_is_the_sweep_move_repeated_and_scores_as_a_full_render():
     assert value == _full_render_objective(
         chain, meshes, settings, k, observed, p.theta, p.rotation, p.scale, base_pixel
     )
-    fresh = cost.build(p.theta, p.rotation, p.scale)
-    assert all(np.array_equal(getattr(p, name), getattr(fresh, name)) for name in ("world", "rotated", "pix", "front"))
+    assert np.array_equal(p.world, cost.clouds.pose(chain_frames(chain, p.theta)))
     # a point evaluated before gives its stored value and no state
     assert cost.pattern(x, base_theta, base_rotation, 0.95 * scale) == (value, None)
     # a scale that is not positive is no probe
     assert cost.pattern(x, base_theta, base_rotation, 2.0 * scale) is None
 
-
-def test_camera_rows_of_a_stack_match_the_full_product():
-    """The same BLAS property for the product the renderer and the cached
-    objective both make, ``_camera_rows``, on (3, n) columns: any run of two
-    or more columns has the bits of the full product's columns."""
-    rng = np.random.default_rng(10)
-    for n in (2, 3, 8, 601, 4800):
-        w = rng.normal(size=(3, n))
-        rot = _random_rotation(rng)
-        full = _camera_rows(w, rot)
-        for s in sorted({0, 1, n // 3, n // 2, n - 2} - {n - 1}):
-            assert np.array_equal(_camera_rows(w[:, s:], rot), full[:, s:]), (n, s)
-            assert np.array_equal(_camera_rows(w[:, s : s + 2], rot), full[:, s : s + 2]), (n, s)
