@@ -147,3 +147,10 @@ def atomic_write_bytes(path, data):
 
 def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path, header, rows):
+    """Write the header line, then one line per row: each string as it is,
+    each int or float as its repr (a numpy scalar would print its type)."""
+    lines = (",".join(v if type(v) is str else repr(v) for v in row) for row in (header, *rows))
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, json_field, read_json, read_jsonl
+from ._io import DatasetFormatError, atomic_write_text, json_field, read_json, read_jsonl, write_csv
 from .datagen import (
     SamplerConfig,
     SceneGenerationError,
@@ -37,6 +37,7 @@ from .distgeo import (
     TrainConfig,
     TrainingDivergedError,
     edm_from_configuration,
+    edm_from_points,
     init_regressor,
     keypoint_features,
     load_regressor,
@@ -153,26 +154,22 @@ def _render_settings(args):
     )
 
 
-def _workers(count):
-    return count if count >= 1 else (os.cpu_count() or 1)
-
-
-def _parallel_map(fn, payloads, workers):
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
-
-
 def _scene_rows(worker, payloads, workers, none_done):
-    """Run a per-scene worker over payloads; its (index, result, error) rows
-    sorted by scene index.
+    """Run a per-scene worker over payloads, in this process when workers is
+    1 and in a pool of that many processes otherwise (0 = all cores); its
+    (index, result, error) rows sorted by scene index.
 
     A worker returns result None and an error text for a scene it could not
     do; each such scene gets one warning. Raises DatasetFormatError(none_done)
     when no scene succeeded.
     """
-    rows = sorted(_parallel_map(worker, payloads, workers), key=lambda r: r[0])
+    workers = min(workers or os.cpu_count() or 1, len(payloads))
+    if workers <= 1:
+        rows = [worker(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(worker, payloads))
+    rows.sort(key=lambda r: r[0])
     for index, result, error in rows:
         if result is None:
             print(f"warning: scene {index}: {error}", file=sys.stderr)
@@ -246,8 +243,7 @@ def _gen_worker(payload):
     try:
         return index, build_scene(chain, cfg, seed, index, meshes, settings), None
     except SceneGenerationError as exc:
-        # build_scene's message starts with the scene, which the warning names already
-        return index, None, f"{type(exc).__name__}: {str(exc).removeprefix(f'scene {index}: ')}"
+        return index, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_gen(args):
@@ -268,7 +264,7 @@ def cmd_gen(args):
     payloads = [
         (chain, cfg, args.seed, index, meshes, settings) for index in range(args.count)
     ]
-    rows = _scene_rows(_gen_worker, payloads, _workers(args.workers), "every scene failed to sample")
+    rows = _scene_rows(_gen_worker, payloads, args.workers, "every scene failed to sample")
     scenes, masks = zip(*(result for _, result, _ in rows if result is not None))
     write_dataset(args.out, chain, cfg, scenes, masks)
     print(f"wrote {len(scenes)} scenes to {args.out}")
@@ -311,8 +307,7 @@ def cmd_train_gim(args):
     net, trace, adam_state = train_gim(net, dataset, cfg, adam_state)
     save_regressor(net, args.out, trainer_state=adam_state)
     if args.trace:
-        rows = "\n".join(f"{step},{loss!r}" for step, loss in trace)
-        atomic_write_text(args.trace, "step,loss\n" + rows + "\n")
+        write_csv(args.trace, ("step", "loss"), trace)
     print(f"trained {cfg.steps - cfg.start_step} steps, final loss {trace[-1][1]:.6g}, saved {args.out}")
 
 
@@ -324,8 +319,8 @@ def _estimate_scene(payload):
     chain, k, scene, net, oracle, freeze, seed = payload
     try:
         if oracle:
-            d = edm_from_configuration(chain, scene.theta)
             targets = joint_points(chain, scene.theta)
+            d = edm_from_points(targets)
         else:
             feats = keypoint_features(scene.keypoints, k.width, k.height)
             rng = None if freeze else np.random.default_rng(np.random.SeedSequence((seed, scene.index)))
@@ -348,7 +343,7 @@ def cmd_estimate(args):
         (chain, k, scene, net, args.oracle_edm, args.freeze_dropout, args.seed)
         for scene in scenes
     ]
-    rows = _scene_rows(_estimate_scene, payloads, _workers(args.workers), "no scene produced an estimate")
+    rows = _scene_rows(_estimate_scene, payloads, args.workers, "no scene produced an estimate")
     good = sum(1 for _, est, _ in rows if est is not None)
     _write_estimates(args.out, rows)
     print(f"estimated {good}/{len(rows)} scenes, wrote {args.out}")
@@ -359,7 +354,9 @@ def cmd_estimate(args):
 
 
 def _refine_worker(payload):
-    chain, k, data_dir, scene, est, meshes, cfg, settings = payload
+    chain, k, data_dir, scene, est, error, meshes, cfg, settings = payload
+    if est is None:  # the estimate failed; its row keeps that error
+        return scene.index, None, error
     try:
         observed = load_scene_mask(data_dir, scene, k)
         truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")  # lets traces carry ADD
@@ -382,30 +379,18 @@ def cmd_refine(args):
     settings = _render_settings(args)
     meshes = default_link_meshes(chain)
     payloads = [
-        (chain, k, args.data, scene, est, meshes, cfg, settings)
-        for scene, est, _ in estimates
-        if est is not None
+        (chain, k, args.data, scene, est, error, meshes, cfg, settings) for scene, est, error in estimates
     ]
-    done = _scene_rows(_refine_worker, payloads, _workers(args.workers), "no estimate could be refined")
-    outcome = {index: (result, error) for index, result, error in done}
-    rows, traces = [], []
-    for scene, _, error in sorted(estimates, key=lambda r: r[0].index):
-        result, error = outcome.get(scene.index, (None, error))
-        refined, trace = result or (None, None)
-        rows.append((scene.index, refined, error))
-        if trace is not None:
-            traces.append((scene.index, trace))
-    _write_estimates(args.out, rows)
+    rows = _scene_rows(_refine_worker, payloads, args.workers, "no estimate could be refined")
+    _write_estimates(args.out, [(index, result and result[0], error) for index, result, error in rows])
+    traces = [(index, result[1]) for index, result, _ in rows if result is not None]
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
         for index, trace in traces:
-            lines = ["iteration,evals,objective,add"]
-            lines += [
-                f"{r['iteration']},{r['evaluations']},{r['objective']!r},{r['point_error']!r}"
-                for r in trace
-            ]
-            atomic_write_text(
-                os.path.join(args.trace_dir, f"trace_{index:05d}.csv"), "\n".join(lines) + "\n"
+            write_csv(
+                os.path.join(args.trace_dir, f"trace_{index:05d}.csv"),
+                ("iteration", "evals", "objective", "add"),
+                [(r["iteration"], r["evaluations"], r["objective"], r["point_error"]) for r in trace],
             )
     print(f"refined {len(traces)}/{len(rows)} scenes, wrote {args.out}")
 

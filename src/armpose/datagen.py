@@ -191,9 +191,7 @@ def sample_scene(chain, cfg, seed, index):
         keypoints = project_keypoints(points, pose, k)
         if scale_link_visible(keypoints.visible) and keypoints.visible.sum() >= MIN_CORRESPONDENCES:
             return theta, pose, keypoints
-    raise SceneGenerationError(
-        f"scene {index}: no valid view in {MAX_SCENE_ATTEMPTS} attempts"
-    )
+    raise SceneGenerationError(f"no valid view in {MAX_SCENE_ATTEMPTS} attempts")
 
 
 def draw_scene(chain, cfg, seed, index):

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, write_csv
 from .kinematics import skeleton_keypoints, wrap_angle
 
 # ADD threshold (m) of the area-under-curve score
@@ -94,11 +92,7 @@ def write_report_json(report, path):
 
 def write_report_csv(report, path):
     """CSV mirror of the per-scene table, aggregate row last."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scene_index", "add", "mae_deg"])
-    for row in report["per_scene"]:
-        writer.writerow([row["scene_index"], repr(row["add"]), repr(row["mae_deg"])])
     agg = report["aggregate"]
-    writer.writerow(["aggregate", repr(agg["mean_add"]), repr(agg["mae_deg"])])
-    atomic_write_text(path, buf.getvalue())
+    rows = [(row["scene_index"], row["add"], row["mae_deg"]) for row in report["per_scene"]]
+    rows.append(("aggregate", agg["mean_add"], agg["mae_deg"]))
+    write_csv(path, ("scene_index", "add", "mae_deg"), rows)

@@ -35,7 +35,7 @@ projects and splats all n columns, so it is bitwise equal to ``1 -
 silhouette_iou(render_link_clouds(...), observed)``: the frames come from
 the walk ``forward_kinematics`` wraps, the world columns from
 render_link_clouds' own pose, ``_LinkClouds.pose``, the camera rows from
-the same ``_camera_rows`` product over the same columns, and the
+the same ``R @ cols`` product over the same columns, and the
 translation, the scale times the ray through the base pixel at depth 1
 (read once per refine call), has the bits of ``CameraIntrinsics.backproject``
 at that scale. The splat window holds every disc pixel inside the image,
@@ -70,7 +70,7 @@ from ._io import check_float_fields, check_int_fields
 from .kinematics import chain_frames, check_configuration
 from .metrics import add_metric
 from .poseinit import Estimate, _camera_pose
-from .silhouette import RenderSettings, _camera_rows, _iou_of_counts, _LinkClouds, _splat_window
+from .silhouette import RenderSettings, _iou_of_counts, _LinkClouds, _splat_window
 from .silhouette import pixel_centers, sample_link_clouds
 from .silhouette import render_link_clouds  # noqa: F401  (perfbench's tracer wraps it here)
 
@@ -238,7 +238,7 @@ class _CachedObjective:
         """1 - IoU of the state's splat window against the observed mask: all
         of its world columns rotated into the camera, projected and splatted
         as render_silhouette does."""
-        pix, front = pixel_centers(_camera_rows(state.world, state.rotation), state.scale * self.ray, self.k)
+        pix, front = pixel_centers(state.rotation @ state.world, state.scale * self.ray, self.k)
         splat = _splat_window(pix, front, self.k, self.radius)
         inter = drawn = 0
         if splat is not None:

@@ -15,8 +15,8 @@ Render rows are coordinate-major: n points are one (3, n) array, x, y and z
 on rows 0, 1 and 2, so each transform is one ``R @ cols + t[:, None]`` and
 each coordinate is one contiguous run. Link clouds are posed in one place,
 ``_LinkClouds.pose`` (one stacked product, for render_link_clouds and the
-refiner's objective alike), and rotated into the camera in one place,
-``_camera_rows``. Camera-rotated columns and
+refiner's objective alike), and rotated into the camera by the plain
+product ``R @ cols``. Camera-rotated columns and
 the camera translation become pixel centers in one place,
 ``pixel_centers``, which translates, projects and rounds half up, and the
 splat has one implementation, ``_splat_window``:
@@ -198,7 +198,7 @@ def _point_centers(points, pose, k):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
-    return pixel_centers(_camera_rows(pts.T, pose.rotation), pose.translation, k)
+    return pixel_centers(pose.rotation @ pts.T, pose.translation, k)
 
 
 def _mask(pix, front, k, r):
@@ -209,13 +209,6 @@ def _mask(pix, front, k, r):
         window, y0, x0 = splat
         bits[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]] = window
     return bits
-
-
-def _camera_rows(cols, rotation):
-    """Columns (3, n) rotated into the camera, rotation @ cols: the one
-    camera-rotation product that render_silhouette and the refiner's
-    objective share."""
-    return rotation @ cols
 
 
 def pixel_centers(rotated, t, k):

@@ -207,12 +207,17 @@ def test_gen_writes_the_golden_bytes(tmp_path, workers):
     assert _gen_tree_sha256(roots) == GOLDEN_GEN_SHA256
 
 
-def test_gen_all_scenes_failing_exits_five(tmp_path):
+def test_gen_all_scenes_failing_exits_five(tmp_path, capsys):
     code = run(
         "gen", "--out", tmp_path / "d", "--count", 2, "--workers", 1,
         "--image-size", 8, 8, "--focal", 5000,
     )
     assert code == 5
+    # the warning names the scene once, ahead of the sampler's own message
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warned == [
+        f"warning: scene {index}: SceneGenerationError: no valid view in 50 attempts" for index in (0, 1)
+    ]
 
 
 def test_oracle_estimate_recovers_truth_on_level_camera(fronto_dataset, tmp_path, capsys):
@@ -410,23 +415,37 @@ def test_refine_bad_step_size_exits_two(fronto_dataset, tmp_path, capsys, flag, 
     assert not out.exists()
 
 
-def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path):
+def test_refine_passes_failed_estimates_through(fronto_dataset, tmp_path, capsys):
+    """An estimate that failed upstream keeps its error row. It and a refine
+    that fails each get one warning, in scene order whatever the file order;
+    the inherited warning names the estimate's own error."""
+    from armpose import write_pgm
+
+    data = shutil.copytree(fronto_dataset, tmp_path / "data")
+    write_pgm(str(data / "silhouettes" / "scene_00003.pgm"), np.zeros((100, 100), dtype=bool))
     est = tmp_path / "est.jsonl"
-    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    assert run("estimate", "--data", data, "--out", est, "--oracle-edm", "--workers", 1) == 0
     lines = est.read_text().splitlines()
-    first = json.loads(lines[0])
-    lines[0] = json.dumps({"index": first["index"], "error": "ValueError: synthetic failure"})
-    est.write_text("\n".join(lines) + "\n")
+    lines[1] = json.dumps({"index": json.loads(lines[1])["index"], "error": "ValueError: synthetic failure"})
+    est.write_text("\n".join(reversed(lines)) + "\n")
+    capsys.readouterr()
     refined = tmp_path / "refined.jsonl"
     code = run(
-        "refine", "--data", fronto_dataset, "--estimates", est, "--out", refined,
+        "refine", "--data", data, "--estimates", est, "--out", refined,
         "--iterations", 1, "--evals-per-iteration", 5, "--samples-per-link", 100,
         "--workers", 1,
     )
     assert code == 0
+    out, err = capsys.readouterr()
+    warned = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warned) == 2
+    assert warned[0] == "warning: scene 1: ValueError: synthetic failure"
+    assert warned[1].startswith("warning: scene 3:") and "silhouettes/scene_00003.pgm" in warned[1]
     rows = [json.loads(line) for line in refined.read_text().splitlines()]
-    assert rows[0]["error"] == "ValueError: synthetic failure"
-    assert all("error" not in row for row in rows[1:])
+    assert [row["index"] for row in rows] == [0, 1, 2, 3, 4]
+    assert rows[1]["error"] == "ValueError: synthetic failure"
+    assert [("error" in row) for row in rows] == [False, True, False, True, False]
+    assert out.startswith("refined 3/5 scenes")
 
 
 def test_refine_is_the_same_in_a_process_pool(fronto_dataset, tmp_path):

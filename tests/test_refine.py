@@ -41,7 +41,7 @@ from armpose.distgeo import (
     train_gim,
 )
 from armpose.refine import _CachedObjective, _clip
-from armpose.silhouette import _camera_rows, pixel_centers
+from armpose.silhouette import pixel_centers
 
 
 def _random_rotation(rng):
@@ -659,7 +659,7 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
     cost = _CachedObjective(observed, chain, meshes, k, settings, base_pixel)
     assert [(coord.step, coord.index) for coord in cost.coords] == _PROBES
     _, state = cost.start(theta, rotation, scale)
-    pix, front = pixel_centers(_camera_rows(state.world, rotation), scale * cost.ray, k)
+    pix, front = pixel_centers(rotation @ state.world, scale * cost.ray, k)
     if case == "near_plane":
         assert front.any() and not front.all()
     if case == "off_image":
@@ -692,21 +692,21 @@ def test_cached_objective_equals_full_render_for_every_probe(case):
 
 
 def test_every_render_rotates_all_columns(monkeypatch):
-    """The objective renders every evaluated point in full: each camera
-    product of a refine, at the start, a probe or a pattern point, takes all
-    n columns of the posed link clouds."""
+    """The objective renders every evaluated point in full: each pixel-center
+    call of a refine, at the start, a probe or a pattern point, takes all n
+    camera-rotated columns of the posed link clouds."""
     chain, k, meshes, settings, scene, mask, truth = _scene_and_truth()
     theta = np.clip(truth.theta + 0.1, *chain.limits())
     start = Estimate(theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
     n = (chain.dof + 1) * settings.samples_per_link
     widths = []
 
-    def camera_rows(cols, rotation):
-        widths.append(cols.shape)
-        return _camera_rows(cols, rotation)
+    def centers(rotated, t, k):
+        widths.append(rotated.shape)
+        return pixel_centers(rotated, t, k)
 
     # the module, which the package's refine function shadows as an attribute
-    monkeypatch.setattr(importlib.import_module("armpose.refine"), "_camera_rows", camera_rows)
+    monkeypatch.setattr(importlib.import_module("armpose.refine"), "pixel_centers", centers)
     refine(start, mask, chain, meshes, k, RefinerConfig(inner_evals_per_iteration=60), settings)
     assert len(widths) > 1 and set(widths) == {(3, n)}
 

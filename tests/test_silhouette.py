@@ -25,7 +25,7 @@ from armpose import (
 from armpose.poseinit import NEAR_PLANE
 from armpose.kinematics import chain_frames
 from armpose import silhouette
-from armpose.silhouette import _camera_rows, _disc_rows, _LinkClouds, _splat_window, pixel_centers
+from armpose.silhouette import _disc_rows, _LinkClouds, _splat_window, pixel_centers
 
 
 def _cube_mesh(center, half):
@@ -455,7 +455,7 @@ def test_link_clouds_pose_is_each_frame_apply_as_columns(samples):
         assert cols.shape == (3, 8 * samples) and np.array_equal(cols, want), samples
         rotation = _random_rotation(rng)
         rowwise = want.T @ np.ascontiguousarray(rotation.T)  # the camera product on (n, 3) rows
-        assert np.array_equal(_camera_rows(cols, rotation), rowwise.T), samples
+        assert np.array_equal(rotation @ cols, rowwise.T), samples
 
 
 def test_render_link_clouds_checks_its_clouds():
