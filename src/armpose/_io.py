@@ -4,7 +4,9 @@ Writes are atomic: stage into a sibling temp file, then rename over. Every
 JSON input file is read through read_json or read_jsonl, which turn text
 that does not parse, or a record its parser rejects, into a
 DatasetFormatError naming the file (and line). A missing file stays a
-FileNotFoundError.
+FileNotFoundError. Every JSON, JSONL and CSV output file is written through
+write_json, write_jsonl or write_csv, so this is the only module that
+imports json and the one place each output layout is decided.
 
 This module also owns the field types: every field of every record, and
 every --config value, is read through json_field, so what counts as a JSON
@@ -154,3 +156,13 @@ def write_csv(path, header, rows):
     each int or float as its repr (a numpy scalar would print its type)."""
     lines = (",".join(v if type(v) is str else repr(v) for v in row) for row in (header, *rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, value, indent=2):
+    """Write value as JSON, indented by indent spaces (None: one line), then a newline."""
+    atomic_write_text(path, json.dumps(value, indent=indent) + "\n")
+
+
+def write_jsonl(path, records):
+    """Write each record as one line of JSON."""
+    atomic_write_text(path, "".join(json.dumps(record) + "\n" for record in records))

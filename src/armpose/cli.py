@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 import warnings
@@ -23,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ._io import DatasetFormatError, atomic_write_text, json_field, read_json, read_jsonl, write_csv
+from ._io import DatasetFormatError, json_field, read_json, read_jsonl, write_csv, write_jsonl
 from .datagen import (
     SamplerConfig,
     SceneGenerationError,
@@ -225,13 +224,8 @@ def _chain_regressor(path, chain):
 
 
 def _write_estimates(path, rows):
-    lines = []
-    for index, est, error in rows:
-        if est is None:
-            lines.append(json.dumps({"index": index, "error": error}))
-        else:
-            lines.append(json.dumps({"index": index, **est.to_json()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = ({"index": index, **({"error": error} if est is None else est.to_json())} for index, est, error in rows)
+    write_jsonl(path, records)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Synthetic scene generation: configurations, cameras, keypoints, masks.
 
-A dataset directory holds chain.json, camera.json, scenes.jsonl (one JSON
-object per line, fixed key order) and silhouettes/scene_%05d.pgm. Every
+A dataset directory holds chain.json, camera.json, sampler.json,
+scenes.jsonl (one JSON object per line, fixed key order) and
+silhouettes/scene_%05d.pgm, all written through _io. Every
 random draw is keyed by (dataset seed, scene index, purpose), so scenes are
 reproducible individually and independent of generation order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -17,13 +17,14 @@ import numpy as np
 
 from ._io import (
     DatasetFormatError,
-    atomic_write_text,
     check_float_fields,
     check_int_fields,
     json_field,
     json_record,
     read_json,
     read_jsonl,
+    write_json,
+    write_jsonl,
 )
 from .kinematics import RigidTransform, _cross, check_configuration, load_chain, skeleton_keypoints
 from .poseinit import MIN_CORRESPONDENCES, CameraIntrinsics, Keypoints2D, scale_link_visible
@@ -223,17 +224,11 @@ def write_dataset(out_dir, chain, cfg, scenes, masks):
     sil_dir = os.path.join(out_dir, "silhouettes")
     os.makedirs(sil_dir, exist_ok=True)
     chain.save(os.path.join(out_dir, "chain.json"))
-    atomic_write_text(
-        os.path.join(out_dir, "camera.json"),
-        json.dumps(cfg.intrinsics().to_json(), indent=2) + "\n",
-    )
-    atomic_write_text(
-        os.path.join(out_dir, "sampler.json"), json.dumps(cfg.to_json(), indent=2) + "\n"
-    )
+    write_json(os.path.join(out_dir, "camera.json"), cfg.intrinsics().to_json())
+    write_json(os.path.join(out_dir, "sampler.json"), cfg.to_json())
     for scene, mask in zip(scenes, masks):
         write_pgm(os.path.join(out_dir, scene.silhouette), mask)
-    lines = "".join(json.dumps(scene.to_json()) + "\n" for scene in scenes)
-    atomic_write_text(os.path.join(out_dir, "scenes.jsonl"), lines)
+    write_jsonl(os.path.join(out_dir, "scenes.jsonl"), (scene.to_json() for scene in scenes))
 
 
 def read_dataset(in_dir):

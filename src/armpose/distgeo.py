@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import base64
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import atomic_write_text, check_float_fields, check_int_fields, json_field, read_json
+from ._io import check_float_fields, check_int_fields, json_field, read_json, write_json
 from .kinematics import _cross, compose, dh_transform, joint_points, kabsch, wrap_angle
 
 
@@ -183,15 +182,11 @@ def align_points(x_raw, chain, targets=None):
     if target_full.shape != (2 * n, 3):
         raise ValueError(f"targets must be a ({2 * n}, 3) skeleton array")
 
-    best = None
-    for mirror in (False, True):
-        candidate = cloud * np.array([1.0, 1.0, -1.0]) if mirror else cloud
-        rot, tra = kabsch(candidate[idx], target_full[idx])
-        mapped = candidate @ rot.T + tra
-        residual = float(np.linalg.norm(mapped - target_full))
-        if best is None or residual < best[0]:
-            best = (residual, mapped)
-    return best[1]
+    candidates = (cloud, cloud * np.array([1.0, 1.0, -1.0]))
+    rots, tras = kabsch(np.stack([candidate[idx] for candidate in candidates]), target_full[idx])
+    mapped = [candidate @ rot.T + tra for candidate, rot, tra in zip(candidates, rots, tras)]
+    own, mirror = (float(np.linalg.norm(m - target_full)) for m in mapped)
+    return mapped[1] if mirror < own else mapped[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,7 @@ def save_regressor(net, path, trainer_state=None):
     obj = net.to_json()
     if trainer_state is not None:
         obj["trainer_state"] = trainer_state.to_json()
-    atomic_write_text(path, json.dumps(obj) + "\n")
+    write_json(path, obj, indent=None)
 
 
 def load_regressor(path):

@@ -8,14 +8,13 @@ origin p_i and the axis point q_i = p_i + R_i @ (0, 0, 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
 
-from ._io import atomic_write_text, check_float_fields, json_field, json_record, read_json
+from ._io import check_float_fields, json_field, json_record, read_json, write_json
 
 _EYE3 = np.eye(3)
 
@@ -244,7 +243,7 @@ class KinematicChain:
         )
 
     def save(self, path):
-        atomic_write_text(path, json.dumps(self.to_json(), indent=2) + "\n")
+        write_json(path, self.to_json())
 
 
 def load_chain(path):

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, write_csv
+from ._io import write_csv, write_json
 from .kinematics import skeleton_keypoints, wrap_angle
 
 # ADD threshold (m) of the area-under-curve score
@@ -87,7 +86,7 @@ def build_report(records, add_threshold=ADD_THRESHOLD):
 
 
 def write_report_json(report, path):
-    atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+    write_json(path, report)
 
 
 def write_report_csv(report, path):

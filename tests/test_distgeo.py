@@ -164,6 +164,34 @@ def test_align_points_resolves_reflection_with_targets():
     assert np.max(np.abs(aligned - truth)) < 1e-9
 
 
+def test_align_points_fits_both_chiralities_in_one_kabsch_call(monkeypatch):
+    """With targets, the cloud and its mirror are fit by one stacked Kabsch
+    solve, and the kept fit is bit for bit the better of two separate solves."""
+    chain = builtin_chain("panda7")
+    idx = _zero_reference(chain)[1]
+    rng = np.random.default_rng(24)
+    lo, hi = chain.limits()
+    calls = []
+
+    def counting(src, dst):
+        calls.append(np.shape(src))
+        return kabsch(src, dst)
+
+    monkeypatch.setattr(distgeo, "kabsch", counting)
+    for _ in range(5):
+        theta = rng.uniform(lo, hi)
+        cloud = points_from_gram(gram_from_edm(edm_from_configuration(chain, theta)))
+        targets = joint_points(chain, theta + rng.normal(scale=0.1, size=chain.dof))
+        fits = []
+        for candidate in (cloud, cloud * np.array([1.0, 1.0, -1.0])):
+            rot, tra = kabsch(candidate[idx], targets[idx])
+            fits.append(candidate @ rot.T + tra)
+        want = min(fits, key=lambda fit: np.linalg.norm(fit - targets))
+        calls.clear()
+        assert np.array_equal(align_points(cloud, chain, targets=targets), want)
+        assert calls == [(2, len(idx), 3)]
+
+
 def test_canonical_alignment_keeps_the_cloud_chirality():
     """Without targets, a cloud and its mirror image each come back as their
     own anchor fit onto the zero-configuration skeleton: three anchors cannot

@@ -18,7 +18,7 @@ from armpose import (
     load_regressor,
     save_regressor,
 )
-from armpose._io import atomic_write_bytes, json_field, read_jsonl
+from armpose._io import atomic_write_bytes, json_field, read_json, read_jsonl, write_json, write_jsonl
 
 
 def test_failed_atomic_write_keeps_old_file_and_cleans_up(tmp_path):
@@ -74,6 +74,31 @@ def test_read_jsonl_skips_blank_lines_and_rejects_a_file_without_records(tmp_pat
     path.write_text("\n")
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: no rows")):
         read_jsonl(path, lambda obj: obj["a"], "row")
+
+
+_VALUE = {"name": "arm", "theta": [0.5, -1.25], "ok": True, "none": None}
+
+
+def test_write_json_indents_by_two_spaces_and_ends_the_file_with_a_newline(tmp_path):
+    path = tmp_path / "value.json"
+    write_json(path, _VALUE)
+    assert path.read_bytes() == (json.dumps(_VALUE, indent=2) + "\n").encode("utf-8")
+    assert read_json(path, lambda obj: obj) == _VALUE
+
+
+def test_write_json_without_indent_writes_one_line(tmp_path):
+    path = tmp_path / "value.json"
+    write_json(path, _VALUE, indent=None)
+    assert path.read_bytes() == (json.dumps(_VALUE) + "\n").encode("utf-8")
+    assert read_json(path, lambda obj: obj) == _VALUE
+
+
+def test_write_jsonl_writes_one_record_a_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    records = [{"index": 0, "error": "ValueError: bad"}, _VALUE, [1, 2.5]]
+    write_jsonl(path, iter(records))
+    assert path.read_bytes() == "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+    assert read_jsonl(path, lambda obj: obj, "record") == records
 
 
 def test_json_field_reads_numbers_as_float64_like_numpy():

@@ -108,22 +108,24 @@ def test_every_module_import_is_used():
     assert unused == []
 
 
-def test_only_io_parses_json_files():
-    """Every JSON file, config files and the package's own chain files
-    included, is parsed by _io's readers, which name a bad file."""
+def test_only_io_imports_json():
+    """_io is the one module that imports json: every JSON and JSONL file,
+    config files and the package's own chain files included, is parsed by
+    its readers, which name a bad file, and written by its writers, which
+    fix each file's layout."""
     found = []
     for name in _module_names():
         if name == "_io":
             continue
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in ("load", "loads")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "json"
-            ):
-                found.append(f"{name}.py:{node.lineno} calls json.{node.attr}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} imports {m}" for m in modules if m.split(".")[0] == "json"]
     assert found == []
 
 
