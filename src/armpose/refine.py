@@ -15,16 +15,18 @@ matrix. Over a 3 x 250-probe refine the products drift from orthonormality
 by about 1e-15, far inside ``Estimate``'s 1e-9 check, so they are not
 re-orthonormalized.
 
-Each sweep probes every coordinate one step up and down, rides an improving
-direction while it pays, and halves the step sizes when nothing moved. After
-a sweep that moved, and while budget remains, the search probes the pattern
-point once (the Hooke-Jeeves pattern move: Hooke and Jeeves, J. ACM 8(2),
-1961). With x the incumbent after the sweep and b the incumbent at its
-start, the pattern point repeats the sweep's net move: theta 2 x - b clipped
-to the joint limits, the rotation ``R_x R_b^T R_x`` (the net turn applied
-once more, on the group), and the scale 2 x - b. A coordinate search alone
-stops at a fixed point of its pattern, where more iterations change
-nothing; the pattern move follows the sweep's net direction off it.
+Each sweep probes every coordinate once one step up and once one step down
+from the incumbent, keeps the better of the two only when it strictly lowers
+the objective, and halves the step sizes when nothing moved. After a sweep
+that moved, and while budget remains, the search probes the pattern point once
+(the exploratory and pattern moves of Hooke and Jeeves, J. ACM 8(2), 1961).
+With x the incumbent after the sweep and b the incumbent at its start, the
+pattern point repeats the sweep's net move: theta 2 x - b clipped to the
+joint limits, the rotation ``R_x R_b^T R_x`` (the net turn applied once
+more, on the group; ``R_x`` itself, bits included, after a sweep without a
+turn), and the scale 2 x - b. A coordinate search alone stops at a fixed
+point of its pattern, where more iterations change nothing; the pattern move
+follows the sweep's net direction off it.
 
 A search point is one ``_State``: its coordinates and world, the link
 clouds posed at its theta as (3, n) columns in ``silhouette._LinkClouds``'
@@ -45,8 +47,8 @@ mask.
 Each refine call also keeps a memo of every point it has evaluated, keyed by
 the exact bits of (theta, rotation matrix, scale). A probe that lands on a
 stored point (a step undone to the same bits, a theta step clipped back onto
-the incumbent, a pattern point that repeats a step the sweep already tried)
-takes the stored value and renders nothing. No stored value lies below the
+the incumbent, a pattern point on a point an earlier probe tried) takes the
+stored value and renders nothing. No stored value lies below the
 incumbent's: each one was either accepted, or lost to a probe that was, or
 was not below the incumbent of its time, and the incumbent's value never
 rises. A pattern point goes through the same memo and the same
@@ -197,8 +199,8 @@ class _CachedObjective:
     def pattern(self, state, theta, rotation, scale):
         """(value, state) at the pattern point of state x and an earlier point
         b = (theta, rotation, scale): theta 2 x - b clipped to the joint
-        limits, the rotation R_x R_b^T R_x, the scale 2 x - b; state is left
-        untouched.
+        limits, the rotation R_x R_b^T R_x (R_x itself when b's rotation is
+        x's own object), the scale 2 x - b; state is left untouched.
 
         None when the scale is not positive; a point evaluated before gives
         its stored value and None, as in probe.
@@ -207,7 +209,9 @@ class _CachedObjective:
         if not scale > 0.0:
             return None
         theta = np.clip(2.0 * state.theta - theta, self.lo, self.hi)
-        return self._evaluate(theta, state.rotation @ rotation.T @ state.rotation, scale, None)
+        if rotation is not state.rotation:  # else the sweep made no turn: keep its bits
+            rotation = state.rotation @ rotation.T @ state.rotation
+        return self._evaluate(theta, rotation, scale, None)
 
     def _evaluate(self, theta, rotation, scale, world):
         """(value, state) at (theta, rotation, scale): the stored value and
@@ -319,24 +323,13 @@ def refine(estimate, observed, chain, meshes, k, cfg=None, settings=None, ground
             for coord, step in zip(cost.coords, steps):
                 if used >= budget:
                     break
-                trials = []
-                for direction in (1.0, -1.0):
-                    if used >= budget:
-                        break
-                    f_new, cand = cost.probe(state, coord, direction * step)
-                    trials.append((f_new, direction, cand))
-                    used += 1
-                f_new, direction, cand = min(trials, key=lambda t: t[0])
+                # one step up and one down from the incumbent, as the budget allows
+                trials = [cost.probe(state, coord, s) for s in (step, -step)[: budget - used]]
+                used += len(trials)
+                f_new, cand = min(trials, key=lambda t: t[0])
                 if f_new < f_curr:
                     f_curr, state = f_new, cand
                     moved = True
-                    # ride the same direction while it keeps paying off
-                    while used < budget:
-                        f_new, cand = cost.probe(state, coord, direction * step)
-                        used += 1
-                        if not f_new < f_curr:
-                            break
-                        f_curr, state = f_new, cand
             if not moved:
                 steps = [step * 0.5 for step in steps]
             elif used < budget:

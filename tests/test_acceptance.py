@@ -442,7 +442,7 @@ def test_criterion_09_refinement_improves_initialization():
     results, elapsed = _run_sweep(3)
     wins, med_init, med_ref = _add_summary(results)
     ratio = med_ref / med_init
-    # reference run on this seed: 97/100 improved, 0.2654 -> 0.0749
+    # reference run on this seed: 99/100 improved, 0.2654 -> 0.0642
     assert elapsed < 300.0
     assert wins >= 90
     assert ratio <= 0.6
@@ -462,7 +462,8 @@ def test_criterion_10_more_iterations_do_not_hurt():
     assert med_three <= med_one
     # one iteration is the default budget, and it holds criterion 9's win
     # count and the median ADD the 3-iteration search without the pattern
-    # move reached (reference run: 93/100, 0.2654 -> 0.0945)
+    # move reached (reference run: 93/100, 0.2654 -> 0.0945; at one probe up
+    # and one down per coordinate per sweep it reads 99/100, 0.2654 -> 0.0678)
     assert RefinerConfig() == RefinerConfig(iterations=1)
     wins, med_init, med_ref = _add_summary(one)
     assert wins >= 90
@@ -517,12 +518,13 @@ def test_criterion_11_pipeline_determinism(tmp_path):
 # criterion 12: honest end-to-end quality
 
 
-def test_criterion_12_honest_end_to_end():
+def _criterion_12_recipe(seed):
     """Train-gim, estimate --freeze-dropout and refine at their defaults, run
     in-process: nothing from ground truth reaches a scene's estimate. The
-    regressor learns from 500 scenes of dataset seed 1, without their masks;
-    30 scenes of dataset seed 2 are estimated from their noisy keypoints and
-    refined against their masks."""
+    regressor, initialized and trained at seed, learns from 500 scenes of
+    dataset seed 1, without their masks; 30 scenes of dataset seed 2 are
+    estimated from their noisy keypoints and refined against their masks.
+    Returns (failed scenes, initial ADDs, refined ADDs, seconds)."""
     chain = builtin_chain("panda7")
     cfg = SamplerConfig()
     k = cfg.intrinsics()
@@ -532,7 +534,7 @@ def test_criterion_12_honest_end_to_end():
         scene = draw_scene(chain, cfg, 1, index)
         features = keypoint_features(scene.keypoints, k.width, k.height)
         train.append((features, edm_from_configuration(chain, scene.theta)))
-    net, _, _ = train_gim(init_regressor(*regressor_widths(chain), seed=0), train, TrainConfig(seed=0))
+    net, _, _ = train_gim(init_regressor(*regressor_widths(chain), seed=seed), train, TrainConfig(seed=seed))
     meshes, settings = default_link_meshes(chain), RenderSettings()
     failed, adds_init, adds_ref = [], [], []
     for index in range(30):
@@ -548,18 +550,43 @@ def test_criterion_12_honest_end_to_end():
         refined, _ = refine(est, mask, chain, meshes, k, RefinerConfig(), settings)
         adds_init.append(add_metric(scene.pose, scene.theta, est.pose(k), est.theta, chain))
         adds_ref.append(add_metric(scene.pose, scene.theta, refined.pose(k), refined.theta, chain))
-    elapsed = time.perf_counter() - start
-    med_init, med_ref = float(np.median(adds_init)), float(np.median(adds_ref))
-    mean_init, mean_ref = float(np.mean(adds_init)), float(np.mean(adds_ref))
+    return failed, adds_init, adds_ref, time.perf_counter() - start
+
+
+def _criterion_12_summary(adds_init, adds_ref, elapsed):
+    return (
+        f"{len(adds_init)}/30 scenes estimated, median ADD {np.median(adds_init):.4f} "
+        f"(mean {np.mean(adds_init):.4f}) -> {np.median(adds_ref):.4f} (mean {np.mean(adds_ref):.4f}) "
+        f"after refine, {elapsed:.1f}s"
+    )
+
+
+def test_criterion_12_honest_end_to_end():
+    failed, adds_init, adds_ref, elapsed = _criterion_12_recipe(seed=0)
     # reference run: 30/30 estimated, init median 0.6102 (mean 0.7132), refined
     # median 0.3540 (mean 0.4424) with 6D-code rotation probes, 0.3565 (mean
-    # 0.4222) with turns about the base-frame axes. A z-mirrored MDS cloud gave a better init
-    # (0.498) and a refined median of 0.464, which only the refined bound sees.
+    # 0.4222) with turns about the base-frame axes, 0.3239 (mean 0.4487) with
+    # one probe up and one down per coordinate per sweep. A z-mirrored MDS
+    # cloud gave a better init (0.498) and a refined median of 0.464, which
+    # only the refined bound sees.
     assert failed == []
-    assert med_init <= 0.62
-    assert med_ref <= 0.36
-    assert mean_ref <= 0.45
-    print(
-        f"criterion 12 PASS: {len(adds_init)}/30 scenes estimated, median ADD {med_init:.4f} "
-        f"(mean {mean_init:.4f}) -> {med_ref:.4f} (mean {mean_ref:.4f}) after refine, {elapsed:.1f}s"
-    )
+    assert np.median(adds_init) <= 0.62
+    assert np.median(adds_ref) <= 0.36
+    assert np.mean(adds_ref) <= 0.45
+    print(f"criterion 12 PASS: {_criterion_12_summary(adds_init, adds_ref, elapsed)}")
+
+
+# criterion 12's recipe with the regressor at two more seeds, so that a change
+# cannot pass on one regressor while it gets worse on the others. The bounds
+# are (initial median, refined median, refined mean) ADD in metres, the first
+# figures of this check rounded up to the next 0.01 m, and stay fixed.
+# First figures: seed 1, 0.3912 -> 0.3287 (mean 0.3669); seed 2, 0.5677 ->
+# 0.3604 (mean 0.4459).
+@pytest.mark.parametrize("seed, bounds", [(1, (0.40, 0.33, 0.37)), (2, (0.57, 0.37, 0.45))])
+def test_criterion_12_at_regressor_seeds_1_and_2(seed, bounds):
+    failed, adds_init, adds_ref, elapsed = _criterion_12_recipe(seed)
+    assert failed == []
+    assert np.median(adds_init) <= bounds[0]
+    assert np.median(adds_ref) <= bounds[1]
+    assert np.mean(adds_ref) <= bounds[2]
+    print(f"criterion 12 at regressor seed {seed} PASS: {_criterion_12_summary(adds_init, adds_ref, elapsed)}")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import warnings
@@ -312,8 +313,11 @@ def test_refine_checks_its_meshes():
 # objective that recomputes only the rows a probe moves and scores the splat
 # window. A speed-up that flips a mask pixel, an accepted move or a tracked
 # error on this path changes it. Re-recorded when the rotation probes became
-# turns about three base-frame axes in place of steps of the 6D code.
-GOLDEN_REFINE_SHA256 = "b0abb780796c65bf12f55517e5f87d9baaa60c6ec805d12c8d9cf1e18c5a3ccd"
+# turns about three base-frame axes in place of steps of the 6D code, and
+# again when a sweep stopped riding an improving step (one probe up and one
+# down per coordinate) and a pattern point kept the incumbent's rotation bits
+# after a sweep without a turn; _reference_refine takes the same path.
+GOLDEN_REFINE_SHA256 = "d126fc68359bb18b55f49b171aaad22e639da228915b9e7a43085b04ecec71fd"
 
 
 def _golden_scene():
@@ -327,6 +331,18 @@ def _golden_scene():
     scene, mask = build_scene(chain, cfg, seed=5, index=3, meshes=meshes, render_settings=settings)
     truth = Estimate.from_pose(scene.theta, scene.pose, k, provenance="truth")
     return chain, k, meshes, settings, mask, truth
+
+
+def _criterion_9_case(index, settings=None):
+    """Chain, camera, meshes, render settings, observed mask and start of
+    criterion 9's scene index: theta +- 0.1 per joint, depth x 1.1."""
+    chain, sampler = builtin_chain("panda7"), SamplerConfig()
+    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), settings or RenderSettings()
+    scene, mask = build_scene(chain, sampler, 900, index, meshes=meshes, render_settings=settings)
+    rng = np.random.default_rng(np.random.SeedSequence((900, index, 3)))
+    theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
+    truth = Estimate.from_pose(scene.theta, scene.pose, k)
+    return chain, k, meshes, settings, mask, Estimate(theta, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
 
 
 def test_refine_golden_digest():
@@ -344,8 +360,8 @@ def test_refine_golden_digest():
 # RefinerConfig (one 250-probe iteration with pattern moves), recorded
 # before the render rows became (3, n) columns. The digest above stops after
 # 60 probes, two pattern points in; this one covers the default search.
-# Re-recorded with the digest above, for the same reason.
-GOLDEN_REFINE_DEFAULT_SHA256 = "22111c0ff045974bfd12ba6b537e5ba38aceafefd105fa63457badccd251e0c5"
+# Re-recorded with the digest above, both times for the same reasons.
+GOLDEN_REFINE_DEFAULT_SHA256 = "8f38bd7a185c92c9d2e93d3c7b0d0efd18b9996c918712076659c253e13be5a2"
 
 
 def test_refine_golden_digest_at_the_default_search():
@@ -401,27 +417,22 @@ def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
         sizes = {field: getattr(cfg, field) for field in ("step_theta", "step_rot", "step_scale")}
         used, budget = 0, cfg.inner_evals_per_iteration
         while used < budget:
-            moved, base = False, x
+            moved, turned, base = False, False, x
             for field, index in _PROBES:
                 trials = []
                 for direction in (1.0, -1.0):
                     if used < budget:
-                        trials.append((*step(x, field, index, direction * sizes[field]), direction))
+                        trials.append(step(x, field, index, direction * sizes[field]))
                         used += 1
                 if trials and min(trials, key=lambda t: t[0])[0] < f:
-                    f, x, direction = min(trials, key=lambda t: t[0])
-                    moved = True
-                    while used < budget:
-                        probed = step(x, field, index, direction * sizes[field])
-                        used += 1
-                        if probed[0] >= f:
-                            break
-                        f, x = probed
+                    f, x = min(trials, key=lambda t: t[0])
+                    moved, turned = True, turned or field == "step_rot"
             if not moved:
                 sizes = {field: size * 0.5 for field, size in sizes.items()}
             elif used < budget and 2.0 * x[2] - base[2] > 0.0:
                 theta = np.clip(2.0 * x[0] - base[0], lo, hi)
-                value, p = point(theta, x[1] @ base[1].T @ x[1], 2.0 * x[2] - base[2])
+                rotation = x[1] @ base[1].T @ x[1] if turned else x[1]
+                value, p = point(theta, rotation, 2.0 * x[2] - base[2])
                 used += 1
                 if value < f:
                     f, x, accepted = value, p, accepted + 1
@@ -433,13 +444,7 @@ def _reference_refine(start, observed, chain, meshes, k, cfg, settings):
 def test_refine_matches_a_from_scratch_reference_search():
     # criterion 9's scene 2 and start, at a sampling density where the
     # search accepts a pattern point
-    chain, sampler = builtin_chain("panda7"), SamplerConfig()
-    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings(samples_per_link=200)
-    scene, mask = build_scene(chain, sampler, 900, 2, meshes=meshes, render_settings=settings)
-    rng = np.random.default_rng(np.random.SeedSequence((900, 2, 3)))
-    theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
-    truth = Estimate.from_pose(scene.theta, scene.pose, k)
-    start = Estimate(theta, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
+    chain, k, meshes, settings, mask, start = _criterion_9_case(2, RenderSettings(samples_per_link=200))
     cfg = RefinerConfig(iterations=2, inner_evals_per_iteration=120)
     refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
     theta, rotation, scale, rows, accepted = _reference_refine(start, mask, chain, meshes, k, cfg, settings)
@@ -454,16 +459,9 @@ def test_refine_renders_each_point_once_and_never_accepts_a_revisit(monkeypatch,
     if case == "golden":  # the golden-digest scene and start, with the default budget
         chain, k, meshes, settings, mask, truth = _golden_scene()
         start_theta = np.clip(truth.theta + 0.1, *chain.limits())
-    else:  # criterion 9's scenes and starts: theta +- 0.1 per joint, depth x 1.1
-        chain = builtin_chain("panda7")
-        sampler = SamplerConfig()
-        k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings()
-        scene, mask = build_scene(chain, sampler, 900, case, meshes=meshes, render_settings=settings)
-        truth = Estimate.from_pose(scene.theta, scene.pose, k)
-        rng = np.random.default_rng(np.random.SeedSequence((900, case, 3)))
-        signs = rng.choice([-1.0, 1.0], size=chain.dof)
-        start_theta = np.clip(truth.theta + 0.1 * signs, *chain.limits())
-    start = Estimate(start_theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
+        start = Estimate(start_theta, truth.rotation, truth.scale * 1.1, truth.base_pixel)
+    else:
+        chain, k, meshes, settings, mask, start = _criterion_9_case(case)
     cfg = RefinerConfig()
 
     values, renders, probes, patterns = {}, [], [], []
@@ -544,6 +542,38 @@ def test_init_golden_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_INIT_SHA256
 
 
+def test_a_sweep_probes_each_coordinate_once_up_and_once_down(monkeypatch):
+    chain, k, meshes, settings, mask, start = _criterion_9_case(0)
+    real_probe, probed = _CachedObjective.probe, []
+
+    def probe(self, state, coord, step):
+        probed.append((coord, step))
+        return real_probe(self, state, coord, step)
+
+    monkeypatch.setattr(_CachedObjective, "probe", probe)
+    refine(start, mask, chain, meshes, k, RefinerConfig(), settings)
+    # an improving step is taken once, never ridden along its coordinate
+    runs = [[step for _, step in run] for _, run in itertools.groupby(probed, key=lambda p: p[0])]
+    assert max(map(len, runs)) == 2
+    assert all(run == [run[0], -run[0]] for run in runs if len(run) == 2)
+
+
+def test_a_pattern_point_after_a_sweep_without_a_turn_keeps_the_rotation_bits(monkeypatch):
+    chain, k, meshes, settings, mask, start = _criterion_9_case(0)
+    real_pattern, kept = _CachedObjective.pattern, []
+
+    def pattern(self, state, theta, rotation, scale):
+        probed = real_pattern(self, state, theta, rotation, scale)
+        # a sweep that moved only theta or the scale ends on its start's rotation
+        if np.array_equal(rotation, state.rotation) and probed is not None and probed[1] is not None:
+            kept.append(np.array_equal(probed[1].rotation, state.rotation))
+        return probed
+
+    monkeypatch.setattr(_CachedObjective, "pattern", pattern)
+    refine(start, mask, chain, meshes, k, RefinerConfig(), settings)
+    assert kept and all(kept)
+
+
 def test_refine_returns_a_validated_estimate():
     chain, k, meshes, settings, scene, mask, truth = _scene_and_truth(seed=23, index=1)
     start = Estimate(truth.theta, truth.rotation, truth.scale * 1.05, truth.base_pixel)
@@ -568,18 +598,23 @@ def test_refine_counts_every_rotation_probe_from_the_identity(monkeypatch):
     scene, mask = build_scene(chain, sampler, seed=5, index=0, meshes=meshes, render_settings=settings)
     truth = Estimate.from_pose(scene.theta, scene.pose, k)
     # a turn of one radian from the identity is a rotation like any other:
-    # every probe is evaluated and counted against the budget
+    # every probe and pattern point is evaluated and counted against the budget
     start = Estimate(scene.theta, np.eye(3), truth.scale, truth.base_pixel)
-    real_probe, probed = _CachedObjective.probe, []
+    probed = []
 
-    def probe(self, *args):
-        probed.append(real_probe(self, *args))
-        return probed[-1]
+    def recorded(real):
+        def probe(self, *args):
+            probed.append(real(self, *args))
+            return probed[-1]
 
-    monkeypatch.setattr(_CachedObjective, "probe", probe)
+        return probe
+
+    monkeypatch.setattr(_CachedObjective, "probe", recorded(_CachedObjective.probe))
+    monkeypatch.setattr(_CachedObjective, "pattern", recorded(_CachedObjective.pattern))
     cfg = RefinerConfig(iterations=1, inner_evals_per_iteration=40, step_rot=1.0)
     refined, trace = refine(start, mask, chain, meshes, k, cfg, settings)
-    assert None not in probed and len(probed) == cfg.inner_evals_per_iteration
+    assert all(p is not None and p[1] is not None for p in probed)
+    assert len(probed) == cfg.inner_evals_per_iteration
     assert trace[-1]["evaluations"] == cfg.inner_evals_per_iteration
     assert type(refined) is Estimate and refined.provenance == "refined(1)"
 
@@ -600,13 +635,7 @@ def test_refine_frees_its_objective_without_the_cycle_collector():
 def test_refined_rotation_stays_orthonormal():
     # criterion 9's scene 0 and start, refined for 3 x 250 probes: the
     # rotation is a product of steps, never re-orthonormalized
-    chain, sampler = builtin_chain("panda7"), SamplerConfig()
-    k, meshes, settings = sampler.intrinsics(), default_link_meshes(chain), RenderSettings()
-    scene, mask = build_scene(chain, sampler, 900, 0, meshes=meshes, render_settings=settings)
-    rng = np.random.default_rng(np.random.SeedSequence((900, 0, 3)))
-    truth = Estimate.from_pose(scene.theta, scene.pose, k)
-    theta = np.clip(scene.theta + 0.1 * rng.choice([-1.0, 1.0], size=chain.dof), *chain.limits())
-    start = Estimate(theta, truth.rotation, 1.1 * truth.scale, truth.base_pixel)
+    chain, k, meshes, settings, mask, start = _criterion_9_case(0)
     refined, _ = refine(start, mask, chain, meshes, k, RefinerConfig(iterations=3), settings)
     rot = refined.rotation
     assert not np.array_equal(rot, start.rotation)
