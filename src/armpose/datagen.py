@@ -1,8 +1,8 @@
 """Synthetic scene generation: configurations, cameras, keypoints, masks.
 
 A dataset directory holds chain.json, camera.json, sampler.json,
-scenes.jsonl (one JSON object per line, fixed key order) and
-silhouettes/scene_%05d.pgm, all written through _io. Every
+scenes.jsonl (one Scene.to_json row per line, fixed key order) and each
+scene's mask at Scene.silhouette, all written through _io. Every
 random draw is keyed by (dataset seed, scene index, purpose), so scenes are
 reproducible individually and independent of generation order.
 """
@@ -96,24 +96,34 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """One synthetic observation with its ground truth."""
+    """One synthetic observation with its ground truth.
+
+    Its scenes.jsonl row is {index, theta, rotation, translation, keypoints,
+    keypoints_true}, the pose and keypoints as their own to_json writes them.
+    The mask is at silhouette, a path made from the non-negative index.
+    """
 
     index: int
     theta: np.ndarray
     pose: RigidTransform
     keypoints: Keypoints2D
     keypoints_true: Keypoints2D
-    silhouette: str
+
+    def __post_init__(self):
+        check_int_fields(self, index=0)
+
+    @property
+    def silhouette(self):
+        """The mask's path inside the dataset directory."""
+        return f"silhouettes/scene_{self.index:05d}.pgm"
 
     def to_json(self):
         return {
             "index": self.index,
             "theta": np.asarray(self.theta).tolist(),
-            "rotation": self.pose.rotation.tolist(),
-            "translation": self.pose.translation.tolist(),
+            **self.pose.to_json(),
             "keypoints": self.keypoints.to_json(),
             "keypoints_true": self.keypoints_true.to_json(),
-            "silhouette": self.silhouette,
         }
 
     @classmethod
@@ -121,13 +131,9 @@ class Scene:
         return cls(
             index=json_field(obj, "index", int),
             theta=json_field(obj, "theta", float, (None,)),
-            pose=RigidTransform(
-                json_field(obj, "rotation", float, (3, 3)),
-                json_field(obj, "translation", float, (3,)),
-            ),
+            pose=RigidTransform.from_json(obj),
             keypoints=json_record("keypoints", Keypoints2D.from_json, obj["keypoints"]),
             keypoints_true=json_record("keypoints_true", Keypoints2D.from_json, obj["keypoints_true"]),
-            silhouette=json_field(obj, "silhouette", str),
         )
 
 
@@ -206,7 +212,6 @@ def draw_scene(chain, cfg, seed, index):
         pose=pose,
         keypoints=perturb_keypoints(keypoints_true, cfg.noise_std, (seed, index, 1)),
         keypoints_true=keypoints_true,
-        silhouette=f"silhouettes/scene_{index:05d}.pgm",
     )
 
 

@@ -173,7 +173,8 @@ class Estimate:
 
 @dataclass(frozen=True)
 class Keypoints2D:
-    """Pixel keypoints ordered base first, with per-point visibility flags."""
+    """Pixel keypoints ordered base first, with per-point visibility flags,
+    stored as they are held: {"uv": [[u, v], ...], "visible": [...]}."""
 
     uv: np.ndarray
     visible: np.ndarray
@@ -194,20 +195,11 @@ class Keypoints2D:
         return self.uv.shape[0]
 
     def to_json(self):
-        return [
-            {"u": float(u), "v": float(v), "visible": bool(w)}
-            for (u, v), w in zip(self.uv, self.visible)
-        ]
+        return {"uv": self.uv.tolist(), "visible": self.visible.tolist()}
 
     @classmethod
-    def from_json(cls, items):
-        uv, visible = [], []
-        for i, it in enumerate(items):
-            u = json_field(it, "u", float, name=f"keypoint {i} u")
-            v = json_field(it, "v", float, name=f"keypoint {i} v")
-            uv.append((u, v))
-            visible.append(json_field(it, "visible", bool, name=f"keypoint {i} visible"))
-        return cls(uv, visible)
+    def from_json(cls, obj):
+        return cls(json_field(obj, "uv", float, (None, 2)), json_field(obj, "visible", bool, (None,)))
 
 
 # ---------------------------------------------------------------------------

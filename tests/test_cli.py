@@ -183,8 +183,11 @@ def test_gen_is_bitwise_repeatable(tmp_path):
 # sha256 over every file gen writes for six scenes of seed 3, once at the
 # default sample count and once at 37 samples per link, recorded before link
 # surfaces were sampled from a per-mesh table. A speed-up of gen that moves a
-# keypoint, a pose or a mask pixel changes it.
-GOLDEN_GEN_SHA256 = "d97d949793ba0e8d8a8225650049ce6f9034e258e02c70ecf1f89fbff3c0c5de"
+# keypoint, a pose or a mask pixel changes it. Re-recorded when scenes.jsonl
+# took its one-layout rows (flat rotation, keypoints as {"uv", "visible"}, no
+# stored mask path): only that file's bytes moved, every mask and every value
+# read back stayed bit-for-bit the same.
+GOLDEN_GEN_SHA256 = "83a699037974939d56231881ecc8d306a3b146830a772054d46564c8936166a5"
 
 
 def _gen_tree_sha256(roots):
@@ -791,30 +794,64 @@ _MALFORMED = [
     ),
     ("sampler-not-json", lambda d, net: _write(d / "sampler.json", "{"), "estimate"),
     ("scene-six-angles", lambda d, net: _edit_second_scene(d, lambda r: r["theta"].pop()), "eval"),
-    ("scene-seven-keypoints", lambda d, net: _edit_second_scene(d, lambda r: r["keypoints"].pop()), "train-gim"),
+    (
+        "scene-seven-keypoints",
+        lambda d, net: _edit_second_scene(d, lambda r: [r["keypoints"][key].pop() for key in ("uv", "visible")]),
+        "train-gim",
+    ),
     ("scene-repeated-index", lambda d, net: _edit_second_scene(d, lambda r: r.update(index=0)), "estimate"),
     ("scene-fractional-index", lambda d, net: _edit_second_scene(d, lambda r: r.update(index=1.7)), "estimate"),
     (
+        "scene-negative-index",
+        lambda d, net: (_edit_second_scene(d, lambda r: r.update(index=-1)), "index must be at least 0, got -1"),
+        "estimate",
+    ),
+    (
         "scene-visible-as-text",
         lambda d, net: (
-            _edit_second_scene(d, lambda r: r["keypoints"][1].update(visible="false")),
-            "keypoint 1 visible must be true or false",
+            _edit_second_scene(d, lambda r: r["keypoints"]["visible"].__setitem__(1, "false")),
+            "keypoints: visible must be a list of values, each true or false",
         ),
         "estimate",
     ),
     (
         "scene-keypoint-as-text",
         lambda d, net: (
-            _edit_second_scene(d, lambda r: r["keypoints"][1].update(u="100.5")),
-            "keypoints: keypoint 1 u must be a finite number",
+            _edit_second_scene(d, lambda r: r["keypoints"]["uv"][1].__setitem__(0, "100.5")),
+            "keypoints: uv must be a list of values, each a list of 2 values, each a finite number",
         ),
         "estimate",
     ),
     (
         "scene-true-keypoint-as-text",
         lambda d, net: (
-            _edit_second_scene(d, lambda r: r["keypoints_true"][1].update(u="100.5")),
-            "keypoints_true: keypoint 1 u must be a finite number",
+            _edit_second_scene(d, lambda r: r["keypoints_true"]["uv"][1].__setitem__(0, "100.5")),
+            "keypoints_true: uv must be a list of values, each a list of 2 values, each a finite number",
+        ),
+        "estimate",
+    ),
+    # rows in the earlier scenes.jsonl layout, which no reader accepts
+    (
+        "scene-nested-rotation",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r.update(rotation=np.reshape(r["rotation"], (3, 3)).tolist())),
+            "rotation must be a list of 9 values",
+        ),
+        "estimate",
+    ),
+    (
+        "scene-keypoint-dicts",
+        lambda d, net: (
+            _edit_second_scene(
+                d,
+                lambda r: r.update(
+                    keypoints=[
+                        {"u": u, "v": v, "visible": w}
+                        for (u, v), w in zip(r["keypoints"]["uv"], r["keypoints"]["visible"])
+                    ]
+                ),
+            ),
+            "bad scene record: keypoints:",
         ),
         "estimate",
     ),

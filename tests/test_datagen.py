@@ -239,28 +239,32 @@ def test_draw_scene_is_the_scene_build_scene_renders():
         assert not np.array_equal(drawn.keypoints.uv, drawn.keypoints_true.uv)
 
 
-def test_scene_json_round_trip():
+def test_scene_json_round_trip(tmp_path):
+    """A written row stores each fact once, in the layout the records hold:
+    the rotation flat and row-major, each keypoint set as one list of (u, v)
+    pairs and one of flags, and no mask path; it reads back bit for bit."""
     chain = builtin_chain("panda7")
     cfg = SamplerConfig()
     meshes = default_link_meshes(chain)
     settings = RenderSettings(samples_per_link=80, splat_radius=1, seed=0)
-    scene, _ = build_scene(chain, cfg, seed=4, index=3, meshes=meshes, render_settings=settings)
-    blob = scene.to_json()
-    assert list(blob.keys()) == [
-        "index",
-        "theta",
-        "rotation",
-        "translation",
-        "keypoints",
-        "keypoints_true",
-        "silhouette",
-    ]
-    again = Scene.from_json(blob)
-    assert again.index == scene.index
+    scene, mask = build_scene(chain, cfg, seed=4, index=3, meshes=meshes, render_settings=settings)
+    write_dataset(tmp_path, chain, cfg, [scene], [mask])
+    (line,) = (tmp_path / "scenes.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(line)
+    assert list(row) == ["index", "theta", "rotation", "translation", "keypoints", "keypoints_true"]
+    assert row["rotation"] == scene.pose.rotation.ravel().tolist()
+    for name in ("keypoints", "keypoints_true"):
+        kp = getattr(scene, name)
+        assert row[name] == {"uv": kp.uv.tolist(), "visible": kp.visible.tolist()}
+    again = Scene.from_json(row)
+    assert again.index == scene.index == 3
+    assert again.silhouette == "silhouettes/scene_00003.pgm"
     assert np.array_equal(again.theta, scene.theta)
     assert np.array_equal(again.pose.rotation, scene.pose.rotation)
     assert np.array_equal(again.pose.translation, scene.pose.translation)
-    assert np.array_equal(again.keypoints.uv, scene.keypoints.uv)
+    for name in ("keypoints", "keypoints_true"):
+        assert np.array_equal(getattr(again, name).uv, getattr(scene, name).uv)
+        assert np.array_equal(getattr(again, name).visible, getattr(scene, name).visible)
 
 
 def _scenes(chain, cfg, count, seed, settings):
@@ -304,9 +308,29 @@ def test_read_dataset_reports_bad_line(tmp_path):
         good[1][: len(good[1]) // 2],
         json.dumps({**second, "index": 0}),
         json.dumps({**second, "theta": second["theta"][:6]}),
-        json.dumps({**second, "keypoints": second["keypoints"][:7]}),
+        json.dumps({**second, "keypoints": {key: second["keypoints"][key][:7] for key in ("uv", "visible")}}),
     ]
     for bad in bad_rows:
         path.write_text("\n".join([good[0], bad]) + "\n", encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=r"scenes\.jsonl:2:"):
             read_dataset(out)
+
+
+def test_mask_path_follows_the_row_index(tmp_path):
+    """load_scene_mask reads silhouettes/scene_NNNNN.pgm of the row's own
+    index; a stray silhouette key in the row points it nowhere else."""
+    chain = builtin_chain("panda7")
+    cfg = SamplerConfig()
+    settings = RenderSettings(samples_per_link=60, splat_radius=1, seed=0)
+    scenes, masks = _scenes(chain, cfg, 2, 1, settings)
+    out = tmp_path / "d"
+    write_dataset(out, chain, cfg, scenes, masks)
+    assert sorted(p.name for p in (out / "silhouettes").iterdir()) == ["scene_00000.pgm", "scene_00001.pgm"]
+    path = out / "scenes.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    stray = json.dumps({**json.loads(second), "silhouette": "silhouettes/scene_00000.pgm"})
+    path.write_text("\n".join([first, stray]) + "\n", encoding="utf-8")
+    _, k, _, scenes2 = read_dataset(out)
+    assert scenes2[1].silhouette == "silhouettes/scene_00001.pgm"
+    assert not np.array_equal(masks[0], masks[1])
+    assert np.array_equal(load_scene_mask(out, scenes2[1], k), masks[1])

@@ -140,7 +140,7 @@ def test_one_near_plane_rule_for_render_keypoints_and_epnp():
 def test_keypoints_round_trip():
     kp = Keypoints2D(np.array([[1.5, 2.5], [3.0, 4.0]]), np.array([True, False]))
     items = kp.to_json()
-    assert items[0] == {"u": 1.5, "v": 2.5, "visible": True}
+    assert items == {"uv": [[1.5, 2.5], [3.0, 4.0]], "visible": [True, False]}
     back = Keypoints2D.from_json(items)
     assert np.array_equal(back.uv, kp.uv)
     assert np.array_equal(back.visible, kp.visible)
