@@ -69,12 +69,15 @@ def _as_json(value):
 def json_field(obj, key, kind, shape=(), name=None, default=None):
     """obj[key] as a JSON value of kind (int, float, bool or str) nested in
     lists of the lengths in shape (None: any length), or default, when not
-    None, for an absent key; a ValueError naming name (default: key) otherwise.
+    None, for an absent key; a ValueError naming name (default: key), or
+    saying "a JSON object" when obj is not one, otherwise.
 
     A number is a finite JSON number, an integer included, never a boolean,
     a string, NaN or Infinity. It comes back as float64: a Python float, or
     an array of this shape. Other kinds come back as given.
     """
+    if type(obj) is not dict:
+        raise ValueError(f"must be a JSON object holding {key!r}, got {json.dumps(_as_json(obj), default=repr)}")
     if default is not None and key not in obj:
         return default
     raw = obj[key]

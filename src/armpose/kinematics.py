@@ -45,6 +45,11 @@ def check_rotation(rotation):
     return rot
 
 
+def rotation_from_json(obj):
+    """The (3, 3) rotation obj stores as "rotation", a flat row-major list of 9: that layout's one reader."""
+    return json_field(obj, "rotation", float, (9,)).reshape(3, 3)
+
+
 class RigidTransform:
     """An SE(3) element: orthonormal rotation (det +1) plus translation in meters.
 
@@ -96,8 +101,7 @@ class RigidTransform:
 
     @classmethod
     def from_json(cls, obj):
-        rotation = json_field(obj, "rotation", float, (9,)).reshape(3, 3)
-        return cls(rotation, json_field(obj, "translation", float, (3,)))
+        return cls(rotation_from_json(obj), json_field(obj, "translation", float, (3,)))
 
     def __repr__(self):
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"

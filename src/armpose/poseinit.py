@@ -20,7 +20,8 @@ import numpy as np
 
 from ._io import check_float_fields, check_int_fields, json_field, json_record
 from .distgeo import align_points, configuration_from_points, gram_from_edm, points_from_gram
-from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, skeleton_keypoints
+from .kinematics import RigidTransform, check_configuration, check_rotation, kabsch, rotation_from_json
+from .kinematics import skeleton_keypoints
 
 # A camera-frame point is in front of the camera when its depth exceeds this;
 # rendering, keypoint visibility and EPnP scoring all read it from project.
@@ -164,7 +165,7 @@ class Estimate:
     def from_json(cls, obj):
         return cls(
             theta=json_field(obj, "theta", float, (None,)),
-            rotation=json_field(obj, "rotation", float, (9,)).reshape(3, 3),
+            rotation=rotation_from_json(obj),
             scale=json_field(obj, "lambda", float),
             base_pixel=json_field(obj, "p_base_pixel", float, (2,)),
             provenance=json_field(obj, "provenance", str, default=cls.provenance),

@@ -6,9 +6,10 @@ pose, projects them with ``CameraIntrinsics.project`` (the package's one
 pinhole model and near-plane rule), and splats a small disc per sample.
 Everything is deterministic given the settings, and sampling is prefix-stable:
 the first s samples drawn for a mesh do not depend on the total sample count.
-Sampling reads an area table each ``Mesh`` builds once, when it is made
-(triangle corners, cumulative areas and their total, by the arithmetic the
-per-call formula used), so every sample keeps that formula's bits; scenes
+The one sampler, ``sample_surface``, draws one mesh per call (so one link
+at a time) from an area table each ``Mesh`` builds once, when it is made
+(triangle corners, cumulative areas and their total, by the per-call
+formula's arithmetic), so every sample keeps that formula's bits; scenes
 reseed their samples, so only the table is shared across scenes.
 
 Render rows are coordinate-major: n points are one (3, n) array, x, y and z
@@ -110,35 +111,23 @@ def sample_surface(mesh, count, seed):
     Triangles are picked from the mesh's area table and points placed by
     uniform barycentric weights (Osada et al., "Shape Distributions", 2002).
     The draw for sample i depends only on (seed, i), so prefixes agree
-    across different counts.
+    across different counts. It is the one sampler, one mesh per call.
     """
     if not isinstance(mesh, Mesh):
         raise ValueError(f"sample_surface needs a Mesh, got {mesh!r}")
-    return _sample_surfaces([mesh], count, [seed])[0]
-
-
-def _sample_surfaces(meshes, count, seeds):
-    """sample_surface(mesh, count, seed) for each mesh and its seed: the one
-    sampler. The barycentric arithmetic of every mesh runs as one pass over
-    all their samples; it is elementwise, so each point has the bits a pass
-    over its mesh alone would give."""
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    draws = np.empty((len(meshes), count, 3))
-    chosen = np.empty((len(meshes), 9, count))
-    for i, mesh in enumerate(meshes):
-        corners, cum, total = mesh._table
-        np.random.default_rng(np.random.SeedSequence(seeds[i])).random(out=draws[i])
-        idx = np.searchsorted(cum, draws[i, :, 0] * total, side="right")
-        # clip mode takes index T, a draw at the very top of the total area,
-        # as the last triangle
-        np.take(corners, idx, axis=1, out=chosen[i], mode="clip")
-    sq = np.sqrt(draws[:, None, :, 1])
+    corners, cum, total = mesh._table
+    draws = np.random.default_rng(np.random.SeedSequence(seed)).random((count, 3))
+    idx = np.searchsorted(cum, draws[:, 0] * total, side="right")
+    # clip mode takes index T, a draw at the very top of the total area, as
+    # the last triangle; chosen is (9, count), coordinate-major like corners
+    chosen = corners.take(idx, axis=1, mode="clip")
+    sq = np.sqrt(draws[:, 1])
     w0 = 1.0 - sq
-    w1 = sq * (1.0 - draws[:, None, :, 2])
-    w2 = sq * draws[:, None, :, 2]
-    points = w0 * chosen[:, 0:3] + w1 * chosen[:, 3:6] + w2 * chosen[:, 6:9]
-    return [cloud.T for cloud in points]
+    w1 = sq * (1.0 - draws[:, 2])
+    w2 = sq * draws[:, 2]
+    return (w0 * chosen[0:3] + w1 * chosen[3:6] + w2 * chosen[6:9]).T
 
 
 @functools.cache
@@ -296,13 +285,13 @@ def render_chain_silhouette(chain, theta, meshes, pose, k, settings):
 
 
 def sample_link_clouds(meshes, settings):
-    """Per-link local-frame surface samples: link li's are sample_surface's
-    at a seed drawn from (settings.seed, li). Every link needs a Mesh."""
+    """Per-link local-frame surface samples, one sample_surface call per link:
+    link li's at a seed drawn from (settings.seed, li). Every link needs a Mesh."""
     for li, mesh in enumerate(meshes):
         if not isinstance(mesh, Mesh):
             raise ValueError(f"link {li} needs a Mesh, got {mesh!r}")
     seeds = [int(np.random.SeedSequence((settings.seed, li)).generate_state(1)[0]) for li in range(len(meshes))]
-    return _sample_surfaces(meshes, settings.samples_per_link, seeds)
+    return [sample_surface(mesh, settings.samples_per_link, seed) for mesh, seed in zip(meshes, seeds)]
 
 
 def render_link_clouds(clouds, frames, pose, k, settings):

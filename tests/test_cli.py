@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from armpose import AdamState, RenderSettings, init_regressor, save_regressor
+from armpose import AdamState, RenderSettings, init_regressor, kinematics, save_regressor
 from armpose.cli import main
 
 
@@ -707,13 +707,20 @@ def _edit_json(path, edit):
     return str(path)
 
 
-def _edit_second_row(path, edit):
+def _rewrite_second_row(path, rewrite):
+    """Replace the second row of a JSONL file by rewrite(row)."""
     lines = path.read_text().splitlines()
-    row = json.loads(lines[1])
-    edit(row)
-    lines[1] = json.dumps(row)
+    lines[1] = json.dumps(rewrite(json.loads(lines[1])))
     path.write_text("\n".join(lines) + "\n")
     return f"{path}:2:"
+
+
+def _edit_second_row(path, edit):
+    def rewrite(row):
+        edit(row)
+        return row
+
+    return _rewrite_second_row(path, rewrite)
 
 
 def _edit_second_scene(data, edit):
@@ -829,6 +836,39 @@ _MALFORMED = [
             "keypoints_true: uv must be a list of values, each a list of 2 values, each a finite number",
         ),
         "estimate",
+    ),
+    # a record nested where a JSON object belongs is refused as not one
+    (
+        "scene-keypoints-as-pairs",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r.update(keypoints=[[1, 2]])),
+            "bad scene record: keypoints: must be a JSON object holding 'uv', got [[1, 2]]",
+        ),
+        "estimate",
+    ),
+    (
+        "scene-keypoints-as-text",
+        lambda d, net: (
+            _edit_second_scene(d, lambda r: r.update(keypoints="abc")),
+            "bad scene record: keypoints: must be a JSON object holding 'uv', got \"abc\"",
+        ),
+        "estimate",
+    ),
+    (
+        "chain-base-frame-as-list",
+        lambda d, net: (
+            _edit_json(d / "chain.json", lambda o: o.update(base_frame=[o["base_frame"]["rotation"]])),
+            "base_frame: must be a JSON object holding 'rotation', got [[",
+        ),
+        "estimate",
+    ),
+    (
+        "estimate-row-as-list",
+        lambda d, net: (
+            _rewrite_second_row(d.parent / "est.jsonl", lambda r: list(r.values())),
+            "bad estimate record: must be a JSON object holding 'index', got [",
+        ),
+        "eval",
     ),
     # rows in the earlier scenes.jsonl layout, which no reader accepts
     (
@@ -955,6 +995,38 @@ def test_malformed_input_file_exits_five_naming_it(fronto_dataset, tmp_path, cap
     err = capsys.readouterr().err
     assert all(phrase in err for phrase in named) and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [[1.0] * 8, np.eye(3).tolist(), ["1"] + [0.0] * 8, [2.0] * 9],
+    ids=["eight-values", "nested", "text-entry", "not-orthonormal"],
+)
+def test_bad_rotation_reads_alike_in_scenes_and_estimates(fronto_dataset, tmp_path, capsys, rotation):
+    """scenes.jsonl and estimates.jsonl read a rotation through the one
+    reader, kinematics.rotation_from_json, so after each file's line prefix
+    a bad rotation gives the reader's (or check_rotation's) own message."""
+    with pytest.raises(ValueError) as reader:
+        kinematics.check_rotation(kinematics.rotation_from_json({"rotation": rotation}))
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--data", fronto_dataset, "--out", est, "--oracle-edm", "--workers", 1) == 0
+    scene_data = shutil.copytree(fronto_dataset, tmp_path / "scenes" / "data")
+    where = {
+        "scenes": _edit_second_scene(scene_data, lambda r: r.update(rotation=rotation)),
+        "estimates": _edit_second_row(est, lambda r: r.update(rotation=rotation)),
+    }
+    argv = {
+        "scenes": ["estimate", "--data", scene_data, "--out", tmp_path / "out", "--oracle-edm", "--workers", 1],
+        "estimates": ["eval", "--data", fronto_dataset, "--estimates", est, "--out", tmp_path / "out"],
+    }
+    messages = {}
+    for name in argv:
+        capsys.readouterr()
+        assert run(*argv[name]) == 5
+        err = capsys.readouterr().err
+        assert where[name] in err and "Traceback" not in err
+        messages[name] = err.split(where[name], 1)[1].split(" record: ", 1)[1].strip()
+    assert messages["scenes"] == messages["estimates"] == str(reader.value)
 
 
 def test_missing_dataset_directory_exits_two_naming_it(tmp_path, capsys):

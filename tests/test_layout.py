@@ -257,6 +257,30 @@ def test_only_silhouette_poses_link_clouds():
     assert found == []
 
 
+def test_only_sample_surface_reads_the_area_table():
+    """silhouette.sample_surface is the one sampler: no code besides it reads
+    a Mesh's area table, ``mesh._table``, and only Mesh.__post_init__ names
+    it, to build it."""
+    found = []
+    for name in _module_names():
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        allowed = set()
+        for node in tree.body if name == "silhouette" else ():
+            if isinstance(node, ast.FunctionDef) and node.name == "sample_surface":
+                allowed |= {id(inner) for inner in ast.walk(node) if isinstance(inner, ast.Attribute)}
+            if isinstance(node, ast.ClassDef) and node.name == "Mesh":
+                build = next(item for item in node.body if getattr(item, "name", None) == "__post_init__")
+                allowed |= {id(inner) for inner in ast.walk(build) if isinstance(inner, ast.Constant)}
+        found += [
+            f"{name}.py:{node.lineno} names _table"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "_table")
+            or (isinstance(node, ast.Constant) and node.value == "_table")
+            if id(node) not in allowed
+        ]
+    assert found == []
+
+
 def test_only_silhouette_and_refine_rasterize():
     """silhouette._splat_window, fed by pixel_centers, is the one rasterizer:
     every mask is painted by render_silhouette, render_polyline or the

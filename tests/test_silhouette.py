@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,27 @@ def test_sampling_is_the_per_call_formula_bit_for_bit(count):
         for li, mesh in enumerate(meshes):
             link_seed = int(np.random.SeedSequence((seed, li)).generate_state(1)[0])
             assert np.array_equal(clouds[li], _reference_sample_surface(mesh, count, link_seed))
+
+
+def test_sampling_holds_one_link_at_a_time():
+    """sample_link_clouds draws link by link, so its tracemalloc peak stays
+    below twice the clouds it returns plus one link's (9, m) corner gather;
+    a pass over every link at once holds several arrays of them all."""
+    meshes = default_link_meshes(builtin_chain("panda7"))
+    settings = RenderSettings()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        clouds = sample_link_clouds(meshes, settings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    gather = np.empty((9, settings.samples_per_link)).nbytes
+    assert peak - before < 2 * sum(cloud.nbytes for cloud in clouds) + gather
 
 
 def test_replaced_mesh_samples_its_new_geometry():
